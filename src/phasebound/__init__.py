@@ -8,9 +8,8 @@ from .errors import (DomainError, LevelUnbound, MultiRegionError,
                      NoClassicalMotion, NormalizationError, OracleError,
                      ParseError, PhaseboundError, QuadratureError,
                      SingularPointError, SolverError, UsageError)
-from .oracle import (OracleConfig, OracleSpectrum, TridiagonalOperator,
-                     discretize, eigenvalues_by_bisection, node_count,
-                     reference_levels)
+from .oracle import (OracleConfig, TridiagonalOperator, discretize,
+                     node_count, reference_levels)
 from .potentials import (MomentumField, PhysicalConstants, PotentialModel,
                          effective_radial, local_momentum)
 from .quadrature import QuadratureConfig, QuadratureResult, integrate_adaptive
@@ -32,7 +31,7 @@ __all__ = [
     "AngularQuantumNumbers", "AuditRow", "ClassicalRegion",
     "ContinuityReport", "DomainError", "EnergyLevel", "LevelUnbound",
     "MomentumField", "MultiRegionError", "NoClassicalMotion",
-    "NormalizationError", "OracleConfig", "OracleError", "OracleSpectrum",
+    "NormalizationError", "OracleConfig", "OracleError",
     "PaperNormalization", "ParseError", "PhaseAccumulator",
     "PhaseboundError", "PhysicalConstants", "PotentialModel",
     "QuadratureConfig", "QuadratureError", "QuadratureResult",
@@ -43,7 +42,7 @@ __all__ = [
     "angular_eigenvalue", "angular_numbers", "assemble_state",
     "azimuthal_eigenvalue", "build_state", "canonical_3d_residual",
     "claim_audit", "connection_check", "delta_functional", "discretize",
-    "effective_radial", "eigenvalues_by_bisection", "epsilon_parameter",
+    "effective_radial", "epsilon_parameter",
     "evaluate_state", "find_turning_points", "integrate_adaptive",
     "local_momentum", "node_count", "numeric_normalization",
     "paper_normalization", "radial_spectrum", "reference_levels",

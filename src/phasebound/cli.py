@@ -20,8 +20,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import (LevelUnbound, ParseError, PhaseboundError,
-                     SingularPointError, UsageError)
+from .errors import PhaseboundError, SingularPointError, UsageError
 from .oracle import OracleConfig
 from .potentials import PotentialModel
 from .quantize import SolverConfig, claim_audit, solve_level, spectrum
@@ -288,12 +287,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LevelUnbound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except PhaseboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,10 +1,13 @@
 """Independent grid-based reference solver for auditing quantized spectra.
 
 The potential is discretized with second-order central differences on a
-Dirichlet box and the resulting symmetric tridiagonal operator is solved
-by Sturm-sequence bisection.  Nothing here touches the phase-integral
-machinery: this path exists so the two solvers can be compared without a
-shared failure mode, so keep it that way.
+Dirichlet box and the lowest eigenvalues of the resulting symmetric
+tridiagonal operator come from LAPACK (stebz bisection, with stein
+inverse iteration when eigenvectors are asked for), through
+scipy.linalg.eigh_tridiagonal.  A vectorized Sturm count stays alongside
+as an independent check on those eigenvalues.  Nothing here touches the
+phase-integral machinery: this path exists so the two solvers can be
+compared without a shared failure mode, so keep it that way.
 
 Box selection in auto mode: both edges must clear the highest requested
 level by a margin of 5*hbar*omega_char (omega_char from the level spacing
@@ -23,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import OracleError, UsageError
 from .potentials import PotentialModel
 
 _DECAY_REQUIRED = 14.0
 _DECAY_ENOUGH = 16.0
-_MAX_SWEEPS = 260
 
 
 @dataclass(frozen=True)
@@ -37,17 +40,13 @@ class OracleConfig:
     grid_points: int = 4001
     box: tuple[float, float] | None = None
     target_levels: int = 1
-    eigen_tol: float = 1e-10
     extrapolate: bool = False
-    keep_eigenvectors: bool = False
 
     def __post_init__(self):
         if self.grid_points < 201 or self.grid_points % 2 == 0:
             raise UsageError("grid_points must be odd and at least 201")
         if self.target_levels < 1:
             raise UsageError("target_levels must be at least 1")
-        if not 0.0 < self.eigen_tol < 1e-2:
-            raise UsageError("eigen_tol out of range")
         if self.box is not None:
             a, b = self.box
             if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -69,36 +68,14 @@ class TridiagonalOperator:
     def size(self) -> int:
         return len(self.diag)
 
-    def sturm_count(self, sigma: float, retries: int = 5) -> int:
-        """Number of eigenvalues strictly below sigma.
-
-        Counts negative pivots of the LDL^T factorization of T - sigma*I.
-        An exact zero pivot breaks the recurrence; the shift is then
-        perturbed by 1e-12 of the spectral scale and the count retried.
-        """
-        off_sq = float(self.off) * float(self.off)
-        diag = self.diag.tolist()  # plain floats so a zero pivot raises
-        sigma = float(sigma)
-        scale = max(1.0, max(abs(v) for v in diag))
-        for _ in range(retries + 1):
-            count = 0
-            d = 1.0
-            try:
-                for i, di in enumerate(diag):
-                    d = (di - sigma) - (off_sq / d if i else 0.0)
-                    if d < 0.0:
-                        count += 1
-                return count
-            except ZeroDivisionError:
-                sigma += 1e-12 * scale
-        raise OracleError("pivot breakdown persisted through shift retries")
-
     def counts(self, shifts: np.ndarray) -> np.ndarray:
         """Vectorized eigenvalue counting over many shifts at once.
 
+        Counts, per shift, the negative pivots of the LDL^T factorization
+        of T - shift*I, i.e. the eigenvalues strictly below the shift.
         A zero pivot sends the next one to -inf, which the IEEE
         arithmetic then recovers from on its own, so no perturbation
-        loop is needed here (cf. sturm_count).
+        loop is needed.
         """
         shifts = np.asarray(shifts, dtype=float)
         diag = self.diag
@@ -116,63 +93,18 @@ class TridiagonalOperator:
                 count += neg
         return count
 
-    def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
-        """(T - sigma*I) y = rhs by elimination with partial pivoting."""
-        n = self.size
-        dl = np.full(n - 1, self.off)
-        d = self.diag - sigma
-        du = np.full(n - 1, self.off)
-        du2 = np.zeros(max(n - 2, 0))
-        y = rhs.astype(float).copy()
-        tiny = 1e-300
-        for i in range(n - 1):
-            if abs(d[i]) >= abs(dl[i]):
-                piv = d[i] if d[i] != 0.0 else tiny
-                m = dl[i] / piv
-                d[i + 1] -= m * du[i]
-                y[i + 1] -= m * y[i]
-                if i < n - 2:
-                    du2[i] = 0.0
-            else:
-                m = d[i] / dl[i]
-                d[i], dl[i] = dl[i], d[i]
-                du[i], d[i + 1] = d[i + 1], du[i] - m * d[i + 1]
-                if i < n - 2:
-                    du2[i] = du[i + 1]
-                    du[i + 1] = -m * du2[i]
-                y[i], y[i + 1] = y[i + 1], y[i] - m * y[i + 1]
-        if d[n - 1] == 0.0:
-            d[n - 1] = tiny
-        y[n - 1] /= d[n - 1]
-        if n > 1:
-            piv = d[n - 2] if d[n - 2] != 0.0 else tiny
-            y[n - 2] = (y[n - 2] - du[n - 2] * y[n - 1]) / piv
-        for i in range(n - 3, -1, -1):
-            piv = d[i] if d[i] != 0.0 else tiny
-            y[i] = (y[i] - du[i] * y[i + 1] - du2[i] * y[i + 2]) / piv
-        return y
+    def lowest(self, count: int, vectors: bool = False
+               ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """Lowest ``count`` eigenvalues in ascending order.
 
-    def eigenvector(self, eigenvalue: float, iterations: int = 3,
-                    seed: int = 7) -> np.ndarray:
-        """Inverse iteration at a converged eigenvalue; max-norm 1."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.size)
-        shift = eigenvalue + 1e-9 * max(1.0, abs(eigenvalue))
-        for _ in range(iterations):
-            v = self.solve_shifted(shift, v)
-            v /= np.max(np.abs(v))
-        lead = v[np.argmax(np.abs(v) > 1e-3)]
-        if lead < 0.0:
-            v = -v
-        return v
-
-
-@dataclass(frozen=True)
-class OracleSpectrum:
-    energies: np.ndarray
-    eigenvectors: list[np.ndarray] | None
-    grid: tuple[float, float, float]
-    convergence: list[int]
+        With ``vectors`` set, returns ``(values, vectors)`` with unit
+        eigenvectors as columns, as scipy's ``eigvals_only=False`` does.
+        """
+        if not 1 <= count <= self.size:
+            raise UsageError("level count must be between 1 and the grid size")
+        return eigh_tridiagonal(self.diag, np.full(self.size - 1, self.off),
+                                eigvals_only=not vectors, select="i",
+                                select_range=(0, count - 1))
 
 
 def _char_frequency(potential: PotentialModel) -> float:
@@ -197,9 +129,9 @@ def _estimate_top_level(potential: PotentialModel, count: int
     """
     lo, hi = potential.domain
     op = _discretize_box(potential, (lo, hi), 801)
-    coarse = _bisect_levels(op, count + 1, 1e-6)
-    e_top = float(coarse.energies[count - 1])
-    spacing = float(coarse.energies[count] - e_top)
+    coarse = op.lowest(count + 1)
+    e_top = float(coarse[count - 1])
+    spacing = float(coarse[count] - e_top)
     return e_top, spacing
 
 
@@ -297,63 +229,6 @@ def discretize(potential: PotentialModel,
     return _discretize_box(potential, box, cfg.grid_points)
 
 
-_PROBES = 15  # interior subdivision points per open level per sweep
-
-
-def _bisect_levels(op: TridiagonalOperator, count: int, tol: float
-                   ) -> OracleSpectrum:
-    """Lowest eigenvalues by Sturm-count interval subdivision.
-
-    Classic bisection halves each level's bracket per counting pass;
-    since one pass is O(grid) regardless of how many shifts ride along,
-    probing 15 interior points per level instead shrinks every bracket
-    16-fold per sweep for nearly the same cost.
-    """
-    if count > op.size:
-        raise UsageError("more levels requested than grid points")
-    radius = 2.0 * abs(op.off)
-    lo = np.full(count, float(np.min(op.diag)) - radius)
-    hi = np.full(count, float(np.max(op.diag)) + radius)
-    idx = np.arange(count)
-    frac = np.arange(1, _PROBES + 1) / (_PROBES + 1.0)
-    converged_at = np.zeros(count, dtype=int)
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        width = hi - lo
-        goal = tol * np.maximum(1.0, np.abs(lo) + np.abs(hi))
-        open_ = width > goal
-        if not open_.any():
-            break
-        probes = lo[open_, None] + width[open_, None] * frac
-        c = op.counts(probes.ravel()).reshape(probes.shape)
-        # counts are nondecreasing in the shift, so the probes with
-        # count <= idx form a prefix of each row
-        n_below = np.sum(c <= idx[open_, None], axis=1)
-        rows = np.arange(probes.shape[0])
-        lo[open_] = np.where(n_below > 0,
-                             probes[rows, np.maximum(n_below - 1, 0)],
-                             lo[open_])
-        hi[open_] = np.where(n_below < _PROBES,
-                             probes[rows, np.minimum(n_below, _PROBES - 1)],
-                             hi[open_])
-        converged_at[open_] = sweep
-    else:
-        raise OracleError("eigenvalue bisection did not converge")
-    return OracleSpectrum(0.5 * (lo + hi), None,
-                          (op.a, op.b, op.h), converged_at.tolist())
-
-
-def eigenvalues_by_bisection(op: TridiagonalOperator, target_levels: int,
-                             eigen_tol: float = 1e-10,
-                             keep_eigenvectors: bool = False
-                             ) -> OracleSpectrum:
-    """Lowest eigenvalues by Sturm-count bisection, one bracket per level."""
-    spec = _bisect_levels(op, target_levels, eigen_tol)
-    if not keep_eigenvectors:
-        return spec
-    vecs = [op.eigenvector(e) for e in spec.energies]
-    return OracleSpectrum(spec.energies, vecs, spec.grid, spec.convergence)
-
-
 def node_count(vector: np.ndarray, threshold: float = 1e-8) -> int:
     """Interior sign changes, ignoring entries lost in numerical noise."""
     v = vector / np.max(np.abs(vector))
@@ -372,12 +247,11 @@ def reference_levels(potential: PotentialModel, count: int,
     cfg = config or OracleConfig()
     if count > cfg.target_levels:
         cfg = replace(cfg, target_levels=count)
-    box = cfg.box if cfg.box is not None \
-        else _auto_box(potential, cfg.target_levels)
-    op = _discretize_box(potential, box, cfg.grid_points)
-    coarse = _bisect_levels(op, count, cfg.eigen_tol).energies
+    op = discretize(potential, cfg)
+    coarse = op.lowest(count)
     if not cfg.extrapolate:
         return coarse
-    op_fine = _discretize_box(potential, box, 2 * cfg.grid_points - 1)
-    fine = _bisect_levels(op_fine, count, cfg.eigen_tol).energies
+    op_fine = _discretize_box(potential, (op.a, op.b),
+                              2 * cfg.grid_points - 1)
+    fine = op_fine.lowest(count)
     return (4.0 * fine - coarse) / 3.0

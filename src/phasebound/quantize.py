@@ -238,13 +238,18 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
     evals_before = q.evals
     a, fa, b, fb = q._bracket(target, seed, step_hint)
     hbar = q.pot.constants.hbar
+    limit = _RESIDUAL_LIMIT * max(1.0, target)
+    # where dW/dE is steep (weakly bound levels) the energy tolerance
+    # alone leaves the residual above the limit, so also stop no coarser
+    # than a tenth of the limit over the bracket's secant slope
+    xtol = min(q.cfg.energy_tol * max(1.0, abs(b)),
+               0.1 * limit * (b - a) / (fb - fa))
     energy = bisect_then_brent(lambda e: q.condition(e, target), a, b,
-                               fa=fa, fb=fb,
-                               xtol=q.cfg.energy_tol * max(1.0, abs(b)),
+                               fa=fa, fb=fb, xtol=xtol,
                                pre_bisect=2, maxiter=q.cfg.max_iterations)
     w, report = q.survey(energy)
     residual = abs(w / hbar - target)
-    if residual > _RESIDUAL_LIMIT * max(1.0, target):
+    if residual > limit:
         raise SolverError(
             f"level {n}: converged with residual {residual:.3e}, "
             "beyond the acceptance limit")

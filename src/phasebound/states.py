@@ -150,6 +150,7 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
     x, total = start, 0.0
     k_prev = 0.0
     hbar = pot.constants.hbar
+    flat_steps = 0
     for _ in range(200000):
         x_next = x + step
         lo, hi = pot.domain
@@ -166,7 +167,11 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
             continue
         k = float(field.forbidden_magnitude(x_next)) / hbar
         if k == 0.0 and total == 0.0:
-            # barely out of the region yet; keep going
+            # barely out of the region yet; keep going, but a tail that
+            # has not started to decay a full domain span out never will
+            flat_steps += 1
+            if flat_steps >= 512:
+                break
             x = x_next
             continue
         if k == 0.0:

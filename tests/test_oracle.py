@@ -6,7 +6,6 @@ from phasebound.oracle import (
     OracleConfig,
     TridiagonalOperator,
     discretize,
-    eigenvalues_by_bisection,
     node_count,
     reference_levels,
 )
@@ -20,24 +19,21 @@ def _toy_operator():
 
 
 def test_toy_eigenvalues():
-    spec = eigenvalues_by_bisection(_toy_operator(), 3)
+    got = _toy_operator().lowest(3)
     want = [2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)]
-    assert spec.energies == pytest.approx(want, abs=1e-10)
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_sturm_count_brackets_spectrum():
-    op = _toy_operator()
-    assert op.sturm_count(0.0) == 0
-    assert op.sturm_count(1.0) == 1
-    assert op.sturm_count(2.5) == 2
-    assert op.sturm_count(10.0) == 3
+    counts = _toy_operator().counts([0.0, 1.0, 2.5, 10.0])
+    assert counts.tolist() == [0, 1, 2, 3]
 
 
 def test_sturm_count_survives_exact_pivot_zero():
     op = TridiagonalOperator(np.array([1.0, 1.0]), 1.0,
                              0.0, 3.0, 1.0, np.array([1.0, 2.0]))
     # sigma = 1 makes the first pivot exactly zero; eigenvalues are 0 and 2
-    assert op.sturm_count(1.0) == 1
+    assert op.counts([1.0]).tolist() == [1]
 
 
 def test_sturm_monotone_over_random_shifts(rng):
@@ -46,24 +42,16 @@ def test_sturm_monotone_over_random_shifts(rng):
     shifts = np.sort(rng.uniform(-5.0, 120.0, size=100))
     counts = op.counts(shifts)
     assert np.all(np.diff(counts) >= 0)
-    # vectorized and scalar paths must agree
-    for sigma in shifts[::17]:
-        assert op.sturm_count(float(sigma)) == op.counts([sigma])[0]
 
 
-def test_shifted_solve_matches_dense():
-    rng = np.random.default_rng(7)
-    n = 40
-    diag = rng.uniform(1.0, 3.0, size=n)
-    off = -0.7
-    op = TridiagonalOperator(diag, off, 0.0, 1.0, 1.0 / n,
-                             np.linspace(0.0, 1.0, n))
-    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
-    rhs = rng.standard_normal(n)
-    sigma = 0.37
-    got = op.solve_shifted(sigma, rhs)
-    want = np.linalg.solve(dense - sigma * np.eye(n), rhs)
-    assert got == pytest.approx(want, rel=1e-9)
+def test_counts_bracket_lapack_eigenvalues(harmonic):
+    # the Sturm count shares no code with LAPACK, so it audits it
+    op = discretize(harmonic, OracleConfig(grid_points=1001,
+                                           box=(-8.0, 8.0)))
+    levels = op.lowest(10)
+    pad = 1e-9 * np.maximum(1.0, np.abs(levels))
+    assert op.counts(levels - pad).tolist() == list(range(10))
+    assert op.counts(levels + pad).tolist() == list(range(1, 11))
 
 
 def test_box_ground_state():
@@ -76,7 +64,7 @@ def test_box_ground_state():
 
 def test_harmonic_fixed_box_accuracy(harmonic):
     # h^2 floor for this grid sits near 7.8e-7; anything much worse
-    # means the discretization or the bisection regressed
+    # means the discretization or the eigensolver regressed
     refs = reference_levels(harmonic, 1, OracleConfig(box=(-10.0, 10.0)))
     assert refs[0] == pytest.approx(0.5, abs=2e-6)
 
@@ -118,15 +106,15 @@ def test_auto_box_refuses_unconfined_request():
 def test_eigenvector_nodes(harmonic):
     op = discretize(harmonic, OracleConfig(grid_points=1001,
                                            box=(-8.0, 8.0)))
-    spec = eigenvalues_by_bisection(op, 4, keep_eigenvectors=True)
-    for n, vec in enumerate(spec.eigenvectors):
+    energies, vectors = op.lowest(4, vectors=True)
+    for n, vec in enumerate(vectors.T):
         assert node_count(vec) == n
-    # inverse iteration should give a true eigenpair to working accuracy
-    v = spec.eigenvectors[2]
+    # each column should be a true eigenpair to working accuracy
+    v = vectors[:, 2]
     dense_action = (op.diag * v
                     + op.off * np.concatenate(([0.0], v[:-1]))
                     + op.off * np.concatenate((v[1:], [0.0])))
-    resid = np.linalg.norm(dense_action - spec.energies[2] * v)
+    resid = np.linalg.norm(dense_action - energies[2] * v)
     assert resid / np.linalg.norm(v) < 1e-8
 
 
@@ -138,11 +126,11 @@ def test_config_validation():
     with pytest.raises(UsageError):
         OracleConfig(target_levels=0)
     with pytest.raises(UsageError):
-        OracleConfig(eigen_tol=0.0)
-    with pytest.raises(UsageError):
         OracleConfig(box=(1.0, 1.0))
     with pytest.raises(UsageError):
         OracleConfig(box=(0.0, np.inf))
+    with pytest.raises(UsageError):
+        _toy_operator().lowest(4)
 
 
 def test_morse_reference_matches_closed_form(morse10):

@@ -72,6 +72,18 @@ def test_hydrogen_partitions_share_principal_energy():
         assert level.l_equivalent == n_theta + abs(m_z)
 
 
+@pytest.mark.parametrize("charge", [0.505, 0.55, 0.6, 0.8886])
+def test_weakly_bound_coulomb_ladder_passes_acceptance(charge):
+    # n_theta = 3, m_z = 2 puts the levels at -Z^2 / (2 (n_r + 6)^2); at
+    # these charges dW/dE/hbar reaches ~2000, so a root tolerance of 1e-12
+    # in E alone would leave the residual above the acceptance limit
+    res = radial_spectrum(PotentialModel.coulomb(charge), 4, 3, 2)
+    assert not res.truncated
+    energies = [lv.energy for lv in res.levels]
+    exact = [-charge ** 2 / (2.0 * (n_r + 6) ** 2) for n_r in range(5)]
+    assert energies == pytest.approx(exact, rel=1e-10)
+
+
 def test_isotropic_quadratic_ladder():
     osc = PotentialModel.from_callable(
         lambda r: 0.5 * np.asarray(r, dtype=float) ** 2, (0.0, 40.0),

@@ -196,8 +196,16 @@ def test_tabulate_columns(harmonic_states):
 
 
 def test_unbound_tail_refused():
-    # an energy above the well rim has no decaying tail to normalize
-    pot = PotentialModel.square_well(depth=1.0, width=1.0)
+    # an energy above the well rim has no decaying tail to normalize, and
+    # the refusal must come at once, not after a long march outward
+    calls = [0]
+
+    def square_well(x):
+        calls[0] += 1
+        return np.where(np.abs(x) < 0.5, -1.0, 0.0)
+
+    pot = PotentialModel.from_callable(square_well, (-40.5, 40.5),
+                                       soft_edges=(True, True))
     from phasebound.classical import ClassicalRegion
     from phasebound.quantize import EnergyLevel
     fake = EnergyLevel(n=0, energy=0.5,
@@ -205,3 +213,4 @@ def test_unbound_tail_refused():
                        action=1.0, residual=0.0, iterations=1)
     with pytest.raises((NormalizationError, UsageError)):
         build_state(pot, fake)
+    assert calls[0] < 2000

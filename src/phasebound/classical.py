@@ -15,10 +15,16 @@ import numpy as np
 
 from .errors import MultiRegionError, NoClassicalMotion, UsageError
 from .potentials import MomentumField, PotentialModel
-from .quadrature import QuadratureConfig, integrate_adaptive
+from .quadrature import QuadratureConfig, integrate_adaptive, integrate_cells
 from .rootfind import bisect_then_brent
 
 _HALF_PI = 0.5 * np.pi
+_UNIFORM_CELLS = 64
+_GRADED_CELLS = 40
+# extra cumulative knots, as fractions of the reach from the start
+_EXTRA_KNOTS = np.concatenate((
+    np.arange(1, _UNIFORM_CELLS + 1) / _UNIFORM_CELLS,
+    0.5 ** np.arange(1, _GRADED_CELLS + 1)))
 
 
 @dataclass(frozen=True)
@@ -133,17 +139,25 @@ def _floor_report(potential, energy, resolution, raising=True):
         report=TurningPointReport(energy, (), False, resolution))
 
 
-def _over_region(field: MomentumField, region: ClassicalRegion, integrand,
-                 config: QuadratureConfig) -> float:
-    """Integrate f(x) over the region via x = mid + half * sin(t)."""
-    if region.width == 0.0:
-        return 0.0
+def _sine_integrand(region: ClassicalRegion, integrand):
+    """f(x) dx over the region in the variable t of x = mid + half * sin(t),
+    t in [-pi/2, pi/2]; the cosine factor absorbs the square-root
+    behaviour at the interval ends."""
     mid, half = region.midpoint, 0.5 * region.width
 
     def g(t):
         return half * np.cos(t) * integrand(mid + half * np.sin(t))
 
-    return integrate_adaptive(g, -_HALF_PI, _HALF_PI, config).value
+    return g
+
+
+def _over_region(field: MomentumField, region: ClassicalRegion, integrand,
+                 config: QuadratureConfig) -> float:
+    """Integrate f(x) over the region via x = mid + half * sin(t)."""
+    if region.width == 0.0:
+        return 0.0
+    return integrate_adaptive(_sine_integrand(region, integrand),
+                              -_HALF_PI, _HALF_PI, config).value
 
 
 def action_integral(potential: PotentialModel, energy: float,
@@ -181,13 +195,15 @@ def action_energy_derivative(potential: PotentialModel, energy: float,
 
 
 class PhaseAccumulator:
-    """Cached incremental phase integrals at one energy.
+    """Phase integrals at one energy, measured from the turning points.
 
-    ``interior`` accumulates (1/hbar) * integral of p from the region's
-    left end; the tail methods accumulate the decay exponent
-    (1/hbar) * integral of |p| into the forbidden sides.  Results for
-    visited points are kept as anchors, so sweeping a sorted grid costs
-    one short integral per step.
+    ``interior`` gives (1/hbar) * integral of p from the region's left end;
+    the tail methods give the decay exponent (1/hbar) * integral of |p|
+    from the nearer turning point out into the forbidden side.  Each takes
+    a float or an array and returns the same shape.  An array is
+    integrated cumulatively over the cells between its sorted points in
+    one batched pass (:func:`~phasebound.quadrature.integrate_cells`), so a
+    whole grid costs a few calls of V.
     """
 
     def __init__(self, potential: PotentialModel, energy: float,
@@ -199,44 +215,64 @@ class PhaseAccumulator:
         self.config = config or QuadratureConfig()
         self._field = MomentumField(potential, energy)
         self._hbar = potential.constants.hbar
-        self._interior: list[tuple[float, float]] = [(region.left, 0.0)]
-        self._left: list[tuple[float, float]] = [(region.left, 0.0)]
-        self._right: list[tuple[float, float]] = [(region.right, 0.0)]
 
-    def _advance(self, anchors, integrand, x: float) -> float:
-        best = min(anchors, key=lambda a: abs(a[0] - x))
-        x0, phi0 = best
-        if x == x0:
-            return phi0
-        lo, hi = (x0, x) if x0 < x else (x, x0)
-        step = integrate_adaptive(integrand, lo, hi, self.config).value
-        phi = phi0 + (step if x > x0 else -step)
-        anchors.append((x, phi))
-        if len(anchors) > 64:
-            anchors.sort(key=lambda a: a[0])
-            del anchors[1:-1:2]
-        return phi
+    def _cumulative(self, g, start: float, u: np.ndarray):
+        """Integral of g from ``start`` to each entry of ``u`` (>= start).
 
-    def interior(self, x: float) -> float:
-        if not (self.region.left <= x <= self.region.right):
+        The cells run between the sorted entries of ``u`` and a fixed set
+        of extra knots out to the farthest entry: _UNIFORM_CELLS equal
+        cells, so that a few scattered points are resolved like a grid,
+        and _GRADED_CELLS cells halving in width toward ``start``, so that
+        a square-root onset there is resolved in the first pass.
+        """
+        if u.size == 0:
+            return np.zeros(u.shape)
+        knots = np.concatenate((u.ravel(), start + (u.max() - start)
+                                * _EXTRA_KNOTS))
+        order = np.argsort(knots)
+        cells = integrate_cells(g, np.concatenate(([start], knots[order])),
+                                self.config)
+        phi = np.empty(knots.size)
+        phi[order] = np.cumsum(cells)
+        phi = phi[:u.size]
+        return float(phi[0]) if u.ndim == 0 else phi.reshape(u.shape)
+
+    def interior(self, x):
+        x = np.asarray(x, dtype=float)
+        region = self.region
+        if np.any(x < region.left) or np.any(x > region.right):
             raise UsageError("point lies outside the allowed region")
-        return self._advance(
-            self._interior,
-            lambda s: self._field.allowed_magnitude(s) / self._hbar, x)
+        g = _sine_integrand(
+            region, lambda s: self._field.allowed_magnitude(s) / self._hbar)
+        if region.width == 0.0:
+            # every cell of a zero-width region is empty: no V call
+            return self._cumulative(g, 0.0, np.zeros_like(x))
+        sine = np.clip((x - region.midpoint) / (0.5 * region.width),
+                       -1.0, 1.0)
+        return self._cumulative(g, -_HALF_PI, np.arcsin(sine))
 
-    def left_tail(self, x: float) -> float:
-        if x > self.region.left:
+    def _tail(self, x: np.ndarray, side: int):
+        # Plain x (mirrored to y = -x on the left, so both tails run
+        # upward): unlike a variable such as x = x_tp - s^2, it keeps the
+        # full relative precision of x next to a singular origin, as in
+        # a radial tail running toward r = 0.  The graded knots of
+        # _cumulative take care of the square-root onset at x_tp.
+        x_tp = self.region.left if side < 0 else self.region.right
+        return self._cumulative(
+            lambda y: self._field.forbidden_magnitude(side * y) / self._hbar,
+            side * x_tp, side * x)
+
+    def left_tail(self, x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x > self.region.left):
             raise UsageError("point lies right of the left turning point")
-        return self._advance(
-            self._left,
-            lambda s: -self._field.forbidden_magnitude(s) / self._hbar, x)
+        return self._tail(x, -1)
 
-    def right_tail(self, x: float) -> float:
-        if x < self.region.right:
+    def right_tail(self, x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < self.region.right):
             raise UsageError("point lies left of the right turning point")
-        return self._advance(
-            self._right,
-            lambda s: self._field.forbidden_magnitude(s) / self._hbar, x)
+        return self._tail(x, +1)
 
     def total(self) -> float:
         """Full phase across the region, W / hbar."""

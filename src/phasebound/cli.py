@@ -19,8 +19,10 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
-from .errors import PhaseboundError, SingularPointError, UsageError
+from .errors import PhaseboundError, UsageError
 from .oracle import OracleConfig
 from .potentials import PotentialModel
 from .quantize import SolverConfig, claim_audit, solve_level, spectrum
@@ -162,22 +164,20 @@ def _cmd_wavefunction(args) -> int:
     lo, hi = max(lo, d_lo), min(hi, d_hi)
     step = (hi - lo) / (grid - 1)
 
-    rows = []
-    for i in range(grid):
-        x = lo + i * step
-        s = state.sample(x)
-        eps_cell = delta_cell = ""
-        if s.region == "allowed":
-            try:
-                eps_cell = format_float(
-                    epsilon_parameter(state.potential, level.energy, x,
-                                      region))
-                delta_cell = format_float(
-                    delta_functional(state.potential, level.energy, x,
-                                     region))
-            except (SingularPointError, UsageError):
-                eps_cell = delta_cell = ""
-        rows.append([s.x, s.phi, s.psi, s.region, eps_cell, delta_cell])
+    xs = lo + np.arange(grid) * step
+    allowed = (xs >= region.left) & (xs <= region.right)
+    eps = np.full(grid, np.nan)
+    delta = np.full(grid, np.nan)
+    eps[allowed] = epsilon_parameter(state.potential, level.energy,
+                                     xs[allowed], region)
+    delta[allowed] = delta_functional(state.potential, level.energy,
+                                      xs[allowed], region)
+    # a point refused by either diagnostic leaves both cells blank
+    blank = ~(np.isfinite(eps) & np.isfinite(delta))
+    rows = [[s.x, s.phi, s.psi, s.region,
+             "" if skip else format_float(e), "" if skip else format_float(d)]
+            for s, e, d, skip in zip(state.tabulate(xs), eps.tolist(),
+                                     delta.tolist(), blank.tolist())]
     _emit(_csv_text(["x", "phi", "psi", "region", "epsilon", "delta"], rows),
           args.out)
     manifest = _manifest("wavefunction", potential,

@@ -161,27 +161,42 @@ def _extend_edge(potential: PotentialModel, e_top: float, side: int,
     allowed = xs[mask]
     x = float(allowed[0] if side < 0 else allowed[-1])
 
+    # The march takes steps of span/1000, one span of steps per call of V.
+    # Positions and exponents accumulate in the order of a step-by-step
+    # loop, so the edge found is the same to the bit.
     pot = potential
     expo = 0.0
     k_prev = 0.0
     dx = span / 1000.0
+    step = -dx if side < 0 else dx
     limit = x - 64.0 * span if side < 0 else x + 64.0 * span
     while (x > limit) if side < 0 else (x < limit):
-        x_next = x - dx if side < 0 else x + dx
+        xs = np.full(1001, step)
+        xs[0] = x
+        xs = np.add.accumulate(xs)
+        # a step is taken only from a position short of the limit
+        short = (xs[:-1] > limit) if side < 0 else (xs[:-1] < limit)
+        taken = int(np.argmin(short)) if not short.all() else short.size
+        xs = xs[1:taken + 1]
         d_lo, d_hi = pot.domain
-        if x_next < d_lo or x_next > d_hi:
+        outside = np.flatnonzero((xs < d_lo) | (xs > d_hi))
+        if outside.size:
+            xs = xs[:outside[0]]
+        if xs.size:
+            v = pot.evaluate(xs)
+            k = np.sqrt(2.0 * m * np.maximum(v - e_top, 0.0)) / hbar
+            expos = np.add.accumulate(np.concatenate((
+                [expo],
+                0.5 * (k + np.concatenate(([k_prev], k[:-1]))) * dx)))[1:]
+            stop = np.flatnonzero(
+                (expos >= _DECAY_ENOUGH)
+                | ((expos >= _DECAY_REQUIRED) & (v >= target_v)))
+            if stop.size:
+                return float(xs[stop[0]])
+            expo, k_prev, x = expos[-1], k[-1], xs[-1]
+        if outside.size:
             pot = pot.with_domain(d_lo - span if side < 0 else d_lo,
                                   d_hi if side < 0 else d_hi + span)
-            continue
-        v = pot.evaluate(x_next)
-        k = np.sqrt(2.0 * m * max(v - e_top, 0.0)) / hbar
-        expo += 0.5 * (k + k_prev) * dx
-        if expo >= _DECAY_ENOUGH:
-            return x_next
-        if expo >= _DECAY_REQUIRED and v >= target_v:
-            return x_next
-        k_prev = k
-        x = x_next
     raise OracleError(
         "auto box cannot confine the requested levels "
         f"({'below' if side < 0 else 'above'} the well)")

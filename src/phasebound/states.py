@@ -37,10 +37,17 @@ from .quantize import EnergyLevel
 _TAIL_EXPONENT = 16.2   # |psi|^2 down to ~1e-14 of its turning-point value
 _INTERIOR_POINTS = 2001
 _TAIL_POINTS = 384
+# region tags by left + 2 * right; an object array hands out these three
+# strings instead of a new one per sample
+_TAGS = np.array(["allowed", "left-forbidden", "right-forbidden"],
+                 dtype=object)
 
 
 @dataclass(frozen=True)
 class WavefunctionSample:
+    """One sample, or a column of samples for an array of positions
+    (then every field is an array of the positions' shape)."""
+
     x: float
     phi: float
     psi: float
@@ -56,8 +63,9 @@ class PaperNormalization:
 class StateFunction:
     """Normalized piecewise state for one solved level.
 
-    Build through :func:`build_state`; evaluation is cheapest on sorted
-    grids (the phase accumulators cache anchors along the sweep).
+    Build through :func:`build_state`.  ``sample`` and ``phase`` take a
+    float or an array of positions; an array costs one batched phase
+    integral per branch, whatever its size and order.
     """
 
     def __init__(self, potential: PotentialModel, level: EnergyLevel,
@@ -90,33 +98,43 @@ class StateFunction:
             return "right-forbidden"
         return "allowed"
 
-    def phase(self, x: float) -> float:
-        """phi(x): anchored at phi1 and phi2, monotone in x."""
+    def _branches(self, x: np.ndarray):
+        """(phi, psi, left mask, right mask) at an array of positions."""
+        region = self.level.region
         phi1, phi2 = self.anchors
-        tag = self.classify(x)
-        if tag == "allowed":
-            return phi1 + self._acc.interior(x)
-        if tag == "left-forbidden":
-            return phi1 - self._acc.left_tail(x)
-        return phi2 + self._acc.right_tail(x)
-
-    def sample(self, x: float) -> WavefunctionSample:
-        phi1, phi2 = self.anchors
-        tag = self.classify(x)
         n_const = self.normalization_numeric
-        if tag == "allowed":
-            phi = phi1 + self._acc.interior(x)
-            psi = n_const * math.sqrt(2.0) * math.cos(phi - phi1
-                                                      - 0.25 * math.pi)
-        elif tag == "left-forbidden":
-            t = self._acc.left_tail(x)
-            phi = phi1 - t
-            psi = n_const * math.exp(-t)
-        else:
-            t = self._acc.right_tail(x)
-            phi = phi2 + t
-            psi = self._sign * n_const * math.exp(-t)
-        return WavefunctionSample(float(x), phi, psi, tag)
+        left = x < region.left
+        right = x > region.right
+        inside = ~(left | right)
+        phi = np.empty(x.shape)
+        psi = np.empty(x.shape)
+        if inside.any():
+            u = self._acc.interior(x[inside])
+            phi[inside] = phi1 + u
+            psi[inside] = n_const * math.sqrt(2.0) * np.cos(u - 0.25 * math.pi)
+        if left.any():
+            t = self._acc.left_tail(x[left])
+            phi[left] = phi1 - t
+            psi[left] = n_const * np.exp(-t)
+        if right.any():
+            t = self._acc.right_tail(x[right])
+            phi[right] = phi2 + t
+            psi[right] = self._sign * n_const * np.exp(-t)
+        return phi, psi, left, right
+
+    def phase(self, x):
+        """phi(x): anchored at phi1 and phi2, monotone in x."""
+        phi = self._branches(np.asarray(x, dtype=float))[0]
+        return float(phi) if phi.ndim == 0 else phi
+
+    def sample(self, x) -> WavefunctionSample:
+        """Sample at a float, or columns of samples at an array."""
+        x = np.asarray(x, dtype=float)
+        phi, psi, left, right = self._branches(x)
+        tag = _TAGS[left + 2 * right]
+        if x.ndim == 0:
+            return WavefunctionSample(float(x), float(phi), float(psi), tag)
+        return WavefunctionSample(x, phi, psi, tag)
 
     def branch_derivative(self, phi: float, tag: str) -> float:
         """d(psi)/d(phi) of the branch formula at a given phase."""
@@ -134,14 +152,21 @@ class StateFunction:
         pts = np.asarray(xs, dtype=float)
         if np.any(np.diff(pts) < 0.0):
             pts = np.sort(pts)
-        return [self.sample(float(x)) for x in pts]
+        cols = self.sample(pts)
+        return [WavefunctionSample(*row) for row in
+                zip(cols.x.tolist(), cols.phi.tolist(), cols.psi.tolist(),
+                    cols.region.tolist())]
 
 
 def _tail_reach(potential: PotentialModel, energy: float, start: float,
                 direction: int) -> tuple[PotentialModel, float]:
     """Coarse march into a forbidden side until the decay budget is spent.
 
-    Returns the (possibly soft-extended) potential and the stop position.
+    Steps of span/512, trapezoid sum of the decay rate.  The steps are
+    evaluated one span (512 steps) per call of V; positions and sums are
+    accumulated in the same order as a step-by-step loop, so the stop
+    position is the same to the bit.  Returns the (possibly soft-extended)
+    potential and the stop position.
     """
     field = MomentumField(potential, energy)
     pot = potential
@@ -151,10 +176,43 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
     k_prev = 0.0
     hbar = pot.constants.hbar
     flat_steps = 0
-    for _ in range(200000):
-        x_next = x + step
+    budget = 200000     # steps plus domain extensions
+    while budget > 0:
+        xs = np.full(min(512, budget) + 1, step)
+        xs[0] = x
+        xs = np.add.accumulate(xs)[1:]
         lo, hi = pot.domain
-        if not lo <= x_next <= hi:
+        outside = np.flatnonzero((xs < lo) | (xs > hi))
+        xs = xs[:outside[0]] if outside.size else xs
+        k = field.forbidden_magnitude(xs) / hbar
+        if total == 0.0:
+            # barely out of the region yet; keep going, but a tail that
+            # has not started to decay a full domain span out never will
+            flat = int(np.argmax(k != 0.0)) if k.any() else k.size
+            if flat_steps + flat >= 512:
+                break
+            flat_steps += flat
+            budget -= flat
+            if flat:
+                x = xs[flat - 1]
+            xs, k = xs[flat:], k[flat:]
+        if k.size:
+            stalls = np.flatnonzero(k == 0.0)
+            stall = stalls[0] if stalls.size else k.size
+            sums = np.add.accumulate(np.concatenate((
+                [total],
+                0.5 * (k + np.concatenate(([k_prev], k[:-1])))
+                * abs(step))))[1:]
+            hit = np.flatnonzero(sums[:stall] >= 1.1 * _TAIL_EXPONENT)
+            if hit.size:
+                return pot, xs[hit[0]]
+            if stall < k.size:
+                raise NormalizationError(
+                    "forbidden tail stopped decaying; state not normalizable")
+            total, k_prev, x = sums[-1], k[-1], xs[-1]
+            budget -= k.size
+        if outside.size:
+            budget -= 1
             soft = pot.soft_edges[0] if direction < 0 else pot.soft_edges[1]
             if not soft:
                 nudge = 1e-12 * span
@@ -164,24 +222,6 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
             pot = pot.with_domain(lo - span if direction < 0 else lo,
                                   hi + span if direction > 0 else hi)
             field = MomentumField(pot, energy)
-            continue
-        k = float(field.forbidden_magnitude(x_next)) / hbar
-        if k == 0.0 and total == 0.0:
-            # barely out of the region yet; keep going, but a tail that
-            # has not started to decay a full domain span out never will
-            flat_steps += 1
-            if flat_steps >= 512:
-                break
-            x = x_next
-            continue
-        if k == 0.0:
-            raise NormalizationError(
-                "forbidden tail stopped decaying; state not normalizable")
-        total += 0.5 * (k + k_prev) * abs(step)
-        k_prev = k
-        x = x_next
-        if total >= 1.1 * _TAIL_EXPONENT:
-            return pot, x
     raise NormalizationError("forbidden tail decays too slowly to normalize")
 
 
@@ -192,8 +232,7 @@ def _tail_integral(acc: PhaseAccumulator, start: float, stop: float,
         return 0.0
     xs = np.linspace(start, stop, _TAIL_POINTS)
     tail = acc.left_tail if side == "left" else acc.right_tail
-    ts = np.array([tail(float(x)) for x in xs])
-    return abs(simpson(np.exp(-2.0 * ts), x=xs))
+    return abs(simpson(np.exp(-2.0 * tail(xs)), x=xs))
 
 
 def _detect_wavenumber(potential: PotentialModel, level: EnergyLevel
@@ -222,7 +261,7 @@ def build_state(potential: PotentialModel, level: EnergyLevel,
     acc = PhaseAccumulator(pot, level.energy, region, cfg)
 
     xs = np.linspace(region.left, region.right, _INTERIOR_POINTS)
-    us = np.array([acc.interior(float(x)) for x in xs])
+    us = acc.interior(xs)
     inner = simpson(2.0 * np.cos(us - 0.25 * math.pi) ** 2, x=xs)
     left = _tail_integral(acc, region.left, reach_left, "left")
     right = _tail_integral(acc, region.right, reach_right, "right")
@@ -271,13 +310,17 @@ def standing_wave(state: StateFunction, x: float) -> float:
 
 # -- quasi-classicality diagnostics -----------------------------------------
 
-def _allowed_context(potential: PotentialModel, energy: float, x: float,
-                     region: ClassicalRegion | None = None
-                     ) -> tuple[float, ClassicalRegion, float]:
-    if region is None:
-        region = find_turning_points(potential, energy).require_single()
-    field = MomentumField(potential, energy)
-    q = field.q(x)
+def _allowed_momentum(potential: PotentialModel, energy: float,
+                      x: np.ndarray, region: ClassicalRegion,
+                      strict: bool) -> np.ndarray:
+    """Momentum p at each point, NaN where the diagnostics refuse one.
+
+    A point is refused outside the allowed region (where V >= E) and where
+    p falls below 1e-12 of the well's momentum scale.  With ``strict`` the
+    first refused point raises instead: UsageError outside the region,
+    SingularPointError below the floor.
+    """
+    q = MomentumField(potential, energy).q(x)
     try:
         _, v_min = potential.minimum()
         p_scale = math.sqrt(2.0 * potential.constants.mass
@@ -285,54 +328,83 @@ def _allowed_context(potential: PotentialModel, energy: float, x: float,
     except Exception:
         p_scale = math.sqrt(2.0 * potential.constants.mass
                             * max(abs(energy), 1.0))
-    if q <= 0.0 and (x < region.left or x > region.right):
-        raise UsageError("point is not inside the allowed region")
-    p = math.sqrt(max(q, 0.0))
-    if p < 1e-12 * p_scale:
+    outside = (q <= 0.0) & ((x < region.left) | (x > region.right))
+    p = np.sqrt(np.maximum(q, 0.0))
+    refused = outside | (p < 1e-12 * p_scale)
+    if strict and refused.any():
+        i = np.flatnonzero(refused)[0]
+        if outside.flat[i]:
+            raise UsageError("point is not inside the allowed region")
         raise SingularPointError(
-            f"momentum at x = {x} is below the diagnostic floor; "
-            "too close to a turning point")
-    return p, region, p_scale
+            f"momentum at x = {float(x.flat[i])} is below the diagnostic "
+            "floor; too close to a turning point")
+    return np.where(refused, np.nan, p)
 
 
-def _potential_slope(potential: PotentialModel, x: float,
-                     region: ClassicalRegion) -> float:
+def _potential_slope(potential: PotentialModel, x: np.ndarray,
+                     region: ClassicalRegion) -> np.ndarray:
     if potential.has_derivative:
-        return float(potential.derivative(x))
-    h = 1e-6 * region.width
-    h = min(h, 0.5 * (x - region.left), 0.5 * (region.right - x)) or h
-    return (potential.evaluate(x + h) - potential.evaluate(x - h)) / (2.0 * h)
+        return potential.derivative(x)
+    h0 = 1e-6 * region.width
+    h = np.minimum(h0, np.minimum(0.5 * (x - region.left),
+                                  0.5 * (region.right - x)))
+    h = np.where(h == 0.0, h0, h)
+    v = potential.evaluate(np.concatenate((x + h, x - h)))
+    return (v[:x.size] - v[x.size:]) / (2.0 * h)
 
 
-def epsilon_parameter(potential: PotentialModel, energy: float, x: float,
-                      region: ClassicalRegion | None = None) -> float:
+def _epsilon(potential, energy, x, region, strict):
+    p = _allowed_momentum(potential, energy, x, region, strict)
+    ok = ~np.isnan(p)
+    eps = np.full(x.shape, np.nan)
+    dv = _potential_slope(potential, x[ok], region)
+    eps[ok] = -potential.constants.hbar * potential.constants.mass * dv \
+        / p[ok] ** 3
+    return eps
+
+
+def epsilon_parameter(potential: PotentialModel, energy: float, x,
+                      region: ClassicalRegion | None = None):
     """Local expansion parameter (hbar / p^2) dp/dx.
 
     Zero for flat potentials, grows without bound toward turning points;
-    the state construction is trustworthy where this is small.
+    the state construction is trustworthy where this is small.  ``x`` may
+    be a float (refused points raise UsageError or SingularPointError) or
+    an array (refused points come back as NaN).
     """
-    p, region, _ = _allowed_context(potential, energy, x, region)
-    hbar = potential.constants.hbar
-    m = potential.constants.mass
-    dv = _potential_slope(potential, x, region)
-    return -hbar * m * dv / p ** 3
+    x = np.asarray(x, dtype=float)
+    if region is None:
+        region = find_turning_points(potential, energy).require_single()
+    eps = _epsilon(potential, energy, x.reshape(-1), region, x.ndim == 0)
+    return float(eps[0]) if x.ndim == 0 else eps.reshape(x.shape)
 
 
-def delta_functional(potential: PotentialModel, energy: float, x: float,
-                     region: ClassicalRegion | None = None) -> float:
-    """Second-order diagnostic 0.5 d(eps)/d(phi) + 0.25 eps^2."""
-    p, region, _ = _allowed_context(potential, energy, x, region)
-    hbar = potential.constants.hbar
-    h = 1e-6 * region.width
-    margin = min(x - region.left, region.right - x)
-    h = min(h, 0.45 * margin)
-    if h <= 0.0:
+def delta_functional(potential: PotentialModel, energy: float, x,
+                     region: ClassicalRegion | None = None):
+    """Second-order diagnostic 0.5 d(eps)/d(phi) + 0.25 eps^2.
+
+    Takes a float or an array like :func:`epsilon_parameter`; a point
+    without room for the central derivative step is refused too.
+    """
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if region is None:
+        region = find_turning_points(potential, energy).require_single()
+    scalar = shape == ()
+    p = _allowed_momentum(potential, energy, x, region, scalar)
+    h = np.minimum(1e-6 * region.width,
+                   0.45 * np.minimum(x - region.left, region.right - x))
+    if scalar and not h[0] > 0.0:
         raise SingularPointError("no room for a derivative step here")
-    eps_plus = epsilon_parameter(potential, energy, x + h, region)
-    eps_minus = epsilon_parameter(potential, energy, x - h, region)
-    deps_dx = (eps_plus - eps_minus) / (2.0 * h)
-    eps = epsilon_parameter(potential, energy, x, region)
-    return 0.5 * (hbar / p) * deps_dx + 0.25 * eps * eps
+    ok = ~np.isnan(p) & (h > 0.0)
+    xo, ho, m = x[ok], h[ok], np.count_nonzero(ok)
+    eps = _epsilon(potential, energy, np.concatenate((xo + ho, xo - ho, xo)),
+                   region, scalar)
+    deps_dx = (eps[:m] - eps[m:2 * m]) / (2.0 * ho)
+    out = np.full(x.shape, np.nan)
+    out[ok] = (0.5 * (potential.constants.hbar / p[ok]) * deps_dx
+               + 0.25 * eps[2 * m:] * eps[2 * m:])
+    return float(out[0]) if scalar else out.reshape(shape)
 
 
 # -- connection checks -------------------------------------------------------

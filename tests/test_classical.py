@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phasebound.classical import (
+    ClassicalRegion,
     PhaseAccumulator,
     action_energy_derivative,
     action_integral,
@@ -125,7 +126,7 @@ def test_phase_accumulator_monotone_and_consistent(harmonic):
     assert values[0] == pytest.approx(0.0, abs=1e-12)
     assert values[-1] == pytest.approx(action_integral(harmonic, energy),
                                        rel=1e-10)
-    # revisiting out of order must reproduce the cached answers
+    # revisiting out of order reproduces the same answers
     assert acc.interior(xs[11]) == pytest.approx(values[11], rel=1e-12)
 
 
@@ -141,6 +142,73 @@ def test_phase_accumulator_tails_grow_outward(harmonic):
     assert 0.0 < r1 < r2
     # symmetric well, symmetric exponents
     assert l2 == pytest.approx(r2, rel=1e-10)
+
+
+def _harmonic_accumulator(harmonic, energy):
+    # turning points at +-A exactly, so the closed forms apply as written
+    amp = np.sqrt(2.0 * energy)
+    return amp, PhaseAccumulator(harmonic, energy, ClassicalRegion(-amp, amp))
+
+
+@pytest.mark.parametrize("energy", [0.5, 10.5, 30.5])
+def test_harmonic_phase_matches_closed_form_on_a_grid(harmonic, energy):
+    amp, acc = _harmonic_accumulator(harmonic, energy)
+    xs = np.linspace(-amp, amp, 2001)
+    interior = 0.5 * (xs * np.sqrt(np.maximum(amp * amp - xs * xs, 0.0))
+                      + amp * amp * (np.arcsin(np.clip(xs / amp, -1.0, 1.0))
+                                     + 0.5 * np.pi))
+    assert np.max(np.abs(acc.interior(xs) - interior)) <= 1e-11
+    # forbidden side, out to the domain edge at 12
+    ts = np.linspace(amp, 12.0, 2001)
+    tail = 0.5 * (ts * np.sqrt(ts * ts - amp * amp)
+                  - amp * amp * np.arccosh(ts / amp))
+    assert np.max(np.abs(acc.right_tail(ts) - tail)) <= 1e-11
+    assert np.max(np.abs(acc.left_tail(-ts) - tail)) <= 1e-11
+
+
+@pytest.mark.parametrize("points", [2001, 2000])
+def test_linear_well_phase_across_the_kink(points):
+    # V = |x|, E = 4: turning points at -+4, kink at 0; an odd grid puts
+    # the kink on a grid point, an even one inside a cell
+    energy = 4.0
+    lin = PotentialModel.linear(1.0)
+    acc = PhaseAccumulator(lin, energy, ClassicalRegion(-energy, energy))
+    xs = np.linspace(-energy, energy, points)
+    c = 2.0 * np.sqrt(2.0) / 3.0
+    want = np.where(xs <= 0.0, c * (energy + xs) ** 1.5,
+                    c * (2.0 * energy ** 1.5
+                         - np.maximum(energy - xs, 0.0) ** 1.5))
+    assert np.max(np.abs(acc.interior(xs) - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("family", ["harmonic", "morse"])
+def test_array_phase_equals_scalar_calls(family):
+    pot = (PotentialModel.harmonic(1.0) if family == "harmonic"
+           else PotentialModel.morse(10.0, 1.0))
+    energy = 5.5 if family == "harmonic" else -4.0
+    region = find_turning_points(pot, energy).require_single()
+    acc = PhaseAccumulator(pot, energy, region)
+    rng = np.random.default_rng(7)
+    # unsorted, with a repeat and both turning points
+    xs = np.concatenate(([region.right, region.left],
+                         rng.uniform(region.left, region.right, 40)))
+    xs[5] = xs[9]
+    got = acc.interior(xs)
+    assert got.shape == xs.shape
+    assert got[5] == got[9]
+    assert got[1] == 0.0
+    for x, phi in zip(xs, got):
+        assert acc.interior(float(x)) == pytest.approx(phi, rel=1e-12,
+                                                       abs=1e-12)
+    for tail, side in ((acc.left_tail, -1.0), (acc.right_tail, 1.0)):
+        edge = region.left if side < 0 else region.right
+        ts = edge + side * rng.uniform(0.0, 2.0, (5, 4))
+        got = tail(ts)
+        assert got.shape == (5, 4)
+        for t, phi in zip(ts.ravel(), got.ravel()):
+            assert tail(float(t)) == pytest.approx(phi, rel=1e-12,
+                                                   abs=1e-12)
+    assert isinstance(acc.interior(region.midpoint), float)
 
 
 def test_momentum_field_boundary_classification(harmonic):

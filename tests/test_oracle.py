@@ -96,11 +96,19 @@ def test_auto_box_margin_clears_top_level(harmonic):
 
 
 def test_auto_box_refuses_unconfined_request():
+    # the edge march must refuse after its 64 spans without one call of V
+    # per step (64,000 steps)
+    calls = [0]
+
+    def gaussian(x):
+        calls[0] += 1
+        return -0.05 * np.exp(-np.asarray(x, dtype=float) ** 2)
+
     shallow = PotentialModel.from_callable(
-        lambda x: -0.05 * np.exp(-np.asarray(x, dtype=float) ** 2),
-        domain=(-25.0, 25.0), soft_edges=(True, True))
+        gaussian, domain=(-25.0, 25.0), soft_edges=(True, True))
     with pytest.raises(OracleError):
         reference_levels(shallow, 2)
+    assert calls[0] < 2000
 
 
 def test_eigenvector_nodes(harmonic):

@@ -5,6 +5,7 @@ from phasebound.errors import QuadratureError, UsageError
 from phasebound.quadrature import (
     QuadratureConfig,
     integrate_adaptive,
+    integrate_cells,
     kronrod_panel,
 )
 
@@ -65,3 +66,68 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(UsageError):
         QuadratureConfig(max_subdivisions=0)
+
+
+def test_cells_match_adaptive_per_cell():
+    edges = np.array([0.0, 0.3, 0.3, 1.1, 2.0, np.pi])
+    got = integrate_cells(np.sin, edges)
+    want = [integrate_adaptive(np.sin, a, b).value
+            for a, b in zip(edges[:-1], edges[1:])]
+    assert got == pytest.approx(want, abs=1e-14)
+    assert got[1] == 0.0  # an empty cell
+
+
+def test_cells_one_integrand_call_per_round():
+    # smooth integrand on small cells: one pass, one call on the 15
+    # Kronrod nodes plus both ends of every cell
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(x)
+
+    got = integrate_cells(f, np.linspace(0.0, 1.0, 101))
+    assert calls == [100 * 17]
+    assert np.cumsum(got)[-1] == pytest.approx(np.e - 1.0, rel=1e-14)
+
+
+def test_cells_bisect_only_the_kinked_cell():
+    # |x - 0.37| has its kink inside one of ten cells; only that cell's
+    # panels are passed again, so every later round is small
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.abs(x - 0.37)
+
+    got = integrate_cells(f, np.linspace(0.0, 1.0, 11))
+    assert calls[0] == 10 * 17 and len(calls) > 1
+    assert max(calls[1:]) <= 2 * 17
+    assert got.sum() == pytest.approx(0.5 * (0.37 ** 2 + 0.63 ** 2),
+                                      abs=1e-12)
+
+
+def test_cells_see_a_kink_next_to_a_cell_end():
+    # the kink lies between the last Kronrod node (0.99146) and the end
+    # of [-1, 1], where both rules agree on the smooth branch; the miss
+    # at the end still flags the cell
+    kink = 0.996
+    got = integrate_cells(lambda x: np.abs(x - kink), [-1.0, 1.0])
+    want = 0.5 * ((1.0 + kink) ** 2 + (1.0 - kink) ** 2)
+    assert got[0] == pytest.approx(want, abs=1e-12)
+
+
+def test_cells_validation_and_failure():
+    assert integrate_cells(np.sin, [1.0]).size == 0
+    assert integrate_cells(np.sin, [2.0, 2.0, 2.0]).tolist() == [0.0, 0.0]
+    with pytest.raises(UsageError):
+        integrate_cells(np.sin, [0.0, 1.0, 0.5])
+    with pytest.raises(UsageError):
+        integrate_cells(np.sin, [0.0, np.inf])
+    with pytest.raises(QuadratureError):
+        integrate_cells(lambda x: np.full_like(x, np.nan), [0.0, 1.0])
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+    with pytest.raises(QuadratureError) as exc:
+        integrate_cells(lambda x: np.abs(x) ** -0.9, [1e-12, 1.0], cfg)
+    assert exc.value.estimate is not None
+    assert exc.value.error_bound > 0.0

@@ -6,6 +6,7 @@ from phasebound.errors import (
     SingularPointError,
     UsageError,
 )
+from phasebound.classical import find_turning_points
 from phasebound.potentials import PotentialModel
 from phasebound.quantize import spectrum
 from phasebound.states import (
@@ -184,6 +185,72 @@ def test_diagnostics_refuse_singular_points(harmonic):
         epsilon_parameter(harmonic, 0.5, 1.0)  # exactly at the turning point
     with pytest.raises(UsageError):
         epsilon_parameter(harmonic, 0.5, 2.5)  # outside the allowed region
+
+
+@pytest.mark.parametrize("family, args, energy", [
+    ("harmonic", (1.0,), 5.5),
+    ("morse", (10.0, 1.0), -4.0),
+    ("linear", (1.0,), 2.0),
+])
+def test_array_diagnostics_match_scalar_calls(family, args, energy):
+    pot = getattr(PotentialModel, family)(*args)
+    region = find_turning_points(pot, energy).require_single()
+    # inside, both turning points exactly, and points on either side
+    # of the region
+    xs = np.concatenate((np.linspace(region.left - 1.0, region.right + 1.0,
+                                     61),
+                         [region.left, region.right, region.midpoint]))
+    for fn in (epsilon_parameter, delta_functional):
+        got = fn(pot, energy, xs, region)
+        assert got.shape == xs.shape
+        for x, value in zip(xs, got):
+            try:
+                want = fn(pot, energy, float(x), region)
+            except (SingularPointError, UsageError):
+                assert np.isnan(value), (fn.__name__, x)
+                continue
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
+        outside = (xs < region.left) | (xs > region.right)
+        assert np.all(np.isnan(got[outside]))
+        assert np.isnan(got[-3]) and np.isnan(got[-2])
+        assert np.isfinite(got[-1])
+    # without a region argument the array path finds it itself
+    assert np.allclose(epsilon_parameter(pot, energy, xs[20:25]),
+                       epsilon_parameter(pot, energy, xs[20:25], region),
+                       equal_nan=True)
+
+
+def test_build_state_makes_no_per_point_integrals():
+    # V calls of build_state at n = 10: a few batched passes, against
+    # ~3,000 with one adaptive integral per grid point
+    calls = [0]
+
+    def well(x):
+        calls[0] += 1
+        return 0.5 * np.asarray(x, dtype=float) ** 2
+
+    pot = PotentialModel.from_callable(well, (-12.0, 12.0),
+                                       df=lambda x: np.asarray(x, dtype=float),
+                                       soft_edges=(True, True))
+    level = spectrum(pot, 10).levels[10]
+    calls[0] = 0
+    state = build_state(pot, level)
+    assert calls[0] < 100
+    assert state.normalization_numeric > 0.0
+
+
+def test_sample_takes_arrays(harmonic_states):
+    st = harmonic_states[3]
+    xs = np.array([[-5.0, -1.0], [0.3, 4.5]])
+    cols = st.sample(xs)
+    assert cols.psi.shape == xs.shape
+    for x, phi, psi, tag in zip(xs.ravel(), cols.phi.ravel(),
+                                cols.psi.ravel(), cols.region.ravel()):
+        one = st.sample(float(x))
+        assert one.region == tag
+        assert one.phi == pytest.approx(phi, rel=1e-12)
+        assert one.psi == pytest.approx(psi, rel=1e-10, abs=1e-14)
+    assert st.phase(xs).shape == xs.shape
 
 
 def test_tabulate_columns(harmonic_states):

@@ -13,8 +13,8 @@ from .oracle import (OracleConfig, TridiagonalOperator, discretize,
 from .potentials import (MomentumField, PhysicalConstants, PotentialModel,
                          effective_radial, local_momentum)
 from .quadrature import QuadratureConfig, QuadratureResult, integrate_adaptive
-from .quantize import (AuditRow, EnergyLevel, SolverConfig, SpectrumResult,
-                       claim_audit, solve_level, spectrum)
+from .quantize import (AuditRow, EnergyLevel, SpectrumResult, claim_audit,
+                       solve_level, spectrum)
 from .radial import (AngularQuantumNumbers, RadialLevel, RadialResult,
                      SeparableState, angular_eigenvalue, angular_numbers,
                      assemble_state, azimuthal_eigenvalue,
@@ -36,7 +36,7 @@ __all__ = [
     "PhaseboundError", "PhysicalConstants", "PotentialModel",
     "QuadratureConfig", "QuadratureError", "QuadratureResult",
     "RadialLevel", "RadialResult", "SeparableState", "SingularPointError",
-    "SolverConfig", "SolverError", "SpectrumResult", "StateFunction",
+    "SolverError", "SpectrumResult", "StateFunction",
     "TridiagonalOperator", "TurningPointReport", "UsageError",
     "WavefunctionSample", "action_energy_derivative", "action_integral",
     "angular_eigenvalue", "angular_numbers", "assemble_state",

@@ -9,16 +9,17 @@ interval ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MultiRegionError, NoClassicalMotion, UsageError
 from .potentials import MomentumField, PotentialModel
-from .quadrature import QuadratureConfig, integrate_adaptive, integrate_cells
+from .quadrature import integrate_adaptive, integrate_cells
 from .rootfind import bisect_then_brent
 
 _HALF_PI = 0.5 * np.pi
+_SCAN_POINTS = 512
 _UNIFORM_CELLS = 64
 _GRADED_CELLS = 40
 # extra cumulative knots, as fractions of the reach from the start
@@ -56,7 +57,6 @@ class TurningPointReport:
     energy: float
     regions: tuple[ClassicalRegion, ...]
     degenerate: bool
-    resolution: int
 
     def require_single(self) -> ClassicalRegion:
         """The lone allowed region, or a refusal when there are several."""
@@ -71,34 +71,30 @@ class TurningPointReport:
             "tunnelling-coupled wells are not supported", report=self)
 
 
-def find_turning_points(potential: PotentialModel, energy: float,
-                        resolution: int = 512) -> TurningPointReport:
+def find_turning_points(potential: PotentialModel,
+                        energy: float) -> TurningPointReport:
     """Locate the classically allowed regions at the given energy.
 
-    A uniform scan of 2m(E - V) finds sign changes, each refined to root
-    precision.  Raises NoClassicalMotion when the scan finds no allowed
-    point and the energy is below the potential floor; an energy within
-    1e-8 (relative) of the floor yields a degenerate zero-width region.
+    A uniform scan of 2m(E - V) over _SCAN_POINTS points finds sign
+    changes, each refined to root precision.  Raises NoClassicalMotion
+    when the scan finds no allowed point and the energy is below the
+    potential floor; an energy within 1e-8 (relative) of the floor yields
+    a degenerate zero-width region.
     """
-    if resolution < 8:
-        raise UsageError("turning point scan needs at least 8 points")
     energy = float(energy)
     field = MomentumField(potential, energy)
-    xs = potential.grid(resolution)
+    xs = potential.grid(_SCAN_POINTS)
     q = field.q(xs)
     mask = q > 0.0
 
     if not mask.any():
-        return _floor_report(potential, energy, resolution)
-
-    def gap(x):
-        return energy - potential.evaluate(x)
+        return _floor_report(potential, energy)
 
     crossings = []
     sgn = np.where(q > 0.0, 1.0, -1.0)
     for i in np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]:
         crossings.append(bisect_then_brent(
-            gap, xs[i], xs[i + 1], fa=q[i], fb=q[i + 1],
+            field.q, xs[i], xs[i + 1], fa=q[i], fb=q[i + 1],
             xtol=1e-15 * max(1.0, abs(xs[i]), abs(xs[i + 1]))))
 
     regions = []
@@ -113,15 +109,15 @@ def find_turning_points(potential: PotentialModel, energy: float,
     if cursor is not None:
         regions.append(ClassicalRegion(cursor, xs[-1], cursor_is_edge, True))
 
-    report = TurningPointReport(energy, tuple(regions), False, resolution)
+    report = TurningPointReport(energy, tuple(regions), False)
     if len(regions) == 1 and regions[0].width < 1e-6 * (xs[-1] - xs[0]):
-        floor = _floor_report(potential, energy, resolution, raising=False)
+        floor = _floor_report(potential, energy, raising=False)
         if floor is not None and floor.degenerate:
             return floor
     return report
 
 
-def _floor_report(potential, energy, resolution, raising=True):
+def _floor_report(potential, energy, raising=True):
     """Classify an energy with no (or a vanishing) allowed scan region."""
     try:
         x_min, v_min = potential.minimum()
@@ -131,12 +127,12 @@ def _floor_report(potential, energy, resolution, raising=True):
         tol = 1e-8 * max(1.0, abs(energy), abs(v_min))
         if abs(energy - v_min) <= tol or 0.0 < energy - v_min <= tol:
             region = ClassicalRegion(x_min, x_min)
-            return TurningPointReport(energy, (region,), True, resolution)
+            return TurningPointReport(energy, (region,), True)
     if not raising:
         return None
     raise NoClassicalMotion(
         f"no classically allowed region at E = {energy}",
-        report=TurningPointReport(energy, (), False, resolution))
+        report=TurningPointReport(energy, (), False))
 
 
 def _sine_integrand(region: ClassicalRegion, integrand):
@@ -151,29 +147,25 @@ def _sine_integrand(region: ClassicalRegion, integrand):
     return g
 
 
-def _over_region(field: MomentumField, region: ClassicalRegion, integrand,
-                 config: QuadratureConfig) -> float:
+def _over_region(region: ClassicalRegion, integrand) -> float:
     """Integrate f(x) over the region via x = mid + half * sin(t)."""
     if region.width == 0.0:
         return 0.0
     return integrate_adaptive(_sine_integrand(region, integrand),
-                              -_HALF_PI, _HALF_PI, config).value
+                              -_HALF_PI, _HALF_PI).value
 
 
 def action_integral(potential: PotentialModel, energy: float,
-                    region: ClassicalRegion | None = None,
-                    config: QuadratureConfig | None = None) -> float:
+                    region: ClassicalRegion | None = None) -> float:
     """W(E) = integral of sqrt(2m(E - V)) over the allowed region."""
     if region is None:
         region = find_turning_points(potential, energy).require_single()
-    field = MomentumField(potential, energy)
-    return _over_region(field, region, field.allowed_magnitude,
-                        config or QuadratureConfig())
+    return _over_region(region,
+                        MomentumField(potential, energy).allowed_magnitude)
 
 
 def action_energy_derivative(potential: PotentialModel, energy: float,
-                             region: ClassicalRegion | None = None,
-                             config: QuadratureConfig | None = None) -> float:
+                             region: ClassicalRegion | None = None) -> float:
     """dW/dE = integral of m / p over the allowed region.
 
     The 1/sqrt endpoint behaviour is tamed by the sine substitution; the
@@ -190,8 +182,7 @@ def action_energy_derivative(potential: PotentialModel, energy: float,
         p = field.allowed_magnitude(x)
         return np.where(p > 0.0, m / np.where(p > 0.0, p, 1.0), 0.0)
 
-    return _over_region(field, region, integrand,
-                        config or QuadratureConfig())
+    return _over_region(region, integrand)
 
 
 class PhaseAccumulator:
@@ -207,12 +198,10 @@ class PhaseAccumulator:
     """
 
     def __init__(self, potential: PotentialModel, energy: float,
-                 region: ClassicalRegion,
-                 config: QuadratureConfig | None = None):
+                 region: ClassicalRegion):
         self.potential = potential
         self.energy = float(energy)
         self.region = region
-        self.config = config or QuadratureConfig()
         self._field = MomentumField(potential, energy)
         self._hbar = potential.constants.hbar
 
@@ -230,8 +219,7 @@ class PhaseAccumulator:
         knots = np.concatenate((u.ravel(), start + (u.max() - start)
                                 * _EXTRA_KNOTS))
         order = np.argsort(knots)
-        cells = integrate_cells(g, np.concatenate(([start], knots[order])),
-                                self.config)
+        cells = integrate_cells(g, np.concatenate(([start], knots[order])))
         phi = np.empty(knots.size)
         phi[order] = np.cumsum(cells)
         phi = phi[:u.size]
@@ -273,8 +261,3 @@ class PhaseAccumulator:
         if np.any(x < self.region.right):
             raise UsageError("point lies left of the right turning point")
         return self._tail(x, +1)
-
-    def total(self) -> float:
-        """Full phase across the region, W / hbar."""
-        return action_integral(self.potential, self.energy, self.region,
-                               self.config) / self._hbar

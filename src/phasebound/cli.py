@@ -25,7 +25,7 @@ from . import __version__
 from .errors import PhaseboundError, UsageError
 from .oracle import OracleConfig
 from .potentials import PotentialModel
-from .quantize import SolverConfig, claim_audit, solve_level, spectrum
+from .quantize import claim_audit, solve_level, spectrum
 from .radial import radial_spectrum
 from .states import build_state, delta_functional, epsilon_parameter
 
@@ -127,7 +127,7 @@ def _cmd_spectrum(args) -> int:
     if levels < 1:
         raise UsageError("--levels must be at least 1")
     potential = PotentialModel.from_json_file(args.potential)
-    result = spectrum(potential, levels - 1, SolverConfig())
+    result = spectrum(potential, levels - 1)
     manifest = _manifest("spectrum", potential,
                          {"levels": levels, "format": args.format})
     if args.format == "json":
@@ -155,12 +155,13 @@ def _cmd_wavefunction(args) -> int:
     if grid < 2:
         raise UsageError("--grid needs at least 2 points")
     potential = PotentialModel.from_json_file(args.potential)
-    level = solve_level(potential, n, SolverConfig())
+    level = solve_level(potential, n)
     state = build_state(potential, level)
     region = level.region
     pad = region.width
     lo, hi = region.left - pad, region.right + pad
-    d_lo, d_hi = state.potential.domain
+    # the domain ends, nudged off an open edge such as r = 0
+    d_lo, d_hi = state.potential.grid(2)
     lo, hi = max(lo, d_lo), min(hi, d_hi)
     step = (hi - lo) / (grid - 1)
 
@@ -191,8 +192,7 @@ def _cmd_audit(args) -> int:
     if levels < 1:
         raise UsageError("--levels must be at least 1")
     potential = PotentialModel.from_json_file(args.potential)
-    rows = claim_audit(potential, levels - 1, SolverConfig(),
-                       OracleConfig(extrapolate=True))
+    rows = claim_audit(potential, levels - 1, OracleConfig(extrapolate=True))
     truncated = len(rows) < levels
     deviations = [r.deviation for r in rows if r.deviation is not None]
     max_dev = max(deviations) if deviations else None
@@ -225,7 +225,7 @@ def _cmd_radial(args) -> int:
     m_z = _plain_int(args.mz, "--mz")
     n_r_max = _positive_int(args.nrmax, "--nrmax")
     potential = PotentialModel.from_json_file(args.potential)
-    result = radial_spectrum(potential, n_r_max, n_theta, m_z, SolverConfig())
+    result = radial_spectrum(potential, n_r_max, n_theta, m_z)
     manifest = _manifest("radial", potential,
                          {"ntheta": n_theta, "mz": m_z, "nrmax": n_r_max})
     doc = {"manifest": manifest,

@@ -63,8 +63,7 @@ class PotentialModel:
     """
 
     def __init__(self, kind, params, f, df, constants, domain, *,
-                 soft_edges=(False, False), lo_open=False, hi_open=False,
-                 radial=False):
+                 soft_edges=(False, False), lo_open=False, hi_open=False):
         lo, hi = float(domain[0]), float(domain[1])
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"invalid domain [{lo}, {hi}]")
@@ -76,7 +75,6 @@ class PotentialModel:
         self.soft_edges = (bool(soft_edges[0]), bool(soft_edges[1]))
         self.lo_open = bool(lo_open)
         self.hi_open = bool(hi_open)
-        self.radial = bool(radial)
         self._f = f
         self._df = df
         self._min_cache = None
@@ -160,7 +158,7 @@ class PotentialModel:
             return z / r ** 2 - 2.0 * half_m2 / r ** 3
 
         return cls("coulomb", {"charge": z, "centrifugal": m2}, f, df, c,
-                   domain, soft_edges=(False, True), lo_open=True, radial=True)
+                   domain, soft_edges=(False, True), lo_open=True)
 
     @classmethod
     def square_well(cls, depth=1.0, width=1.0, constants=None, domain=None):
@@ -210,12 +208,11 @@ class PotentialModel:
     @classmethod
     def from_callable(cls, f, domain, df=None, constants=None, kind="custom",
                       params=None, soft_edges=(False, False), lo_open=False,
-                      hi_open=False, radial=False):
+                      hi_open=False):
         """Wrap an arbitrary vectorized callable as a potential model."""
         c = constants or PhysicalConstants()
         return cls(kind, params or {}, f, df, c, domain,
-                   soft_edges=soft_edges, lo_open=lo_open, hi_open=hi_open,
-                   radial=radial)
+                   soft_edges=soft_edges, lo_open=lo_open, hi_open=hi_open)
 
     # -- JSON description -------------------------------------------------
 
@@ -393,8 +390,7 @@ class PotentialModel:
         return PotentialModel(self.kind, self.params, self._f, self._df,
                               self.constants, (lo, hi),
                               soft_edges=self.soft_edges,
-                              lo_open=self.lo_open, hi_open=self.hi_open,
-                              radial=self.radial)
+                              lo_open=self.lo_open, hi_open=self.hi_open)
 
     def __repr__(self):
         lo, hi = self.domain
@@ -432,7 +428,7 @@ def effective_radial(potential: PotentialModel,
     return PotentialModel("effective_radial", params, f, df,
                           potential.constants, potential.domain,
                           soft_edges=potential.soft_edges, lo_open=True,
-                          hi_open=potential.hi_open, radial=True)
+                          hi_open=potential.hi_open)
 
 
 class MomentumField:

@@ -15,34 +15,20 @@ result with a recorded reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classical import (ClassicalRegion, TurningPointReport,
                         find_turning_points)
 from .classical import action_integral
 from .errors import LevelUnbound, NoClassicalMotion, SolverError, UsageError
 from .potentials import PotentialModel
-from .quadrature import QuadratureConfig
 from .rootfind import bisect_then_brent
 
 _RESIDUAL_LIMIT = 1e-10
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    energy_tol: float = 1e-12
-    max_iterations: int = 200
-    bracket_growth: float = 1.6
-    scan_resolution: int = 512
-    max_domain_growth: int = 6
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-    def __post_init__(self):
-        if self.energy_tol <= 0.0 or self.max_iterations <= 0 \
-                or self.scan_resolution < 8 or self.max_domain_growth < 0:
-            raise UsageError("solver configuration values must be positive")
-        if self.bracket_growth <= 1.0:
-            raise UsageError("bracket_growth must exceed 1")
+_ENERGY_TOL = 1e-12        # relative, on the Brent energy
+_MAX_ITERATIONS = 200      # bracket growth steps, and Brent steps
+_BRACKET_GROWTH = 1.6      # geometric step of E - V_min while bracketing
+_MAX_DOMAIN_GROWTH = 6     # soft-edge extensions before motion is unbound
 
 
 @dataclass(frozen=True)
@@ -71,9 +57,8 @@ class SpectrumResult:
 class _Quantizer:
     """Solver state for one potential: working domain and eval counter."""
 
-    def __init__(self, potential: PotentialModel, config: SolverConfig):
+    def __init__(self, potential: PotentialModel):
         self.pot = potential
-        self.cfg = config
         self.evals = 0
         x_min, v_min = potential.minimum()
         self.x_min, self.v_min = x_min, v_min
@@ -89,9 +74,8 @@ class _Quantizer:
         until the region resolves, then widens it again if the region
         leans on the window (rather than a true domain) edge.
         """
-        resolution = self.cfg.scan_resolution
         try:
-            return find_turning_points(pot, energy, resolution)
+            return find_turning_points(pot, energy)
         except NoClassicalMotion:
             pass
         lo0, hi0 = pot.domain
@@ -104,7 +88,7 @@ class _Quantizer:
             hi = min(hi0, self.x_min + width)
             try:
                 report = find_turning_points(pot.with_domain(lo, hi),
-                                             energy, resolution)
+                                             energy)
             except NoClassicalMotion:
                 continue
             for _ in range(80):
@@ -116,14 +100,14 @@ class _Quantizer:
                 lo = max(lo0, lo - span if pinched_lo else lo)
                 hi = min(hi0, hi + span if pinched_hi else hi)
                 report = find_turning_points(pot.with_domain(lo, hi),
-                                             energy, resolution)
+                                             energy)
             break
         if energy > self.v_min:
             region = ClassicalRegion(self.x_min, self.x_min)
-            return TurningPointReport(energy, (region,), True, resolution)
+            return TurningPointReport(energy, (region,), True)
         raise NoClassicalMotion(
             f"no classically allowed region at E = {energy}",
-            report=TurningPointReport(energy, (), False, resolution))
+            report=TurningPointReport(energy, (), False))
 
     def survey(self, energy: float) -> tuple[float, TurningPointReport]:
         """W and turning-point report at one energy.
@@ -136,7 +120,7 @@ class _Quantizer:
         """
         self.evals += 1
         pot = self.pot
-        for _ in range(self.cfg.max_domain_growth + 1):
+        for _ in range(_MAX_DOMAIN_GROWTH + 1):
             report = self._scan(pot, energy)
             if len(report.regions) > 1 and any(
                     (r.left_is_edge and pot.soft_edges[0])
@@ -157,8 +141,7 @@ class _Quantizer:
                     raise SolverError(
                         "allowed region reaches a hard domain edge; "
                         "cannot quantize against a data boundary")
-                w = action_integral(pot, energy, region,
-                                    self.cfg.quadrature)
+                w = action_integral(pot, energy, region)
                 self.pot = pot
                 return w, report
             lo, hi = pot.domain
@@ -176,7 +159,6 @@ class _Quantizer:
     def _bracket(self, target: float, seed: float | None,
                  step_hint: float | None):
         """Return (a, fa, b, fb) with fa < 0 < fb around the level."""
-        growth = self.cfg.bracket_growth
         if seed is None:
             a = self.v_min + 1e-9 * self.scale
         else:
@@ -190,7 +172,7 @@ class _Quantizer:
 
         step = step_hint if step_hint else 1e-3 * self.scale
         b = a + step
-        for _ in range(self.cfg.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             try:
                 fb = self.condition(b, target)
             except LevelUnbound:
@@ -198,7 +180,7 @@ class _Quantizer:
             if fb > 0.0:
                 return a, fa, b, fb
             a, fa = b, fb
-            b = self.v_min + (b - self.v_min) * growth
+            b = self.v_min + (b - self.v_min) * _BRACKET_GROWTH
             if b - self.v_min > 1e12 * self.scale:
                 break
         raise SolverError(
@@ -224,11 +206,9 @@ class _Quantizer:
             f"below the binding ceiling (last bound probe E = {lo:.12g})")
 
 
-def solve_level(potential: PotentialModel, n: int,
-                config: SolverConfig | None = None) -> EnergyLevel:
+def solve_level(potential: PotentialModel, n: int) -> EnergyLevel:
     """Energy of level n; raises LevelUnbound when the well cannot hold it."""
-    return _solve(_Quantizer(potential, config or SolverConfig()), n,
-                  None, None)
+    return _solve(_Quantizer(potential), n, None, None)
 
 
 def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
@@ -242,11 +222,11 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
     # where dW/dE is steep (weakly bound levels) the energy tolerance
     # alone leaves the residual above the limit, so also stop no coarser
     # than a tenth of the limit over the bracket's secant slope
-    xtol = min(q.cfg.energy_tol * max(1.0, abs(b)),
+    xtol = min(_ENERGY_TOL * max(1.0, abs(b)),
                0.1 * limit * (b - a) / (fb - fa))
     energy = bisect_then_brent(lambda e: q.condition(e, target), a, b,
                                fa=fa, fb=fb, xtol=xtol,
-                               pre_bisect=2, maxiter=q.cfg.max_iterations)
+                               pre_bisect=2, maxiter=_MAX_ITERATIONS)
     w, report = q.survey(energy)
     residual = abs(w / hbar - target)
     if residual > limit:
@@ -257,12 +237,11 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
                        residual, q.evals - evals_before)
 
 
-def spectrum(potential: PotentialModel, n_max: int,
-             config: SolverConfig | None = None) -> SpectrumResult:
+def spectrum(potential: PotentialModel, n_max: int) -> SpectrumResult:
     """Levels 0..n_max; truncates with a reason when the well runs out."""
     if n_max < 0:
         raise UsageError("n_max must be non-negative")
-    q = _Quantizer(potential, config or SolverConfig())
+    q = _Quantizer(potential)
     levels: list[EnergyLevel] = []
     for n in range(int(n_max) + 1):
         seed = levels[-1].energy if levels else None
@@ -295,7 +274,6 @@ class AuditRow:
 
 
 def claim_audit(potential: PotentialModel, n_max: int,
-                config: SolverConfig | None = None,
                 oracle_config=None) -> list[AuditRow]:
     """Per-level deviation of the phase-integral energies from a direct
     grid diagonalization of the same potential.
@@ -304,7 +282,7 @@ def claim_audit(potential: PotentialModel, n_max: int,
     """
     from .oracle import OracleConfig, reference_levels
 
-    result = spectrum(potential, n_max, config)
+    result = spectrum(potential, n_max)
     if not result.levels:
         return []
     ocfg = oracle_config or OracleConfig()

@@ -24,7 +24,7 @@ import numpy as np
 from .classical import ClassicalRegion, action_integral, find_turning_points
 from .errors import SingularPointError, SolverError, UsageError
 from .potentials import PhysicalConstants, PotentialModel, effective_radial
-from .quantize import EnergyLevel, SolverConfig, solve_level, spectrum
+from .quantize import EnergyLevel, solve_level, spectrum
 
 _CROSS_CHECK_RTOL = 1e-8
 
@@ -95,24 +95,20 @@ def _polar_potential(m_z_momentum: float,
 
 
 def angular_eigenvalue(n_theta: int, m_z_momentum: float,
-                       constants: PhysicalConstants | None = None,
-                       config: SolverConfig | None = None,
-                       cross_check: bool = True) -> float:
+                       constants: PhysicalConstants | None = None) -> float:
     """Total angular momentum magnitude M for (n_theta, M_z).
 
-    The closed form hbar (n_theta + 1/2) + |M_z| follows from the exact
-    polar phase integral.  With ``cross_check`` the same number is
-    recovered through the generic machinery: the full quantizer on the
-    polar barrier when M_z is nonzero, or the flat-region phase integral
-    when M_z = 0 (no turning points exist then), and a disagreement
-    beyond 1e-8 relative is an error.
+    Returns the closed form hbar (n_theta + 1/2) + |M_z|, which follows
+    from the exact polar phase integral.  Every call checks it against
+    the generic machinery: the full quantizer on the polar barrier when
+    M_z is nonzero, or the flat-region phase integral when M_z = 0 (no
+    turning points exist then); a disagreement beyond 1e-8 relative is
+    an error.
     """
     if n_theta < 0 or n_theta != int(n_theta):
         raise UsageError("n_theta must be a non-negative integer")
     c = constants or PhysicalConstants()
     closed = c.hbar * (n_theta + 0.5) + abs(m_z_momentum)
-    if not cross_check:
-        return closed
     if m_z_momentum == 0.0:
         pot = PotentialModel.from_callable(
             lambda th: np.zeros_like(np.asarray(th, dtype=float)),
@@ -123,36 +119,32 @@ def angular_eigenvalue(n_theta: int, m_z_momentum: float,
         w = action_integral(pot, closed * closed, region)
         numeric = w / math.pi
     else:
-        level = solve_level(_polar_potential(m_z_momentum, c),
-                            int(n_theta), config)
+        level = solve_level(_polar_potential(m_z_momentum, c), int(n_theta))
         numeric = math.sqrt(level.energy)
     if abs(numeric - closed) > _CROSS_CHECK_RTOL * closed:
         raise SolverError(
             f"polar quantization disagrees with the closed form: "
             f"{numeric!r} vs {closed!r}")
-    return numeric
+    return closed
 
 
 def angular_numbers(n_theta: int, m_z: int,
-                    constants: PhysicalConstants | None = None,
-                    config: SolverConfig | None = None,
-                    cross_check: bool = True) -> AngularQuantumNumbers:
+                    constants: PhysicalConstants | None = None
+                    ) -> AngularQuantumNumbers:
     c = constants or PhysicalConstants()
     mz_momentum = azimuthal_eigenvalue(m_z, c)
-    m_total = angular_eigenvalue(n_theta, mz_momentum, c, config, cross_check)
+    m_total = angular_eigenvalue(n_theta, mz_momentum, c)
     return AngularQuantumNumbers(_require_integer(m_z), int(n_theta),
                                  mz_momentum, m_total)
 
 
 def radial_spectrum(potential: PotentialModel, n_r_max: int, n_theta: int,
-                    m_z: int, config: SolverConfig | None = None,
-                    cross_check: bool = True) -> RadialResult:
+                    m_z: int) -> RadialResult:
     """Bound levels n_r = 0..n_r_max of the effective radial problem."""
-    ang = angular_numbers(n_theta, m_z, potential.constants, config,
-                          cross_check)
+    ang = angular_numbers(n_theta, m_z, potential.constants)
     m_sq = ang.M * ang.M
     v_eff = effective_radial(potential, m_sq)
-    result = spectrum(v_eff, n_r_max, config)
+    result = spectrum(v_eff, n_r_max)
     levels = tuple(RadialLevel(lv.n, ang.l_equivalent, lv.energy, lv)
                    for lv in result.levels)
     return RadialResult(ang, m_sq, levels, result.truncated, result.reason)

@@ -28,10 +28,8 @@ from scipy.integrate import simpson
 
 from .classical import (ClassicalRegion, PhaseAccumulator,
                         find_turning_points)
-from .errors import (DomainError, NormalizationError, SingularPointError,
-                     UsageError)
+from .errors import NormalizationError, SingularPointError, UsageError
 from .potentials import MomentumField, PotentialModel
-from .quadrature import QuadratureConfig
 from .quantize import EnergyLevel
 
 _TAIL_EXPONENT = 16.2   # |psi|^2 down to ~1e-14 of its turning-point value
@@ -249,16 +247,15 @@ def _detect_wavenumber(potential: PotentialModel, level: EnergyLevel
     return float(ps[2] / potential.constants.hbar)
 
 
-def build_state(potential: PotentialModel, level: EnergyLevel,
-                config: QuadratureConfig | None = None) -> StateFunction:
+def build_state(potential: PotentialModel, level: EnergyLevel
+                ) -> StateFunction:
     """Construct and normalize the piecewise state for a solved level."""
     region = level.region
     if region.width <= 0.0:
         raise UsageError("cannot build a state on a degenerate region")
-    cfg = config or QuadratureConfig()
     pot, reach_left = _tail_reach(potential, level.energy, region.left, -1)
     pot, reach_right = _tail_reach(pot, level.energy, region.right, +1)
-    acc = PhaseAccumulator(pot, level.energy, region, cfg)
+    acc = PhaseAccumulator(pot, level.energy, region)
 
     xs = np.linspace(region.left, region.right, _INTERIOR_POINTS)
     us = acc.interior(xs)
@@ -281,10 +278,10 @@ def evaluate_state(potential: PotentialModel, level: EnergyLevel, x: float,
     return state.sample(x)
 
 
-def numeric_normalization(potential: PotentialModel, level: EnergyLevel,
-                          config: QuadratureConfig | None = None) -> float:
+def numeric_normalization(potential: PotentialModel, level: EnergyLevel
+                          ) -> float:
     """Normalization constant alone (builds the state internally)."""
-    return build_state(potential, level, config).normalization_numeric
+    return build_state(potential, level).normalization_numeric
 
 
 def paper_normalization(state: StateFunction) -> PaperNormalization:

@@ -29,7 +29,7 @@ from phasebound.classical import (
 )
 from phasebound.oracle import OracleConfig, discretize, reference_levels
 from phasebound.potentials import PotentialModel, effective_radial
-from phasebound.quantize import SolverConfig, claim_audit, solve_level, spectrum
+from phasebound.quantize import claim_audit, solve_level, spectrum
 from phasebound.radial import angular_eigenvalue
 from phasebound.states import (
     build_state,
@@ -101,7 +101,7 @@ def test_coulomb_degeneracy_across_angular_splits():
 
 
 def test_kinked_well_audit_records_reference_gap():
-    rows = claim_audit(PotentialModel.linear(1.0), 10, SolverConfig(),
+    rows = claim_audit(PotentialModel.linear(1.0), 10,
                        OracleConfig(extrapolate=True))
     deviations = [r.deviation for r in rows]
     assert len(deviations) == 11
@@ -167,7 +167,7 @@ def test_normalization_parity_and_node_counts():
         d_lo, d_hi = state.potential.domain
         xs = np.linspace(max(region.left - pad, d_lo),
                          min(region.right + pad, d_hi), 4001)
-        psi = np.array([state.sample(float(x)).psi for x in xs])
+        psi = state.sample(xs).psi
         worst_norm = max(worst_norm, abs(simpson(psi * psi, x=xs) - 1.0))
 
         sign = -1.0 if lv.n % 2 else 1.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import phasebound.classical as classical_mod
 from phasebound.classical import (
     ClassicalRegion,
     PhaseAccumulator,
@@ -20,6 +21,25 @@ def test_harmonic_turning_points_refined(harmonic):
     assert region.right == pytest.approx(root, abs=1e-10)
     assert not region.left_is_edge and not region.right_is_edge
     assert not report.degenerate
+
+
+def test_turning_point_bracket_ends_match_the_refined_function(
+        monkeypatch):
+    # Brent trusts fa and fb as f(a) and f(b); they must be on the scale
+    # of the function it refines, not merely of the same sign
+    pot = PotentialModel.morse(10.0, 1.0)
+    refine = classical_mod.bisect_then_brent
+    calls = []
+
+    def checked(f, a, b, fa=None, fb=None, **kw):
+        calls.append((f(a), fa, f(b), fb))
+        return refine(f, a, b, fa=fa, fb=fb, **kw)
+
+    monkeypatch.setattr(classical_mod, "bisect_then_brent", checked)
+    find_turning_points(pot, -4.0)
+    assert len(calls) == 2
+    for f_a, fa, f_b, fb in calls:
+        assert f_a == fa and f_b == fb
 
 
 def test_no_motion_below_floor(harmonic):

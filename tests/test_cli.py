@@ -170,6 +170,30 @@ def test_wavefunction_table_structure(capsys, tmp_path):
     assert any(r["epsilon"] != "" for r in rows if r["region"] == "allowed")
 
 
+@pytest.mark.parametrize("centrifugal, n, grid",
+                         [(12.25, 3, 201), (0.25, 0, 1001)])
+def test_wavefunction_on_coulomb_starts_off_the_open_edge(
+        capsys, tmp_path, centrifugal, n, grid):
+    # the coulomb domain starts at the open edge r = 0, where V is singular
+    path = _write_potential(tmp_path, {
+        "type": "coulomb",
+        "params": {"charge": 2.0, "centrifugal": centrifugal}})
+    code, out, err = _run(capsys, ["wavefunction", path,
+                                   "--n", str(n), "--grid", str(grid)])
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == grid
+    x = np.array([float(r["x"]) for r in rows])
+    psi = np.array([float(r["psi"]) for r in rows])
+    assert x[0] > 0.0
+    assert rows[0]["region"] == "left-forbidden"
+    assert np.all(np.isfinite(psi))
+    assert int(np.sum(np.sign(psi[:-1]) * np.sign(psi[1:]) < 0)) == n
+    # the table spans one region width past each turning point, which
+    # clips a little of the ground state's right tail
+    assert 0.95 < np.trapezoid(psi * psi, x) < 1.001
+
+
 def test_wavefunction_rejects_negative_index(capsys, harmonic2_file):
     code, out, err = _run(capsys, ["wavefunction", harmonic2_file,
                                    "--n", "-1", "--grid", "100"])

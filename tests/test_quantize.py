@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 import phasebound.oracle as oracle_mod
-from phasebound.errors import OracleError, SolverError, UsageError
+from phasebound.errors import OracleError, SolverError
 from phasebound.potentials import PhysicalConstants, PotentialModel
-from phasebound.quantize import (
-    SolverConfig,
-    claim_audit,
-    solve_level,
-    spectrum,
-)
+from phasebound.quantize import claim_audit, solve_level, spectrum
 
 
 def _gaussian_well(depth, soft=True):
@@ -106,17 +101,6 @@ def test_hard_wall_box_is_rejected():
         domain=(-1.0, 1.0))
     with pytest.raises(SolverError):
         solve_level(box, 0)
-
-
-def test_config_validation():
-    with pytest.raises(UsageError):
-        SolverConfig(energy_tol=0.0)
-    with pytest.raises(UsageError):
-        SolverConfig(max_iterations=0)
-    with pytest.raises(UsageError):
-        SolverConfig(bracket_growth=1.0)
-    with pytest.raises(UsageError):
-        SolverConfig(scan_resolution=4)
 
 
 def test_residual_limit_enforced(harmonic):

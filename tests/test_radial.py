@@ -35,10 +35,13 @@ def test_azimuthal_rejects_non_integers():
 
 
 def test_angular_closed_form():
-    # hbar (n_theta + 1/2) + |M_z| with no solver involved
-    value = angular_eigenvalue(1, 0.75, PhysicalConstants(hbar=0.5),
-                               cross_check=False)
+    # hbar (n_theta + 1/2) + |M_z|, returned exactly once the solver
+    # agrees; the quantizer's own M for (3, 2) is 5.4999999999999991
+    value = angular_eigenvalue(1, 0.75, PhysicalConstants(hbar=0.5))
     assert value == 0.5 * 1.5 + 0.75
+    assert angular_numbers(3, 2).M == 5.5
+    assert angular_numbers(2, -2).M == 4.5
+    assert angular_numbers(0, 0).M == 0.5
 
 
 def test_angular_cross_check_routes():
@@ -88,7 +91,7 @@ def test_isotropic_quadratic_ladder():
     osc = PotentialModel.from_callable(
         lambda r: 0.5 * np.asarray(r, dtype=float) ** 2, (0.0, 40.0),
         df=lambda r: np.asarray(r, dtype=float),
-        lo_open=True, radial=True, soft_edges=(False, True))
+        lo_open=True, soft_edges=(False, True))
     res = radial_spectrum(osc, 1, 0, 0)
     assert not res.truncated
     assert res.m_squared == pytest.approx(0.25, rel=1e-12)
@@ -120,7 +123,7 @@ def test_truncation_reported_for_shallow_radial_well():
         lambda r: -3.0 * np.exp(-0.5 * np.asarray(r, dtype=float)),
         (0.0, 60.0),
         df=lambda r: 1.5 * np.exp(-0.5 * np.asarray(r, dtype=float)),
-        lo_open=True, radial=True, soft_edges=(False, True))
+        lo_open=True, soft_edges=(False, True))
     res = radial_spectrum(well, 8, 0, 0)
     assert res.truncated
     assert "unbound" in res.reason
@@ -134,7 +137,7 @@ def _zero_radial_model():
     return PotentialModel.from_callable(
         lambda r: np.zeros_like(np.asarray(r, dtype=float)), (0.0, 50.0),
         df=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        lo_open=True, radial=True, soft_edges=(False, True))
+        lo_open=True, soft_edges=(False, True))
 
 
 def test_free_product_satisfies_3d_equation():
@@ -188,6 +191,6 @@ def test_residual_guard_refuses_turning_point_radius():
 
 
 def test_assemble_state_requires_zero_mz():
-    ang = angular_numbers(0, 1, cross_check=False)
+    ang = angular_numbers(0, 1)
     with pytest.raises(UsageError):
         assemble_state(lambda r: 1.0, ang, -0.5)

@@ -63,7 +63,7 @@ def test_ground_state_tracks_gaussian(harmonic_states):
 def test_normalization_against_trapezoid(harmonic_states):
     st = harmonic_states[2]
     xs = np.linspace(-7.0, 7.0, 200_001)
-    psi = np.array([st.sample(x).psi for x in xs[::20]])
+    psi = st.sample(xs[::20]).psi
     integral = np.trapezoid(psi * psi, xs[::20])
     assert integral == pytest.approx(1.0, abs=1e-5)
 
@@ -87,7 +87,7 @@ def test_parity(harmonic_states):
 def test_node_count_matches_quantum_number(harmonic_states):
     xs = np.linspace(-4.5, 4.5, 3001)
     for n, st in harmonic_states.items():
-        psi = np.array([st.sample(x).psi for x in xs])
+        psi = st.sample(xs).psi
         signs = np.sign(psi[np.abs(psi) > 1e-8])
         assert int(np.sum(signs[1:] != signs[:-1])) == n
 

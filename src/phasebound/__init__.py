@@ -8,11 +8,11 @@ from .errors import (DomainError, LevelUnbound, MultiRegionError,
                      NoClassicalMotion, NormalizationError, OracleError,
                      ParseError, PhaseboundError, QuadratureError,
                      SingularPointError, SolverError, UsageError)
-from .oracle import (OracleConfig, TridiagonalOperator, discretize,
-                     node_count, reference_levels)
+from .oracle import (TridiagonalOperator, discretize, node_count,
+                     reference_levels)
 from .potentials import (MomentumField, PhysicalConstants, PotentialModel,
                          effective_radial, local_momentum)
-from .quadrature import QuadratureConfig, QuadratureResult, integrate_adaptive
+from .quadrature import QuadratureResult, integrate_adaptive
 from .quantize import (AuditRow, EnergyLevel, SpectrumResult, claim_audit,
                        solve_level, spectrum)
 from .radial import (AngularQuantumNumbers, RadialLevel, RadialResult,
@@ -31,10 +31,10 @@ __all__ = [
     "AngularQuantumNumbers", "AuditRow", "ClassicalRegion",
     "ContinuityReport", "DomainError", "EnergyLevel", "LevelUnbound",
     "MomentumField", "MultiRegionError", "NoClassicalMotion",
-    "NormalizationError", "OracleConfig", "OracleError",
+    "NormalizationError", "OracleError",
     "PaperNormalization", "ParseError", "PhaseAccumulator",
     "PhaseboundError", "PhysicalConstants", "PotentialModel",
-    "QuadratureConfig", "QuadratureError", "QuadratureResult",
+    "QuadratureError", "QuadratureResult",
     "RadialLevel", "RadialResult", "SeparableState", "SingularPointError",
     "SolverError", "SpectrumResult", "StateFunction",
     "TridiagonalOperator", "TurningPointReport", "UsageError",

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .errors import PhaseboundError, UsageError
-from .oracle import OracleConfig
 from .potentials import PotentialModel
 from .quantize import claim_audit, solve_level, spectrum
 from .radial import radial_spectrum
@@ -192,7 +191,7 @@ def _cmd_audit(args) -> int:
     if levels < 1:
         raise UsageError("--levels must be at least 1")
     potential = PotentialModel.from_json_file(args.potential)
-    rows = claim_audit(potential, levels - 1, OracleConfig(extrapolate=True))
+    rows = claim_audit(potential, levels - 1)
     truncated = len(rows) < levels
     deviations = [r.deviation for r in rows if r.deviation is not None]
     max_dev = max(deviations) if deviations else None

@@ -32,11 +32,27 @@ from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, ParseError, SolverError, UsageError
 
-_KINDS = ("harmonic", "linear", "morse", "coulomb", "square_well", "tabulated")
+# The "params" keys of each family in the JSON description format, in the
+# order of the family constructor's arguments, with their defaults;
+# "samples" has none.
+_PARAMS = {
+    "harmonic": {"omega": 1.0},
+    "linear": {"slope": 1.0},
+    "morse": {"depth": 1.0, "range": 1.0},
+    "coulomb": {"charge": 1.0, "centrifugal": 0.0},
+    "square_well": {"depth": 1.0, "width": 1.0},
+    "tabulated": {"samples": None},
+}
+_KINDS = tuple(_PARAMS)
 
 # Relative tolerance (in units of 2m|E - V| scale) inside which a point is
 # classified as sitting on a turning point.
 _BOUNDARY_RTOL = 1e-13
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -225,7 +241,9 @@ class PotentialModel:
             {"type": "<family>", "params": {...},
              "hbar": 1.0, "mass": 1.0, "domain": [lo, hi]}
 
-        ``hbar``, ``mass`` and ``domain`` are optional.
+        ``hbar``, ``mass``, ``domain`` and the family parameters are
+        optional, except ``samples``.  Unknown keys, in ``params`` too, and
+        non-numeric values raise ParseError.
         """
         if not isinstance(spec, dict):
             raise ParseError("potential description must be a JSON object")
@@ -251,26 +269,29 @@ class PotentialModel:
                 domain = (float(domain[0]), float(domain[1]))
             except (TypeError, ValueError, IndexError) as exc:
                 raise ParseError("'domain' must be [lo, hi]") from exc
-        try:
-            if kind == "harmonic":
-                return cls.harmonic(params.get("omega", 1.0), constants, domain)
-            if kind == "linear":
-                return cls.linear(params.get("slope", 1.0), constants, domain)
-            if kind == "morse":
-                return cls.morse(params.get("depth", 1.0),
-                                 params.get("range", 1.0), constants, domain)
-            if kind == "coulomb":
-                return cls.coulomb(params.get("charge", 1.0),
-                                   params.get("centrifugal", 0.0),
-                                   constants, domain)
-            if kind == "square_well":
-                return cls.square_well(params.get("depth", 1.0),
-                                       params.get("width", 1.0),
-                                       constants, domain)
-            samples = params.get("samples")
+        unknown = set(params) - set(_PARAMS[kind])
+        if unknown:
+            raise ParseError(
+                f"unrecognized {kind} params {sorted(unknown)}; "
+                f"expected some of {sorted(_PARAMS[kind])}")
+        args = {**_PARAMS[kind], **params}
+        if kind == "tabulated":
+            samples = args["samples"]
             if samples is None:
                 raise ParseError("tabulated potential needs 'samples'")
-            return cls.tabulated(samples, constants, domain)
+            if not (isinstance(samples, list) and all(
+                    isinstance(p, list) and len(p) == 2
+                    and all(map(_is_number, p)) for p in samples)):
+                raise ParseError("'samples' must be a list of [x, V] pairs "
+                                 "of numbers")
+        else:
+            for key, value in args.items():
+                if not _is_number(value):
+                    raise ParseError(
+                        f"parameter {key!r} must be a number, got {value!r}")
+        try:
+            # _PARAMS lists each family's keys in its constructor's order
+            return getattr(cls, kind)(*args.values(), constants, domain)
         except UsageError as exc:
             raise ParseError(str(exc)) from exc
 

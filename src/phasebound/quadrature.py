@@ -2,8 +2,9 @@
 
 Small self-contained engine: one embedded G7/K15 evaluation per panel, the
 panel with the worst error estimate is split until the combined estimate
-meets tolerance.  Integrands are called with a numpy array of nodes and must
-return an array of the same shape.
+is at most max(1e-12, 1e-12 * |integral|), a fixed tolerance, within a
+fixed budget of 400 splits.  Integrands are called with a numpy array of
+nodes and must return an array of the same shape.
 
 ``integrate_cells`` applies the same rule to many adjacent cells at once,
 for cumulative integrals tabulated on a grid: each refinement round
@@ -66,6 +67,9 @@ _WG = np.array([
     0.12948496616886969327,
 ])
 
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-12
+_MAX_SUBDIVISIONS = 400
 _ROUNDING = 50.0 * np.finfo(float).eps
 _BLOCK = 256    # panels per integrand call in integrate_cells
 # Weights that extrapolate the degree-14 interpolant through the Kronrod
@@ -74,25 +78,6 @@ _BLOCK = 256    # panels per integrand call in integrate_cells
 _XK_EDGES = np.array([[np.prod([(end - xk) / (xj - xk)
                                 for k, xk in enumerate(_XK) if k != j])
                        for j, xj in enumerate(_XK)] for end in (-1.0, 1.0)])
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for the adaptive pass.
-
-    Convergence is declared when the summed panel error estimate drops below
-    ``max(abs_tol, rel_tol * |integral|)``.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 400
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise UsageError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise UsageError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -120,14 +105,12 @@ def kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     return kron, err
 
 
-def integrate_adaptive(f, a: float, b: float,
-                       cfg: QuadratureConfig | None = None) -> QuadratureResult:
+def integrate_adaptive(f, a: float, b: float) -> QuadratureResult:
     """Integrate ``f`` over [a, b] by adaptive panel bisection.
 
     Raises QuadratureError (carrying the best estimate and its error bound)
-    when the tolerance is not reached within ``cfg.max_subdivisions`` splits.
+    when the tolerance is not reached within _MAX_SUBDIVISIONS splits.
     """
-    cfg = cfg or QuadratureConfig()
     if not (np.isfinite(a) and np.isfinite(b)):
         raise UsageError("quadrature limits must be finite")
     if a == b:
@@ -143,8 +126,8 @@ def integrate_adaptive(f, a: float, b: float,
     counter = 1
     width_floor = 50.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
 
-    for split in range(cfg.max_subdivisions):
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    for split in range(_MAX_SUBDIVISIONS):
+        if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):
             return QuadratureResult(total, total_err, counter)
         neg_err, _, pa, pb, pval = heapq.heappop(heap)
         if pb - pa <= width_floor:
@@ -160,7 +143,7 @@ def integrate_adaptive(f, a: float, b: float,
         heapq.heappush(heap, (-rerr, counter + 1, pm, pb, rval))
         counter += 2
 
-    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):
         return QuadratureResult(total, total_err, counter)
     raise QuadratureError(
         f"quadrature did not converge: estimate {total!r}, "
@@ -206,8 +189,7 @@ def _panel_pass(f, a: np.ndarray, b: np.ndarray
     return kron, err
 
 
-def integrate_cells(f, edges, cfg: QuadratureConfig | None = None
-                    ) -> np.ndarray:
+def integrate_cells(f, edges) -> np.ndarray:
     """Integrals of ``f`` over the cells between consecutive ``edges``.
 
     One edge makes no cells, and an empty cell integrates to 0 without a
@@ -216,15 +198,14 @@ def integrate_cells(f, edges, cfg: QuadratureConfig | None = None
     two ends, and the error estimate includes how far the nodes'
     interpolant misses the end values, which exposes a kink that the two
     rules agree on or cannot see.  While the summed error estimate of all
-    panels exceeds ``max(abs_tol, rel_tol * |integral over all cells|)``,
+    panels exceeds ``max(_ABS_TOL, _REL_TOL * |integral over all cells|)``,
     the panels whose estimate exceeds that tolerance divided by the panel
     count are bisected and passed again.  The summed estimate bounds the
     error of every cumulative sum of cells too.  At most
-    ``cfg.max_subdivisions`` bisections are spent beyond one per cell.
+    _MAX_SUBDIVISIONS bisections are spent beyond one per cell.
     Raises QuadratureError (carrying the estimate and its error bound)
     when the tolerance is not met.
     """
-    cfg = cfg or QuadratureConfig()
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 1:
         raise UsageError("cell edges must be a non-empty 1-d array")
@@ -239,11 +220,11 @@ def integrate_cells(f, edges, cfg: QuadratureConfig | None = None
         return np.zeros(cells)
 
     width_floor = _ROUNDING * max(abs(edges[0]), abs(edges[-1]), 1.0)
-    budget = cfg.max_subdivisions + cells
+    budget = _MAX_SUBDIVISIONS + cells
     # panels: bounds and owning cell; the first ones carry value and error
     a, b = edges[cell], edges[cell + 1]
     val, err = _panel_pass(f, a, b)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(val.sum()))
+    tol = max(_ABS_TOL, _REL_TOL * abs(val.sum()))
     while True:
         total_err = err.sum()
         if total_err <= tol:

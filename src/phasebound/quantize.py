@@ -273,22 +273,20 @@ class AuditRow:
     note: str | None = None
 
 
-def claim_audit(potential: PotentialModel, n_max: int,
-                oracle_config=None) -> list[AuditRow]:
+def claim_audit(potential: PotentialModel, n_max: int) -> list[AuditRow]:
     """Per-level deviation of the phase-integral energies from a direct
     grid diagonalization of the same potential.
 
     Reference failures mark individual rows instead of failing the audit.
     """
-    from .oracle import OracleConfig, reference_levels
+    from .oracle import reference_levels
 
     result = spectrum(potential, n_max)
     if not result.levels:
         return []
-    ocfg = oracle_config or OracleConfig()
     rows: list[AuditRow] = []
     try:
-        ref = reference_levels(potential, len(result.levels), ocfg)
+        ref = reference_levels(potential, len(result.levels))
     except Exception as exc:
         ref = None
         note = f"reference solver failed: {exc}"

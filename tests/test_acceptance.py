@@ -27,7 +27,7 @@ from phasebound.classical import (
     action_integral,
     find_turning_points,
 )
-from phasebound.oracle import OracleConfig, discretize, reference_levels
+from phasebound.oracle import discretize, reference_levels
 from phasebound.potentials import PotentialModel, effective_radial
 from phasebound.quantize import claim_audit, solve_level, spectrum
 from phasebound.radial import angular_eigenvalue
@@ -62,7 +62,7 @@ def test_morse_ladder_matches_closed_form_and_reference():
     result = spectrum(pot, 9)
     closed = [-10.0 * (1.0 - (n + 0.5) / math.sqrt(20.0)) ** 2
               for n in range(4)]
-    reference = reference_levels(pot, 4, OracleConfig(extrapolate=True))
+    reference = reference_levels(pot, 4)
     elapsed = time.perf_counter() - start
     count_ok = result.truncated and len(result.levels) == 4
     rel_closed = max(abs(lv.energy - c) / abs(c)
@@ -101,8 +101,7 @@ def test_coulomb_degeneracy_across_angular_splits():
 
 
 def test_kinked_well_audit_records_reference_gap():
-    rows = claim_audit(PotentialModel.linear(1.0), 10,
-                       OracleConfig(extrapolate=True))
+    rows = claim_audit(PotentialModel.linear(1.0), 10)
     deviations = [r.deviation for r in rows]
     assert len(deviations) == 11
     assert all(d is not None for d in deviations)
@@ -212,14 +211,13 @@ def test_reference_solver_self_checks():
     exact = 0.5
     errors = []
     for n_pts in (1001, 2001, 4001):
-        cfg = OracleConfig(grid_points=n_pts, box=(-8.0, 8.0))
-        e0 = reference_levels(PotentialModel.harmonic(1.0), 1, cfg)[0]
+        op = discretize(PotentialModel.harmonic(1.0), (-8.0, 8.0), n_pts)
+        e0 = op.lowest(1)[0]
         errors.append(abs(e0 - exact))
     ratios = (errors[0] / errors[1], errors[1] / errors[2])
     ratio_ok = all(3.8 < r < 4.2 for r in ratios)
 
-    op = discretize(PotentialModel.harmonic(1.0),
-                    OracleConfig(grid_points=1001, box=(-8.0, 8.0)))
+    op = discretize(PotentialModel.harmonic(1.0), (-8.0, 8.0), 1001)
     shifts = np.sort(np.random.default_rng(7).uniform(-1.0, 40.0, 100))
     counts = op.counts(shifts)
     monotone = bool(np.all(np.diff(counts) >= 0))

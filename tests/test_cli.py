@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 from phasebound.cli import main
+from phasebound.oracle import reference_levels
+from phasebound.potentials import PotentialModel
 from phasebound.quantize import spectrum
 
 
@@ -52,7 +54,6 @@ def test_spectrum_csv_matches_api(capsys, tmp_path, harmonic2_file):
     assert energies == pytest.approx([1.0, 3.0, 5.0, 7.0, 9.0], rel=1e-9)
 
     # 17 significant digits: the text must round-trip the library doubles
-    from phasebound.potentials import PotentialModel
     api = spectrum(PotentialModel.harmonic(2.0), 4)
     assert energies == [lv.energy for lv in api.levels]
 
@@ -122,6 +123,20 @@ def test_unknown_potential_type_is_rejected(capsys, tmp_path):
     code, out, err = _run(capsys, ["spectrum", path, "--levels", "2"])
     assert code == 1
     assert "unknown potential type" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "harmonic", "params": {"omega": "2"}},
+    {"type": "harmonic", "params": {"omega": None}},
+    {"type": "tabulated", "params": {"samples": "abc"}},
+    {"type": "harmonic", "params": {"omgea": 2.0}},
+], ids=["string", "null", "samples-string", "misspelled"])
+def test_bad_parameter_is_a_clean_error(capsys, tmp_path, doc):
+    path = _write_potential(tmp_path, doc)
+    code, out, err = _run(capsys, ["spectrum", path, "--levels", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_required_flag_exits_one(harmonic2_file, capsys):
@@ -213,6 +228,16 @@ def test_audit_close_agreement_on_smooth_well(capsys, tmp_path):
         assert row["deviation"] < 1e-6
     assert doc["max_deviation"] == max(r["deviation"] for r in doc["rows"])
     assert doc["truncated"] is False
+
+
+def test_audit_reference_is_the_library_reference(capsys, tmp_path):
+    # the CLI and reference_levels follow one policy, to the bit
+    doc = {"type": "morse", "params": {"depth": 10.0, "range": 1.0}}
+    path = _write_potential(tmp_path, doc)
+    code, out, err = _run(capsys, ["audit", path, "--levels", "3"])
+    assert code == 0
+    got = [row["reference"] for row in json.loads(out)["rows"]]
+    assert got == reference_levels(PotentialModel.from_dict(doc), 3).tolist()
 
 
 def test_audit_csv_format(capsys, tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from phasebound import oracle
 from phasebound.errors import OracleError, UsageError
 from phasebound.oracle import (
-    OracleConfig,
     TridiagonalOperator,
     discretize,
     node_count,
@@ -37,8 +37,7 @@ def test_sturm_count_survives_exact_pivot_zero():
 
 
 def test_sturm_monotone_over_random_shifts(rng):
-    op = discretize(PotentialModel.harmonic(1.0),
-                    OracleConfig(grid_points=401, box=(-6.0, 6.0)))
+    op = discretize(PotentialModel.harmonic(1.0), (-6.0, 6.0), 401)
     shifts = np.sort(rng.uniform(-5.0, 120.0, size=100))
     counts = op.counts(shifts)
     assert np.all(np.diff(counts) >= 0)
@@ -46,8 +45,7 @@ def test_sturm_monotone_over_random_shifts(rng):
 
 def test_counts_bracket_lapack_eigenvalues(harmonic):
     # the Sturm count shares no code with LAPACK, so it audits it
-    op = discretize(harmonic, OracleConfig(grid_points=1001,
-                                           box=(-8.0, 8.0)))
+    op = discretize(harmonic, (-8.0, 8.0), 1001)
     levels = op.lowest(10)
     pad = 1e-9 * np.maximum(1.0, np.abs(levels))
     assert op.counts(levels - pad).tolist() == list(range(10))
@@ -58,41 +56,41 @@ def test_box_ground_state():
     flat = PotentialModel.from_callable(
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         domain=(0.0, np.pi))
-    refs = reference_levels(flat, 1, OracleConfig(box=(0.0, np.pi)))
+    refs = reference_levels(flat, 1)
     assert refs[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_harmonic_fixed_box_accuracy(harmonic):
     # h^2 floor for this grid sits near 7.8e-7; anything much worse
     # means the discretization or the eigensolver regressed
-    refs = reference_levels(harmonic, 1, OracleConfig(box=(-10.0, 10.0)))
-    assert refs[0] == pytest.approx(0.5, abs=2e-6)
+    e0 = discretize(harmonic, (-10.0, 10.0), 4001).lowest(1)[0]
+    assert e0 == pytest.approx(0.5, abs=2e-6)
 
 
 def test_grid_halving_is_second_order(harmonic):
     box = (-8.0, 8.0)
-    e = [reference_levels(harmonic, 1,
-                          OracleConfig(grid_points=n, box=box))[0]
+    e = [discretize(harmonic, box, n).lowest(1)[0]
          for n in (1001, 2001, 4001)]
     ratio = (e[0] - e[1]) / (e[1] - e[2])
     assert 3.8 < ratio < 4.2
 
 
-def test_richardson_extrapolation_is_stable(harmonic):
-    box = (-8.0, 8.0)
-    r = [reference_levels(harmonic, 1,
-                          OracleConfig(grid_points=n, box=box,
-                                       extrapolate=True))[0]
-         for n in (1001, 2001)]
-    assert abs(r[0] - r[1]) < 1e-8
+def test_reference_levels_are_richardson_combined(harmonic):
+    # the reference beats the plain 4001-point grid on its own box by far
+    exact = np.arange(6) + 0.5
+    ref_err = np.max(np.abs(reference_levels(harmonic, 6) - exact))
+    plain = discretize(harmonic, oracle._auto_box(harmonic, 6),
+                       4001).lowest(6)
+    assert ref_err < 1e-9
+    assert 100.0 * ref_err < np.max(np.abs(plain - exact))
 
 
 def test_auto_box_margin_clears_top_level(harmonic):
-    op = discretize(harmonic, OracleConfig(target_levels=3))
+    a, b = oracle._auto_box(harmonic, 3)
     # top target is E_2 = 2.5 and the level spacing is 1, so both walls
     # must sit where V >= 7.5
-    assert harmonic.evaluate(op.a) >= 7.5 - 1e-6
-    assert harmonic.evaluate(op.b) >= 7.5 - 1e-6
+    assert harmonic.evaluate(a) >= 7.5 - 1e-6
+    assert harmonic.evaluate(b) >= 7.5 - 1e-6
 
 
 def test_auto_box_refuses_unconfined_request():
@@ -112,8 +110,7 @@ def test_auto_box_refuses_unconfined_request():
 
 
 def test_eigenvector_nodes(harmonic):
-    op = discretize(harmonic, OracleConfig(grid_points=1001,
-                                           box=(-8.0, 8.0)))
+    op = discretize(harmonic, (-8.0, 8.0), 1001)
     energies, vectors = op.lowest(4, vectors=True)
     for n, vec in enumerate(vectors.T):
         assert node_count(vec) == n
@@ -126,23 +123,22 @@ def test_eigenvector_nodes(harmonic):
     assert resid / np.linalg.norm(v) < 1e-8
 
 
-def test_config_validation():
+def test_discretize_validation(harmonic):
     with pytest.raises(UsageError):
-        OracleConfig(grid_points=200)
+        discretize(harmonic, (1.0, 1.0), 401)
     with pytest.raises(UsageError):
-        OracleConfig(grid_points=99)
+        discretize(harmonic, (0.0, np.inf), 401)
     with pytest.raises(UsageError):
-        OracleConfig(target_levels=0)
+        discretize(harmonic, (-1.0, 1.0), 2)
+    assert discretize(harmonic, (-1.0, 1.0), 3).size == 1
     with pytest.raises(UsageError):
-        OracleConfig(box=(1.0, 1.0))
-    with pytest.raises(UsageError):
-        OracleConfig(box=(0.0, np.inf))
+        reference_levels(harmonic, 0)
     with pytest.raises(UsageError):
         _toy_operator().lowest(4)
 
 
 def test_morse_reference_matches_closed_form(morse10):
-    refs = reference_levels(morse10, 4, OracleConfig(extrapolate=True))
+    refs = reference_levels(morse10, 4)
     closed = [-10.0 * (1.0 - (n + 0.5) / np.sqrt(20.0)) ** 2
               for n in range(4)]
     assert refs == pytest.approx(closed, rel=1e-6)

@@ -114,6 +114,23 @@ def test_json_unknown_keys_rejected():
                                   "extra": True})
     with pytest.raises(ParseError):
         PotentialModel.from_dict({"type": "no_such_well", "params": {}})
+    samples = [[0, 1], [1, 0], [2, 0], [3, 1]]
+    for kind, params in [("harmonic", {"omgea": 2.0}),
+                         ("morse", {"depth": 5.0, "width": 1.0}),
+                         ("coulomb", {"charge": 1.0, "l": 1}),
+                         ("tabulated", {"samples": samples, "kind": "pchip"})]:
+        with pytest.raises(ParseError, match="unrecognized"):
+            PotentialModel.from_dict({"type": kind, "params": params})
+
+
+def test_json_round_trip_of_every_family():
+    for pot in (PotentialModel.harmonic(2.0), PotentialModel.linear(0.5),
+                PotentialModel.morse(3.0, 0.7),
+                PotentialModel.coulomb(2.0, 1.5),
+                PotentialModel.square_well(4.0, 1.5),
+                PotentialModel.tabulated([[0, 1], [1, 0], [2, 0.5], [3, 2]])):
+        assert PotentialModel.from_dict(pot.to_dict()).to_dict() \
+            == pot.to_dict()
 
 
 def test_with_domain_extends_soft_edges_only():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from phasebound import quadrature
 from phasebound.errors import QuadratureError, UsageError
 from phasebound.quadrature import (
-    QuadratureConfig,
     integrate_adaptive,
     integrate_cells,
     kronrod_panel,
@@ -29,12 +29,13 @@ def test_adaptive_sine():
 
 def test_adaptive_inverse_sqrt_endpoint():
     # integrable endpoint singularity forces real subdivision work; plain
-    # bisection cannot do much better than ~1e-8 here, which is why the
-    # action integrals remove their singularities by substitution first
-    res = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                             QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8))
-    assert res.value == pytest.approx(2.0, abs=1e-7)
-    assert res.panels > 10
+    # bisection cannot do much better than ~1e-8 here, short of the fixed
+    # 1e-12 tolerance, which is why the action integrals remove their
+    # singularities by substitution first
+    with pytest.raises(QuadratureError) as exc:
+        integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+    assert exc.value.estimate == pytest.approx(2.0, abs=1e-7)
+    assert 0.0 < exc.value.error_bound < 1e-7
 
 
 def test_zero_width_interval():
@@ -48,10 +49,10 @@ def test_reversed_limits_rejected():
         integrate_adaptive(np.sin, 1.0, 0.0)
 
 
-def test_budget_exhaustion_carries_estimate():
-    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+def test_budget_exhaustion_carries_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureError) as exc:
-        integrate_adaptive(lambda x: np.abs(x) ** -0.9, 1e-12, 1.0, cfg)
+        integrate_adaptive(lambda x: np.abs(x) ** -0.9, 1e-12, 1.0)
     assert exc.value.estimate is not None
     assert exc.value.error_bound > 0.0
 
@@ -59,13 +60,6 @@ def test_budget_exhaustion_carries_estimate():
 def test_non_finite_integrand_rejected():
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
-
-
-def test_config_validation():
-    with pytest.raises(UsageError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(UsageError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 def test_cells_match_adaptive_per_cell():
@@ -117,7 +111,7 @@ def test_cells_see_a_kink_next_to_a_cell_end():
     assert got[0] == pytest.approx(want, abs=1e-12)
 
 
-def test_cells_validation_and_failure():
+def test_cells_validation_and_failure(monkeypatch):
     assert integrate_cells(np.sin, [1.0]).size == 0
     assert integrate_cells(np.sin, [2.0, 2.0, 2.0]).tolist() == [0.0, 0.0]
     with pytest.raises(UsageError):
@@ -126,8 +120,8 @@ def test_cells_validation_and_failure():
         integrate_cells(np.sin, [0.0, np.inf])
     with pytest.raises(QuadratureError):
         integrate_cells(lambda x: np.full_like(x, np.nan), [0.0, 1.0])
-    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureError) as exc:
-        integrate_cells(lambda x: np.abs(x) ** -0.9, [1e-12, 1.0], cfg)
+        integrate_cells(lambda x: np.abs(x) ** -0.9, [1e-12, 1.0])
     assert exc.value.estimate is not None
     assert exc.value.error_bound > 0.0

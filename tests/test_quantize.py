@@ -111,9 +111,7 @@ def test_residual_limit_enforced(harmonic):
 
 
 def test_claim_audit_rows(harmonic):
-    rows = claim_audit(harmonic, 2,
-                       oracle_config=oracle_mod.OracleConfig(
-                           extrapolate=True))
+    rows = claim_audit(harmonic, 2)
     assert [r.n for r in rows] == [0, 1, 2]
     for row in rows:
         assert row.note is None

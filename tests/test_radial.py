@@ -8,7 +8,7 @@ import pytest
 from scipy.special import hyperu
 
 from phasebound.errors import SingularPointError, UsageError
-from phasebound.oracle import OracleConfig, reference_levels
+from phasebound.oracle import reference_levels
 from phasebound.potentials import PhysicalConstants, PotentialModel
 from phasebound.radial import (
     SeparableState,
@@ -107,8 +107,8 @@ def test_independent_route_confirms_radial_levels():
     direct = PotentialModel.from_callable(
         lambda r: -1.0 / r + 1.0 / r ** 2, (1e-3, 120.0),
         df=lambda r: 1.0 / r ** 2 - 2.0 / r ** 3)
-    ref = reference_levels(direct, 2, OracleConfig(
-        grid_points=4001, box=(1e-3, 120.0), extrapolate=True))
+    # hard edges: the reference box is the domain itself
+    ref = reference_levels(direct, 2)
     exact = np.array([-0.125, -1.0 / 18.0])
     assert np.max(np.abs(ref - exact) / np.abs(exact)) < 1e-7
 

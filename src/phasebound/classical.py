@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MultiRegionError, NoClassicalMotion, UsageError
+from .errors import (DomainError, MultiRegionError, NoClassicalMotion,
+                     SolverError, UsageError)
 from .potentials import MomentumField, PotentialModel
 from .quadrature import integrate_adaptive, integrate_cells
 from .rootfind import bisect_then_brent
@@ -76,20 +77,48 @@ def find_turning_points(potential: PotentialModel,
     """Locate the classically allowed regions at the given energy.
 
     A uniform scan of 2m(E - V) over _SCAN_POINTS points finds sign
-    changes, each refined to root precision.  Raises NoClassicalMotion
-    when the scan finds no allowed point and the energy is below the
-    potential floor; an energy within 1e-8 (relative) of the floor yields
-    a degenerate zero-width region.
+    changes, each refined to root precision.  A well narrower than the
+    grid spacing, such as a Coulomb well on a domain many orders of
+    magnitude wider than its classical region, leaves every scan point
+    forbidden; then the floor x_min of :meth:`PotentialModel.minimum`
+    joins the grid, and its two neighbours bracket the turning points.
+    An energy within 1e-8 (relative) of the floor yields a degenerate
+    zero-width region; one below the floor, or on a potential with no
+    floor, raises NoClassicalMotion.
     """
     energy = float(energy)
     field = MomentumField(potential, energy)
     xs = potential.grid(_SCAN_POINTS)
     q = field.q(xs)
+    regions = _allowed_regions(field, xs, q)
+    if not regions or (len(regions) == 1
+                       and regions[0].width < 1e-6 * (xs[-1] - xs[0])):
+        try:
+            x_min, v_min = potential.minimum()
+        except (SolverError, DomainError):   # V unbounded below, or not finite
+            x_min = v_min = None
+        if v_min is not None and abs(energy - v_min) <= 1e-8 * max(
+                1.0, abs(energy), abs(v_min)):
+            region = ClassicalRegion(x_min, x_min)
+            return TurningPointReport(energy, (region,), True)
+        if not regions:
+            if v_min is None or energy < v_min:
+                raise NoClassicalMotion(
+                    f"no classically allowed region at E = {energy}",
+                    report=TurningPointReport(energy, (), False))
+            # E is above the floor, so q(x_min) > 0
+            k = int(np.searchsorted(xs, x_min))
+            xs = np.insert(xs, k, x_min)
+            q = np.insert(q, k, field.q(x_min))
+            regions = _allowed_regions(field, xs, q)
+    return TurningPointReport(energy, tuple(regions), False)
+
+
+def _allowed_regions(field: MomentumField, xs: np.ndarray,
+                     q: np.ndarray) -> list[ClassicalRegion]:
+    """The intervals where q > 0 on the scan grid, with every sign change
+    refined to a turning point."""
     mask = q > 0.0
-
-    if not mask.any():
-        return _floor_report(potential, energy)
-
     crossings = []
     sgn = np.where(q > 0.0, 1.0, -1.0)
     for i in np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]:
@@ -108,31 +137,7 @@ def find_turning_points(potential: PotentialModel,
             cursor = None
     if cursor is not None:
         regions.append(ClassicalRegion(cursor, xs[-1], cursor_is_edge, True))
-
-    report = TurningPointReport(energy, tuple(regions), False)
-    if len(regions) == 1 and regions[0].width < 1e-6 * (xs[-1] - xs[0]):
-        floor = _floor_report(potential, energy, raising=False)
-        if floor is not None and floor.degenerate:
-            return floor
-    return report
-
-
-def _floor_report(potential, energy, raising=True):
-    """Classify an energy with no (or a vanishing) allowed scan region."""
-    try:
-        x_min, v_min = potential.minimum()
-    except Exception:
-        x_min = v_min = None
-    if v_min is not None:
-        tol = 1e-8 * max(1.0, abs(energy), abs(v_min))
-        if abs(energy - v_min) <= tol or 0.0 < energy - v_min <= tol:
-            region = ClassicalRegion(x_min, x_min)
-            return TurningPointReport(energy, (region,), True)
-    if not raising:
-        return None
-    raise NoClassicalMotion(
-        f"no classically allowed region at E = {energy}",
-        report=TurningPointReport(energy, (), False))
+    return regions
 
 
 def _sine_integrand(region: ClassicalRegion, integrand):

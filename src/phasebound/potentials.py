@@ -242,8 +242,9 @@ class PotentialModel:
              "hbar": 1.0, "mass": 1.0, "domain": [lo, hi]}
 
         ``hbar``, ``mass``, ``domain`` and the family parameters are
-        optional, except ``samples``.  Unknown keys, in ``params`` too, and
-        non-numeric values raise ParseError.
+        optional, except ``samples``.  Unknown keys, in ``params`` too,
+        non-numeric values and a ``domain`` that is not a list of two
+        numbers raise ParseError.
         """
         if not isinstance(spec, dict):
             raise ParseError("potential description must be a JSON object")
@@ -257,18 +258,21 @@ class PotentialModel:
         unknown = set(spec) - {"type", "params", "hbar", "mass", "domain"}
         if unknown:
             raise ParseError(f"unrecognized keys {sorted(unknown)}")
+        hbar, mass = spec.get("hbar", 1.0), spec.get("mass", 1.0)
+        for key, value in (("hbar", hbar), ("mass", mass)):
+            if not _is_number(value):
+                raise ParseError(f"{key!r} must be a number, got {value!r}")
         try:
-            constants = PhysicalConstants(
-                hbar=float(spec.get("hbar", 1.0)),
-                mass=float(spec.get("mass", 1.0)))
-        except (TypeError, ValueError, UsageError) as exc:
+            constants = PhysicalConstants(hbar=float(hbar), mass=float(mass))
+        except UsageError as exc:
             raise ParseError(f"bad constants: {exc}") from exc
         domain = spec.get("domain")
         if domain is not None:
-            try:
-                domain = (float(domain[0]), float(domain[1]))
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ParseError("'domain' must be [lo, hi]") from exc
+            if not (isinstance(domain, list) and len(domain) == 2
+                    and all(map(_is_number, domain))):
+                raise ParseError(
+                    f"'domain' must be [lo, hi] numbers, got {domain!r}")
+            domain = (float(domain[0]), float(domain[1]))
         unknown = set(params) - set(_PARAMS[kind])
         if unknown:
             raise ParseError(

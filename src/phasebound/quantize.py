@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .classical import (ClassicalRegion, TurningPointReport,
                         find_turning_points)
 from .classical import action_integral
-from .errors import LevelUnbound, NoClassicalMotion, SolverError, UsageError
+from .errors import LevelUnbound, SolverError, UsageError
 from .potentials import PotentialModel
 from .rootfind import bisect_then_brent
 
@@ -60,54 +60,8 @@ class _Quantizer:
     def __init__(self, potential: PotentialModel):
         self.pot = potential
         self.evals = 0
-        x_min, v_min = potential.minimum()
-        self.x_min, self.v_min = x_min, v_min
-        self.scale = max(1.0, abs(v_min))
-
-    def _scan(self, pot, energy: float) -> TurningPointReport:
-        """Turning points at one energy, zooming in when the allowed
-        region is narrower than the scan spacing.
-
-        Wells like the Coulomb effective potential live on domains many
-        orders of magnitude wider than their classical region; a fixed
-        grid loses them.  The zoom shrinks a window around the minimum
-        until the region resolves, then widens it again if the region
-        leans on the window (rather than a true domain) edge.
-        """
-        try:
-            return find_turning_points(pot, energy)
-        except NoClassicalMotion:
-            pass
-        lo0, hi0 = pot.domain
-        width = hi0 - lo0
-        for _ in range(100):
-            width *= 0.25
-            if width <= 1e-13 * max(1.0, abs(self.x_min)):
-                break
-            lo = max(lo0, self.x_min - width)
-            hi = min(hi0, self.x_min + width)
-            try:
-                report = find_turning_points(pot.with_domain(lo, hi),
-                                             energy)
-            except NoClassicalMotion:
-                continue
-            for _ in range(80):
-                pinched_lo = report.regions[0].left_is_edge and lo > lo0
-                pinched_hi = report.regions[-1].right_is_edge and hi < hi0
-                if not (pinched_lo or pinched_hi):
-                    return report
-                span = hi - lo
-                lo = max(lo0, lo - span if pinched_lo else lo)
-                hi = min(hi0, hi + span if pinched_hi else hi)
-                report = find_turning_points(pot.with_domain(lo, hi),
-                                             energy)
-            break
-        if energy > self.v_min:
-            region = ClassicalRegion(self.x_min, self.x_min)
-            return TurningPointReport(energy, (region,), True)
-        raise NoClassicalMotion(
-            f"no classically allowed region at E = {energy}",
-            report=TurningPointReport(energy, (), False))
+        self.v_min = potential.minimum()[1]
+        self.scale = max(1.0, abs(self.v_min))
 
     def survey(self, energy: float) -> tuple[float, TurningPointReport]:
         """W and turning-point report at one energy.
@@ -121,7 +75,7 @@ class _Quantizer:
         self.evals += 1
         pot = self.pot
         for _ in range(_MAX_DOMAIN_GROWTH + 1):
-            report = self._scan(pot, energy)
+            report = find_turning_points(pot, energy)
             if len(report.regions) > 1 and any(
                     (r.left_is_edge and pot.soft_edges[0])
                     or (r.right_is_edge and pot.soft_edges[1])

@@ -10,7 +10,13 @@ from phasebound.classical import (
     find_turning_points,
 )
 from phasebound.errors import MultiRegionError, NoClassicalMotion
-from phasebound.potentials import MomentumField, PotentialModel
+from phasebound.potentials import (MomentumField, PotentialModel,
+                                   effective_radial)
+from phasebound.states import epsilon_parameter
+
+# V = -2.5/r + 0.125/r^2: floor -12.5 at r = 0.1 on a domain [0, 240] whose
+# 512-point scan steps by 0.47, so no scan point is allowed below E = -4.76
+NARROW_COULOMB = effective_radial(PotentialModel.coulomb(2.5), 0.25)
 
 
 def test_harmonic_turning_points_refined(harmonic):
@@ -45,6 +51,12 @@ def test_turning_point_bracket_ends_match_the_refined_function(
 def test_no_motion_below_floor(harmonic):
     with pytest.raises(NoClassicalMotion):
         find_turning_points(harmonic, -0.5)
+    with pytest.raises(NoClassicalMotion):
+        find_turning_points(NARROW_COULOMB, -12.6)
+    # no floor at all: -2.5/r falls without bound toward r = 0, and at
+    # this energy even the first scan point is forbidden
+    with pytest.raises(NoClassicalMotion):
+        find_turning_points(PotentialModel.coulomb(2.5), -1e11)
 
 
 def test_floor_energy_is_degenerate(harmonic):
@@ -52,6 +64,42 @@ def test_floor_energy_is_degenerate(harmonic):
     assert report.degenerate
     region = report.regions[0]
     assert region.width == pytest.approx(0.0, abs=1e-6)
+    report = find_turning_points(NARROW_COULOMB, -12.5 + 1e-9)
+    assert report.degenerate
+    region = report.require_single()
+    assert region.width == 0.0
+    assert region.left == pytest.approx(0.1, rel=1e-6)
+
+
+@pytest.mark.parametrize("family, energy", [
+    ("coulomb", -10.0), ("coulomb", -12.0), ("coulomb", -12.4),
+    ("linear", 1e-2), ("linear", 1e-4)])
+def test_well_narrower_than_the_scan_grid(family, energy):
+    if family == "coulomb":
+        pot = NARROW_COULOMB
+        # roots of E r^2 + 2.5 r - 0.125, in the form that keeps both exact
+        q = -0.5 * (2.5 + np.sqrt(2.5 ** 2 + 4.0 * energy * 0.125))
+        left, right = sorted((q / energy, -0.125 / q))
+        # pi (Z sqrt(m / 2|E|) - M) with M = 1/2
+        want = np.pi * (2.5 * np.sqrt(0.5 / -energy) - 0.5)
+    else:
+        pot = PotentialModel.linear(1.0)
+        left, right = -energy, energy
+        want = 4.0 * np.sqrt(2.0) / 3.0 * energy ** 1.5
+    scan = pot.grid(classical_mod._SCAN_POINTS)
+    assert np.all(pot.evaluate(scan) > energy)
+    report = find_turning_points(pot, energy)
+    assert not report.degenerate
+    region = report.require_single()
+    assert region.left == pytest.approx(left, rel=1e-12)
+    assert region.right == pytest.approx(right, rel=1e-12)
+    assert not region.left_is_edge and not region.right_is_edge
+    assert action_integral(pot, energy) == pytest.approx(want, rel=1e-12)
+
+
+def test_epsilon_finds_a_narrow_well_without_a_region():
+    eps = epsilon_parameter(NARROW_COULOMB, -10.0, 0.12)
+    assert np.isfinite(eps)
 
 
 def test_free_particle_box_keeps_edge_flags():

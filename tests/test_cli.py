@@ -139,6 +139,21 @@ def test_bad_parameter_is_a_clean_error(capsys, tmp_path, doc):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [
+    {"hbar": "2"},
+    {"hbar": True},
+    {"domain": [-5, 5, 99]},
+    {"domain": {"a": 1}},
+], ids=["hbar-string", "hbar-bool", "domain-three", "domain-object"])
+def test_bad_top_level_field_is_a_clean_error(capsys, tmp_path, extra):
+    doc = {"type": "harmonic", "params": {"omega": 1.0}, **extra}
+    path = _write_potential(tmp_path, doc)
+    code, out, err = _run(capsys, ["spectrum", path, "--levels", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_required_flag_exits_one(harmonic2_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["spectrum", harmonic2_file])

@@ -8,8 +8,7 @@ from .errors import (DomainError, LevelUnbound, MultiRegionError,
                      NoClassicalMotion, NormalizationError, OracleError,
                      ParseError, PhaseboundError, QuadratureError,
                      SingularPointError, SolverError, UsageError)
-from .oracle import (TridiagonalOperator, discretize, node_count,
-                     reference_levels)
+from .oracle import TridiagonalOperator, discretize, reference_levels
 from .potentials import (MomentumField, PhysicalConstants, PotentialModel,
                          effective_radial, local_momentum)
 from .quadrature import QuadratureResult, integrate_adaptive
@@ -21,9 +20,8 @@ from .radial import (AngularQuantumNumbers, RadialLevel, RadialResult,
                      canonical_3d_residual, radial_spectrum)
 from .states import (ContinuityReport, PaperNormalization, StateFunction,
                      WavefunctionSample, build_state, connection_check,
-                     delta_functional, epsilon_parameter, evaluate_state,
-                     numeric_normalization, paper_normalization,
-                     standing_wave)
+                     delta_functional, epsilon_parameter,
+                     paper_normalization, standing_wave)
 
 __version__ = "0.1.0"
 
@@ -42,9 +40,8 @@ __all__ = [
     "angular_eigenvalue", "angular_numbers", "assemble_state",
     "azimuthal_eigenvalue", "build_state", "canonical_3d_residual",
     "claim_audit", "connection_check", "delta_functional", "discretize",
-    "effective_radial", "epsilon_parameter",
-    "evaluate_state", "find_turning_points", "integrate_adaptive",
-    "local_momentum", "node_count", "numeric_normalization",
-    "paper_normalization", "radial_spectrum", "reference_levels",
-    "solve_level", "spectrum", "standing_wave",
+    "effective_radial", "epsilon_parameter", "find_turning_points",
+    "integrate_adaptive", "local_momentum", "paper_normalization",
+    "radial_spectrum", "reference_levels", "solve_level", "spectrum",
+    "standing_wave",
 ]

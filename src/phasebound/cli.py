@@ -42,21 +42,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_ERROR)
 
 
-def _positive_int(text: str, name: str) -> int:
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be an integer, got {text!r}")
-    if value < 0:
-        raise UsageError(f"{name} must be non-negative")
-    return value
-
-
 def _plain_int(text: str, name: str) -> int:
     try:
         return int(text)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be an integer, got {text!r}")
+
+
+def _positive_int(text: str, name: str) -> int:
+    value = _plain_int(text, name)
+    if value < 0:
+        raise UsageError(f"{name} must be non-negative")
+    return value
 
 
 # -- serialization -----------------------------------------------------------
@@ -174,10 +171,13 @@ def _cmd_wavefunction(args) -> int:
                                       xs[allowed], region)
     # a point refused by either diagnostic leaves both cells blank
     blank = ~(np.isfinite(eps) & np.isfinite(delta))
-    rows = [[s.x, s.phi, s.psi, s.region,
+    cols = state.sample(xs)
+    rows = [[x, phi, psi, tag,
              "" if skip else format_float(e), "" if skip else format_float(d)]
-            for s, e, d, skip in zip(state.tabulate(xs), eps.tolist(),
-                                     delta.tolist(), blank.tolist())]
+            for x, phi, psi, tag, e, d, skip in zip(
+                xs.tolist(), cols.phi.tolist(), cols.psi.tolist(),
+                cols.region.tolist(), eps.tolist(), delta.tolist(),
+                blank.tolist())]
     _emit(_csv_text(["x", "phi", "psi", "region", "epsilon", "delta"], rows),
           args.out)
     manifest = _manifest("wavefunction", potential,

@@ -2,8 +2,7 @@
 
 The potential is discretized with second-order central differences on a
 Dirichlet box and the lowest eigenvalues of the resulting symmetric
-tridiagonal operator come from LAPACK (stebz bisection, with stein
-inverse iteration when eigenvectors are asked for), through
+tridiagonal operator come from LAPACK (stebz bisection), through
 scipy.linalg.eigh_tridiagonal.  A vectorized Sturm count stays alongside
 as an independent check on those eigenvalues.  Nothing here touches the
 phase-integral machinery: this path exists so the two solvers can be
@@ -36,7 +35,6 @@ from .potentials import PotentialModel
 _DECAY_REQUIRED = 14.0
 _DECAY_ENOUGH = 16.0
 _GRID_POINTS = 4001     # the coarse grid; the fine one has 2 * 4001 - 1
-_NODE_THRESHOLD = 1e-8  # relative size below which node_count ignores entries
 
 
 @dataclass(frozen=True)
@@ -79,17 +77,12 @@ class TridiagonalOperator:
                 count += neg
         return count
 
-    def lowest(self, count: int, vectors: bool = False
-               ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Lowest ``count`` eigenvalues in ascending order.
-
-        With ``vectors`` set, returns ``(values, vectors)`` with unit
-        eigenvectors as columns, as scipy's ``eigvals_only=False`` does.
-        """
+    def lowest(self, count: int) -> np.ndarray:
+        """Lowest ``count`` eigenvalues in ascending order."""
         if not 1 <= count <= self.size:
             raise UsageError("level count must be between 1 and the grid size")
         return eigh_tridiagonal(self.diag, np.full(self.size - 1, self.off),
-                                eigvals_only=not vectors, select="i",
+                                eigvals_only=True, select="i",
                                 select_range=(0, count - 1))
 
 
@@ -225,13 +218,6 @@ def discretize(potential: PotentialModel, box, points: int
     diag = hbar * hbar / (m * h * h) + pot.evaluate(x)
     off = -hbar * hbar / (2.0 * m * h * h)
     return TridiagonalOperator(diag, off, a, b, h, x)
-
-
-def node_count(vector: np.ndarray) -> int:
-    """Interior sign changes, ignoring entries lost in numerical noise."""
-    v = vector / np.max(np.abs(vector))
-    signs = np.sign(v[np.abs(v) > _NODE_THRESHOLD])
-    return int(np.sum(signs[1:] * signs[:-1] < 0.0))
 
 
 def reference_levels(potential: PotentialModel, count: int) -> np.ndarray:

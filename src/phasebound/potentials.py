@@ -24,6 +24,7 @@ All evaluation is vectorized: scalars in, scalar out; arrays in, array out.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,28 @@ _PARAMS = {
 }
 _KINDS = tuple(_PARAMS)
 
-# Relative tolerance (in units of 2m|E - V| scale) inside which a point is
-# classified as sitting on a turning point.
+# Relative tolerance (in units of the largest |2m(E - V)| on the domain)
+# inside which local_momentum tags a point as a turning point.
 _BOUNDARY_RTOL = 1e-13
 
 
 def _is_number(value) -> bool:
-    """A JSON number: int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: int or float, but not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _finite(compute):
+    """``compute()`` for a constant derived from family parameters, with
+    no overflow error or numpy warning; UsageError unless it is finite."""
+    try:
+        with np.errstate(all="ignore"):
+            value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = np.inf
+    if not np.isfinite(value):
+        raise UsageError("a constant derived from the parameters is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,8 +100,7 @@ class PotentialModel:
             raise UsageError(f"invalid domain [{lo}, {hi}]")
         self.kind = kind
         self.params = dict(params)
-        self.constants = constants if isinstance(constants, PhysicalConstants) \
-            else PhysicalConstants(*constants)
+        self.constants = constants
         self.domain = (lo, hi)
         self.soft_edges = (bool(soft_edges[0]), bool(soft_edges[1]))
         self.lo_open = bool(lo_open)
@@ -104,9 +118,9 @@ class PotentialModel:
             raise UsageError("omega must be positive")
         c = constants or PhysicalConstants()
         if domain is None:
-            length = np.sqrt(c.hbar / (c.mass * omega))
+            length = _finite(lambda: np.sqrt(c.hbar / (c.mass * omega)))
             domain = (-12.0 * length, 12.0 * length)
-        k = 0.5 * c.mass * omega ** 2
+        k = _finite(lambda: 0.5 * c.mass * omega ** 2)
         return cls("harmonic", {"omega": float(omega)},
                    lambda x: k * x ** 2, lambda x: 2.0 * k * x,
                    c, domain, soft_edges=(True, True))
@@ -118,7 +132,8 @@ class PotentialModel:
             raise UsageError("slope must be positive")
         c = constants or PhysicalConstants()
         if domain is None:
-            length = (c.hbar ** 2 / (c.mass * slope)) ** (1.0 / 3.0)
+            length = _finite(
+                lambda: (c.hbar ** 2 / (c.mass * slope)) ** (1.0 / 3.0))
             domain = (-30.0 * length, 30.0 * length)
         s = float(slope)
         return cls("linear", {"slope": s},
@@ -160,12 +175,12 @@ class PotentialModel:
             raise UsageError("centrifugal term must be non-negative")
         c = constants or PhysicalConstants()
         if domain is None:
-            bohr = c.hbar ** 2 / (c.mass * charge)
+            bohr = _finite(lambda: c.hbar ** 2 / (c.mass * charge))
             domain = (0.0, 600.0 * bohr)
         elif float(domain[0]) != 0.0:
             raise UsageError("coulomb domain must start at r = 0")
         z, m2 = float(charge), float(centrifugal)
-        half_m2 = m2 / (2.0 * c.mass)
+        half_m2 = _finite(lambda: m2 / (2.0 * c.mass))
 
         def f(r):
             return -z / r + half_m2 / r ** 2
@@ -183,7 +198,8 @@ class PotentialModel:
             raise UsageError("square well depth and width must be positive")
         c = constants or PhysicalConstants()
         if domain is None:
-            tail = 40.0 * max(width, c.hbar / np.sqrt(2.0 * c.mass * depth))
+            tail = _finite(lambda: 40.0 * max(
+                width, c.hbar / np.sqrt(2.0 * c.mass * depth)))
             domain = (-0.5 * width - tail, 0.5 * width + tail)
         d, half_w = float(depth), 0.5 * float(width)
 
@@ -208,11 +224,18 @@ class PotentialModel:
         if not np.all(np.isfinite(pts)):
             raise UsageError("tabulated samples must be finite")
         xs, vs = pts[:, 0], pts[:, 1]
-        if not np.all(np.diff(xs) > 0.0):
+        if not np.all(xs[1:] > xs[:-1]):
             raise UsageError("tabulated sample x values must strictly increase")
         c = constants or PhysicalConstants()
-        interp = PchipInterpolator(xs, vs, extrapolate=False)
-        dinterp = interp.derivative()
+        with np.errstate(all="ignore"):
+            try:
+                interp = PchipInterpolator(xs, vs, extrapolate=False)
+            except ValueError:  # scipy's refusal of a slope that overflowed
+                interp = None
+            dinterp = None if interp is None else interp.derivative()
+        # the derivative holds every non-constant coefficient, scaled
+        if dinterp is None or not np.all(np.isfinite(dinterp.c)):
+            raise UsageError("tabulated samples give a non-finite slope")
         if domain is None:
             domain = (xs[0], xs[-1])
         else:
@@ -319,14 +342,6 @@ class PotentialModel:
             raise UsageError(
                 f"potential kind {self.kind!r} has no JSON description")
         return {"type": self.kind, "params": dict(self.params),
-                "hbar": self.constants.hbar, "mass": self.constants.mass,
-                "domain": [self.domain[0], self.domain[1]]}
-
-    def descriptor(self) -> dict:
-        """Loggable summary (works for custom kinds too)."""
-        return {"type": self.kind,
-                "params": {k: v for k, v in self.params.items()
-                           if k != "samples"},
                 "hbar": self.constants.hbar, "mass": self.constants.mass,
                 "domain": [self.domain[0], self.domain[1]]}
 
@@ -481,19 +496,6 @@ class MomentumField:
         """sqrt(2m(V - E)) clamped at zero (vectorized)."""
         return np.sqrt(np.maximum(-self.q(x), 0.0))
 
-    def scale(self) -> float:
-        """Characteristic squared-momentum scale for boundary classification."""
-        xs = self.potential.grid(256)
-        return float(np.max(np.abs(self._two_m
-                                   * (self.energy
-                                      - self.potential.evaluate(xs))))) or 1.0
-
-    def classify(self, x) -> str:
-        q = self.q(x)
-        if abs(q) <= _BOUNDARY_RTOL * self.scale():
-            return "boundary"
-        return "allowed" if q > 0.0 else "forbidden"
-
 
 def local_momentum(potential: PotentialModel, energy: float,
                    x: float) -> tuple[float, str]:
@@ -504,8 +506,8 @@ def local_momentum(potential: PotentialModel, energy: float,
     turning point it is 0 with tag ``boundary``.
     """
     field = MomentumField(potential, energy)
-    tag = field.classify(x)
-    if tag == "boundary":
-        return 0.0, tag
     q = field.q(x)
-    return float(np.sqrt(abs(q))), tag
+    scale = np.max(np.abs(field.q(potential.grid(256)))) or 1.0
+    if abs(q) <= _BOUNDARY_RTOL * scale:
+        return 0.0, "boundary"
+    return float(np.sqrt(abs(q))), "allowed" if q > 0.0 else "forbidden"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .classical import (ClassicalRegion, TurningPointReport,
                         find_turning_points)
 from .classical import action_integral
-from .errors import LevelUnbound, SolverError, UsageError
+from .errors import LevelUnbound, PhaseboundError, SolverError, UsageError
 from .potentials import PotentialModel
 from .rootfind import bisect_then_brent
 
@@ -233,6 +233,7 @@ def claim_audit(potential: PotentialModel, n_max: int) -> list[AuditRow]:
 
     Reference failures mark individual rows instead of failing the audit.
     """
+    from numpy.linalg import LinAlgError
     from .oracle import reference_levels
 
     result = spectrum(potential, n_max)
@@ -241,7 +242,7 @@ def claim_audit(potential: PotentialModel, n_max: int) -> list[AuditRow]:
     rows: list[AuditRow] = []
     try:
         ref = reference_levels(potential, len(result.levels))
-    except Exception as exc:
+    except (PhaseboundError, LinAlgError) as exc:
         ref = None
         note = f"reference solver failed: {exc}"
     for i, lv in enumerate(result.levels):

@@ -28,7 +28,8 @@ from scipy.integrate import simpson
 
 from .classical import (ClassicalRegion, PhaseAccumulator,
                         find_turning_points)
-from .errors import NormalizationError, SingularPointError, UsageError
+from .errors import (DomainError, NormalizationError, SingularPointError,
+                     SolverError, UsageError)
 from .potentials import MomentumField, PotentialModel
 from .quantize import EnergyLevel
 
@@ -61,9 +62,9 @@ class PaperNormalization:
 class StateFunction:
     """Normalized piecewise state for one solved level.
 
-    Build through :func:`build_state`.  ``sample`` and ``phase`` take a
-    float or an array of positions; an array costs one batched phase
-    integral per branch, whatever its size and order.
+    Build through :func:`build_state`.  ``sample`` takes a float or an
+    array of positions; an array costs one batched phase integral per
+    branch, whatever its size and order.
     """
 
     def __init__(self, potential: PotentialModel, level: EnergyLevel,
@@ -76,25 +77,8 @@ class StateFunction:
                         0.5 * math.pi * (n + 0.5))
         self.normalization_numeric = normalization
         self.wavenumber = wavenumber
-        self.parity = "even" if n % 2 == 0 else "odd"
         self._acc = accumulator
         self._sign = -1.0 if n % 2 else 1.0
-
-    @property
-    def normalization_paper(self) -> float | None:
-        """Closed-form constant for flat-momentum regions, else None."""
-        if self.wavenumber is None:
-            return None
-        n = self.level.n
-        return math.sqrt(self.wavenumber / (math.pi * (n + 0.5) + 1.0))
-
-    def classify(self, x: float) -> str:
-        region = self.level.region
-        if x < region.left:
-            return "left-forbidden"
-        if x > region.right:
-            return "right-forbidden"
-        return "allowed"
 
     def _branches(self, x: np.ndarray):
         """(phi, psi, left mask, right mask) at an array of positions."""
@@ -120,11 +104,6 @@ class StateFunction:
             psi[right] = self._sign * n_const * np.exp(-t)
         return phi, psi, left, right
 
-    def phase(self, x):
-        """phi(x): anchored at phi1 and phi2, monotone in x."""
-        phi = self._branches(np.asarray(x, dtype=float))[0]
-        return float(phi) if phi.ndim == 0 else phi
-
     def sample(self, x) -> WavefunctionSample:
         """Sample at a float, or columns of samples at an array."""
         x = np.asarray(x, dtype=float)
@@ -144,16 +123,6 @@ class StateFunction:
         if tag == "left-forbidden":
             return n_const * math.exp(phi - phi1)
         return -self._sign * n_const * math.exp(-(phi - phi2))
-
-    def tabulate(self, xs) -> list[WavefunctionSample]:
-        """Samples at sorted positions (sorts a copy if needed)."""
-        pts = np.asarray(xs, dtype=float)
-        if np.any(np.diff(pts) < 0.0):
-            pts = np.sort(pts)
-        cols = self.sample(pts)
-        return [WavefunctionSample(*row) for row in
-                zip(cols.x.tolist(), cols.phi.tolist(), cols.psi.tolist(),
-                    cols.region.tolist())]
 
 
 def _tail_reach(potential: PotentialModel, energy: float, start: float,
@@ -270,39 +239,21 @@ def build_state(potential: PotentialModel, level: EnergyLevel
                          _detect_wavenumber(pot, level))
 
 
-def evaluate_state(potential: PotentialModel, level: EnergyLevel, x: float,
-                   state: StateFunction | None = None) -> WavefunctionSample:
-    """One sample of the normalized state; pass ``state`` to amortize."""
-    if state is None:
-        state = build_state(potential, level)
-    return state.sample(x)
-
-
-def numeric_normalization(potential: PotentialModel, level: EnergyLevel
-                          ) -> float:
-    """Normalization constant alone (builds the state internally)."""
-    return build_state(potential, level).normalization_numeric
-
-
 def paper_normalization(state: StateFunction) -> PaperNormalization:
     """Closed-form constant sqrt(k_n / (pi(n+1/2) + 1)) and its ratio
     to the numeric normalization; only standing-wave regions have one."""
-    c = state.normalization_paper
-    if c is None:
+    if state.wavenumber is None:
         raise UsageError(
             "no constant wavenumber for this level; the closed-form "
             "normalization applies to flat-momentum regions only")
+    c = math.sqrt(state.wavenumber / (math.pi * (state.level.n + 0.5) + 1.0))
     return PaperNormalization(c, c / state.normalization_numeric)
 
 
 def standing_wave(state: StateFunction, x: float) -> float:
-    """Flat-region closed form: sqrt(2k/(pi(n+1/2)+1)) cos(kx + pi n/2)."""
-    if state.wavenumber is None:
-        raise UsageError("standing-wave form needs a constant wavenumber")
-    k = state.wavenumber
-    n = state.level.n
-    amp = math.sqrt(2.0 * k / (math.pi * (n + 0.5) + 1.0))
-    return amp * math.cos(k * x + 0.5 * math.pi * n)
+    """Flat-region closed form sqrt(2k/(pi(n+1/2)+1)) cos(kx + pi n/2)."""
+    amp = math.sqrt(2.0) * paper_normalization(state).constant
+    return amp * math.cos(state.wavenumber * x + 0.5 * math.pi * state.level.n)
 
 
 # -- quasi-classicality diagnostics -----------------------------------------
@@ -322,7 +273,7 @@ def _allowed_momentum(potential: PotentialModel, energy: float,
         _, v_min = potential.minimum()
         p_scale = math.sqrt(2.0 * potential.constants.mass
                             * max(energy - v_min, abs(energy), 1e-300))
-    except Exception:
+    except (SolverError, DomainError):
         p_scale = math.sqrt(2.0 * potential.constants.mass
                             * max(abs(energy), 1.0))
     outside = (q <= 0.0) & ((x < region.left) | (x > region.right))

@@ -1,7 +1,16 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from phasebound import PotentialModel, spectrum
+
+# Hypothesis caches the constants it finds in the code under test; keep
+# that cache out of the checkout.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(),
+                                   "phasebound-hypothesis"))
 
 
 @pytest.fixture(scope="session")

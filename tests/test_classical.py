@@ -10,8 +10,7 @@ from phasebound.classical import (
     find_turning_points,
 )
 from phasebound.errors import MultiRegionError, NoClassicalMotion
-from phasebound.potentials import (MomentumField, PotentialModel,
-                                   effective_radial)
+from phasebound.potentials import PotentialModel, effective_radial
 from phasebound.states import epsilon_parameter
 
 # V = -2.5/r + 0.125/r^2: floor -12.5 at r = 0.1 on a domain [0, 240] whose
@@ -277,10 +276,3 @@ def test_array_phase_equals_scalar_calls(family):
             assert tail(float(t)) == pytest.approx(phi, rel=1e-12,
                                                    abs=1e-12)
     assert isinstance(acc.interior(region.midpoint), float)
-
-
-def test_momentum_field_boundary_classification(harmonic):
-    field = MomentumField(harmonic, 2.0)
-    assert field.classify(0.0) == "allowed"
-    assert field.classify(5.0) == "forbidden"
-    assert field.classify(2.0) == "boundary"

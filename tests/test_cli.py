@@ -130,7 +130,13 @@ def test_unknown_potential_type_is_rejected(capsys, tmp_path):
     {"type": "harmonic", "params": {"omega": None}},
     {"type": "tabulated", "params": {"samples": "abc"}},
     {"type": "harmonic", "params": {"omgea": 2.0}},
-], ids=["string", "null", "samples-string", "misspelled"])
+    {"type": "harmonic", "params": {"omega": 1e308}},
+    {"type": "linear", "params": {"slope": 1.0}, "hbar": 1e200},
+    {"type": "coulomb", "params": {"charge": 1.0}, "hbar": 1e200},
+    {"type": "tabulated",
+     "params": {"samples": [[0, 1e308], [1, -1e308], [2, 1e308], [3, 1]]}},
+], ids=["string", "null", "samples-string", "misspelled", "omega-overflow",
+        "linear-hbar-overflow", "coulomb-hbar-overflow", "slope-overflow"])
 def test_bad_parameter_is_a_clean_error(capsys, tmp_path, doc):
     path = _write_potential(tmp_path, doc)
     code, out, err = _run(capsys, ["spectrum", path, "--levels", "2"])

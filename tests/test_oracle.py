@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from phasebound import oracle
 from phasebound.errors import OracleError, UsageError
 from phasebound.oracle import (
     TridiagonalOperator,
     discretize,
-    node_count,
     reference_levels,
 )
 from phasebound.potentials import PotentialModel
@@ -111,9 +111,15 @@ def test_auto_box_refuses_unconfined_request():
 
 def test_eigenvector_nodes(harmonic):
     op = discretize(harmonic, (-8.0, 8.0), 1001)
-    energies, vectors = op.lowest(4, vectors=True)
+    energies, vectors = eigh_tridiagonal(
+        op.diag, np.full(op.size - 1, op.off), select="i",
+        select_range=(0, 3))
+    assert np.array_equal(energies, op.lowest(4))
     for n, vec in enumerate(vectors.T):
-        assert node_count(vec) == n
+        # interior sign changes, ignoring entries lost in numerical noise
+        v = vec / np.max(np.abs(vec))
+        signs = np.sign(v[np.abs(v) > 1e-8])
+        assert int(np.sum(signs[1:] * signs[:-1] < 0.0)) == n
     # each column should be a true eigenpair to working accuracy
     v = vectors[:, 2]
     dense_action = (op.diag * v
@@ -142,3 +148,31 @@ def test_morse_reference_matches_closed_form(morse10):
     closed = [-10.0 * (1.0 - (n + 0.5) / np.sqrt(20.0)) ** 2
               for n in range(4)]
     assert refs == pytest.approx(closed, rel=1e-6)
+
+
+def test_curvature_sets_the_margin_when_the_top_spacing_vanishes(
+        monkeypatch):
+    # double well (x^2 - 9)^2: the coarse solve puts the lowest doublet
+    # at one value, so the top spacing is 0 and the box margin comes from
+    # the curvature at the well floor, omega = sqrt(V''(3) / m) = sqrt(72)
+    def well(x):
+        x = np.asarray(x, dtype=float)
+        return (x * x - 9.0) ** 2
+
+    pot = PotentialModel.from_callable(
+        well, (-8.0, 8.0), df=lambda x: 4.0 * x * (x * x - 9.0),
+        soft_edges=(True, True))
+    seen = []
+    real = oracle._char_frequency
+
+    def spy(potential):
+        seen.append(real(potential))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_char_frequency", spy)
+    levels = reference_levels(pot, 3)
+    assert len(seen) == 1
+    assert seen[0] == pytest.approx(np.sqrt(72.0), rel=1e-6)
+    assert abs(levels[1] - levels[0]) < 1e-9
+    assert levels[0] == pytest.approx(4.21443981, abs=1e-7)
+    assert 4.1 < levels[0] < 0.5 * np.sqrt(72.0)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebound.errors import DomainError, ParseError, SolverError, UsageError
 from phasebound.potentials import (
@@ -94,7 +96,7 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "pot.json"
     path.write_text(json.dumps(blob))
     from_file = PotentialModel.from_json_file(path)
-    assert from_file.descriptor() == pot.descriptor()
+    assert from_file.to_dict() == pot.to_dict()
 
 
 def test_json_parse_error_reports_position(tmp_path):
@@ -169,8 +171,25 @@ def test_local_momentum_classification():
     p, tag = local_momentum(pot, 0.5, 2.0)
     assert tag == "forbidden"
     assert p == pytest.approx(np.sqrt(2.0 * (2.0 - 0.5)))
-    _, tag = local_momentum(pot, 0.5, 1.0)
-    assert tag == "boundary"
+    assert local_momentum(pot, 0.5, 1.0) == (0.0, "boundary")
+    # at E = 2 the turning points sit at x = +-2
+    for x, want in ((0.0, "allowed"), (5.0, "forbidden"), (2.0, "boundary")):
+        assert local_momentum(pot, 2.0, x)[1] == want
+
+
+def test_local_momentum_evaluates_the_point_once():
+    # one call of V at the point, one on the grid for the boundary scale
+    calls = []
+
+    def well(x):
+        calls.append(np.size(x))
+        return 0.5 * np.asarray(x, dtype=float) ** 2
+
+    pot = PotentialModel.from_callable(well, (-10.0, 10.0))
+    for x in (0.0, 5.0, 2.0):
+        calls.clear()
+        local_momentum(pot, 2.0, x)
+        assert calls == [1, 256]
 
 
 def test_momentum_field_vectorized():
@@ -187,3 +206,94 @@ def test_grid_avoids_open_edges():
     xs = pot.grid(101)
     assert xs[0] > 0.0
     pot.evaluate(xs)  # must not raise
+
+
+# -- property tests ------------------------------------------------------------
+
+_PROPERTIES = settings(derandomize=True, database=None, deadline=None)
+
+
+def _in_range(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _samples(draw):
+    count = draw(st.integers(4, 12))
+    steps = draw(st.lists(_in_range(0.05, 2.0), min_size=count,
+                          max_size=count))
+    values = draw(st.lists(_in_range(-10.0, 10.0), min_size=count,
+                           max_size=count))
+    return [[x, v] for x, v in zip(np.cumsum(steps).tolist(), values)]
+
+
+_FAMILY_ARGS = {
+    "harmonic": st.tuples(_in_range(0.1, 10.0)),
+    "linear": st.tuples(_in_range(0.1, 10.0)),
+    "morse": st.tuples(_in_range(0.5, 50.0), _in_range(0.2, 3.0)),
+    "coulomb": st.tuples(_in_range(0.5, 5.0), _in_range(0.0, 20.0)),
+    "square_well": st.tuples(_in_range(0.5, 50.0), _in_range(0.2, 5.0)),
+    "tabulated": st.tuples(_samples()),
+}
+
+
+@_PROPERTIES
+@given(data=st.data())
+def test_json_round_trip_property(data):
+    kind = data.draw(st.sampled_from(sorted(_FAMILY_ARGS)))
+    args = data.draw(_FAMILY_ARGS[kind])
+    constants = PhysicalConstants(data.draw(_in_range(0.2, 5.0)),
+                                  data.draw(_in_range(0.2, 5.0)))
+    pot = getattr(PotentialModel, kind)(*args, constants)
+    again = PotentialModel.from_dict(pot.to_dict())
+    assert again.to_dict() == pot.to_dict()
+    xs = pot.grid(64)
+    assert np.array_equal(again.evaluate(xs), pot.evaluate(xs))
+
+
+_EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, 1e-300, 10 ** 300,
+                             10 ** 400, -10 ** 400])
+_FINITE = st.integers() | st.floats(allow_nan=False, allow_infinity=False) \
+    | _EXTREMES
+_NUMBERS = _FINITE | st.floats()
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True) | _EXTREMES
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text("ab1.e", max_size=4) | _NUMBERS,
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+_VALUES = _POSITIVE | _NUMBERS | _JSON
+# samples: increasing x with arbitrary V, arbitrary pairs, or anything
+_SAMPLES = st.builds(
+    lambda xs, vs: [[x, v] for x, v in zip(sorted(xs), vs)],
+    st.lists(_FINITE, min_size=4, max_size=6, unique=True),
+    st.lists(_FINITE, min_size=6, max_size=6)) \
+    | st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), max_size=6) \
+    | _JSON
+_DOMAINS = st.lists(_NUMBERS, min_size=2, max_size=2) \
+    | st.tuples(st.just(0), _POSITIVE).map(list) | _JSON
+
+
+_KEYS = {"harmonic": ["omega"], "linear": ["slope"],
+         "morse": ["depth", "range"], "coulomb": ["charge", "centrifugal"],
+         "square_well": ["depth", "width"], "tabulated": ["samples"]}
+
+
+@st.composite
+def _documents(draw):
+    kind = draw(st.sampled_from(sorted(_KEYS)))
+    params = {k: draw(_SAMPLES if k == "samples" else _VALUES)
+              for k in _KEYS[kind] if draw(st.booleans())}
+    doc = {"type": kind, "params": params}
+    for key, values in (("hbar", _VALUES), ("mass", _VALUES),
+                        ("domain", _DOMAINS)):
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    return doc
+
+
+@_PROPERTIES
+@given(doc=_documents())
+def test_from_dict_returns_a_model_or_raises_parse_error(doc):
+    try:
+        PotentialModel.from_dict(doc)
+    except ParseError:
+        pass

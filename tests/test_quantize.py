@@ -129,3 +129,12 @@ def test_claim_audit_marks_reference_failure(monkeypatch, harmonic):
     for row in rows:
         assert row.reference is None and row.deviation is None
         assert "forced reference failure" in row.note
+
+
+def test_claim_audit_lets_unexpected_errors_through(monkeypatch, harmonic):
+    def broken(*args, **kwargs):
+        raise TypeError("not a reference failure")
+
+    monkeypatch.setattr(oracle_mod, "reference_levels", broken)
+    with pytest.raises(TypeError, match="not a reference failure"):
+        claim_audit(harmonic, 1)

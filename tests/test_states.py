@@ -14,8 +14,6 @@ from phasebound.states import (
     connection_check,
     delta_functional,
     epsilon_parameter,
-    evaluate_state,
-    numeric_normalization,
     paper_normalization,
     standing_wave,
 )
@@ -43,9 +41,9 @@ def test_branch_continuity(harmonic_states):
 def test_region_classification(harmonic_states):
     st = harmonic_states[1]
     region = st.level.region
-    assert st.classify(region.midpoint) == "allowed"
-    assert st.classify(region.left - 1.0) == "left-forbidden"
-    assert st.classify(region.right + 1.0) == "right-forbidden"
+    assert st.sample(region.midpoint).region == "allowed"
+    assert st.sample(region.left - 1.0).region == "left-forbidden"
+    assert st.sample(region.right + 1.0).region == "right-forbidden"
 
 
 def test_ground_state_tracks_gaussian(harmonic_states):
@@ -66,13 +64,6 @@ def test_normalization_against_trapezoid(harmonic_states):
     psi = st.sample(xs[::20]).psi
     integral = np.trapezoid(psi * psi, xs[::20])
     assert integral == pytest.approx(1.0, abs=1e-5)
-
-
-def test_normalization_self_consistent(harmonic):
-    lv = spectrum(harmonic, 1).levels[1]
-    n1 = numeric_normalization(harmonic, lv)
-    st = build_state(harmonic, lv)
-    assert n1 == pytest.approx(st.normalization_numeric, rel=1e-12)
 
 
 def test_parity(harmonic_states):
@@ -103,13 +94,6 @@ def test_widened_domain_does_not_move_the_state(harmonic, harmonic_states):
                                                       abs=1e-8)
 
 
-def test_evaluate_state_one_shot(harmonic):
-    lv = spectrum(harmonic, 0).levels[0]
-    sample = evaluate_state(harmonic, lv, 0.5)
-    assert sample.region == "allowed"
-    assert sample.psi != 0.0
-
-
 def test_constant_momentum_detection_and_closed_normalization():
     # deep square well of width pi/2: ground state momentum is exactly 1,
     # and the closed-form constant sqrt(k / (pi(n+1/2) + 1)) applies
@@ -120,7 +104,6 @@ def test_constant_momentum_detection_and_closed_normalization():
     pn = paper_normalization(st)
     assert pn.constant == pytest.approx(
         np.sqrt(1.0 / (np.pi / 2.0 + 1.0)), rel=1e-9)
-    assert st.normalization_paper == pn.constant
     assert pn.ratio_to_numeric == pytest.approx(1.0, abs=0.1)
     wave = standing_wave(st, 0.2)
     # cosine branch carries sqrt(2) on top of the overall constant
@@ -131,9 +114,10 @@ def test_constant_momentum_detection_and_closed_normalization():
 def test_varying_momentum_has_no_wavenumber(harmonic_states):
     st = harmonic_states[0]
     assert st.wavenumber is None
-    assert st.normalization_paper is None
     with pytest.raises(UsageError):
         paper_normalization(st)
+    with pytest.raises(UsageError):
+        standing_wave(st, 0.0)
 
 
 def test_epsilon_closed_form(harmonic):
@@ -172,6 +156,26 @@ def test_diagnostics_vanish_for_free_motion():
         df=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     assert abs(epsilon_parameter(box, 1.0, 0.3)) < 1e-12
     assert abs(delta_functional(box, 1.0, 0.3)) < 1e-12
+
+
+def test_epsilon_without_a_floor_takes_the_fallback_scale():
+    # bare Coulomb has no minimum: eps = -hbar m V'/p^3 = -2/3^(3/2) at
+    # r = 1, E = -0.5 on the fallback momentum scale
+    pot = PotentialModel.coulomb(2.0)
+    assert epsilon_parameter(pot, -0.5, 1.0) == pytest.approx(
+        -2.0 * 3.0 ** -1.5, rel=1e-12)
+
+
+def test_epsilon_does_not_swallow_unexpected_errors(monkeypatch):
+    pot = PotentialModel.harmonic(1.0)
+    region = find_turning_points(pot, 2.0).require_single()
+
+    def broken():
+        raise RuntimeError("not a solver failure")
+
+    monkeypatch.setattr(pot, "minimum", broken)
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        epsilon_parameter(pot, 2.0, 1.0, region)
 
 
 def test_epsilon_grows_toward_turning_point(harmonic):
@@ -250,16 +254,19 @@ def test_sample_takes_arrays(harmonic_states):
         assert one.region == tag
         assert one.phi == pytest.approx(phi, rel=1e-12)
         assert one.psi == pytest.approx(psi, rel=1e-10, abs=1e-14)
-    assert st.phase(xs).shape == xs.shape
+    assert cols.phi.shape == xs.shape
 
 
 def test_tabulate_columns(harmonic_states):
+    # the columns a table of the state reads, one entry per position;
+    # the turning points of n = 1 sit at -sqrt(3) and sqrt(3)
     st = harmonic_states[1]
     xs = np.linspace(-3.0, 3.0, 7)
-    rows = st.tabulate(xs)
-    assert [r.x for r in rows] == pytest.approx(list(xs))
-    labels = {r.region for r in rows}
-    assert labels == {"left-forbidden", "allowed", "right-forbidden"}
+    cols = st.sample(xs)
+    assert cols.x.tolist() == xs.tolist()
+    assert cols.region.tolist() == ["left-forbidden"] * 2 + ["allowed"] * 3 \
+        + ["right-forbidden"] * 2
+    assert np.all(np.diff(cols.phi) > 0.0)
 
 
 def test_unbound_tail_refused():

@@ -10,7 +10,11 @@ from phasebound.classical import (
     find_turning_points,
 )
 from phasebound.errors import MultiRegionError, NoClassicalMotion
-from phasebound.potentials import PotentialModel, effective_radial
+from phasebound.potentials import (
+    PotentialModel,
+    effective_radial,
+    local_momentum,
+)
 from phasebound.states import epsilon_parameter
 
 # V = -2.5/r + 0.125/r^2: floor -12.5 at r = 0.1 on a domain [0, 240] whose
@@ -276,3 +280,9 @@ def test_array_phase_equals_scalar_calls(family):
             assert tail(float(t)) == pytest.approx(phi, rel=1e-12,
                                                    abs=1e-12)
     assert isinstance(acc.interior(region.midpoint), float)
+
+
+def test_momentum_field_boundary_classification(harmonic):
+    # at E = 2 the turning points sit at x = +-2
+    for x, want in ((0.0, "allowed"), (5.0, "forbidden"), (2.0, "boundary")):
+        assert local_momentum(harmonic, 2.0, x)[1] == want

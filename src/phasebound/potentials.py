@@ -497,6 +497,46 @@ class MomentumField:
         return np.sqrt(np.maximum(-self.q(x), 0.0))
 
 
+def decay_march(potential: PotentialModel, energy: float, start: float,
+                side: int, steps: int):
+    """Walk from ``start`` into a forbidden side, ``steps`` steps a width.
+
+    The steps, width/``steps`` long for the domain width at the call, go
+    toward lower x for ``side`` -1 and higher x for +1.  Each width of
+    steps calls V once, through :meth:`PotentialModel.evaluate`, on the
+    steps inside the domain and yields (model, positions, V, exponent),
+    the exponent being the trapezoid sum of sqrt(2m(V - E))/hbar from
+    ``start``.  Positions and sums accumulate as in a one-step-at-a-time
+    loop, to the bit.  A soft edge in the way moves out by the original
+    width; a hard one ends the walk.  Else the caller stops it.
+    """
+    pot = potential
+    width = pot.domain[1] - pot.domain[0]
+    dx = width / steps
+    c = pot.constants
+    x, expo, k_prev = float(start), 0.0, 0.0
+    while True:
+        xs = np.add.accumulate(np.concatenate(([x], np.full(steps,
+                                                            side * dx))))[1:]
+        lo, hi = pot.domain
+        outside = np.flatnonzero((xs < lo) | (xs > hi))
+        if outside.size:
+            xs = xs[:outside[0]]
+        if xs.size:
+            v = pot.evaluate(xs)
+            k = np.concatenate(([k_prev], np.sqrt(
+                2.0 * c.mass * np.maximum(v - energy, 0.0)) / c.hbar))
+            expos = np.add.accumulate(np.concatenate((
+                [expo], 0.5 * (k[1:] + k[:-1]) * dx)))[1:]
+            yield pot, xs, v, expos
+            expo, k_prev, x = expos[-1], k[-1], xs[-1]
+        if outside.size:
+            if not pot.soft_edges[side > 0]:
+                return
+            pot = pot.with_domain(lo - width if side < 0 else lo,
+                                  hi + width if side > 0 else hi)
+
+
 def local_momentum(potential: PotentialModel, energy: float,
                    x: float) -> tuple[float, str]:
     """(|p|, tag) at one point; tag is allowed / forbidden / boundary.

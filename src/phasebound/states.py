@@ -30,7 +30,7 @@ from .classical import (ClassicalRegion, PhaseAccumulator,
                         find_turning_points)
 from .errors import (DomainError, NormalizationError, SingularPointError,
                      SolverError, UsageError)
-from .potentials import MomentumField, PotentialModel
+from .potentials import MomentumField, PotentialModel, decay_march
 from .quantize import EnergyLevel
 
 _TAIL_EXPONENT = 16.2   # |psi|^2 down to ~1e-14 of its turning-point value
@@ -127,68 +127,39 @@ class StateFunction:
 
 def _tail_reach(potential: PotentialModel, energy: float, start: float,
                 direction: int) -> tuple[PotentialModel, float]:
-    """Coarse march into a forbidden side until the decay budget is spent.
-
-    Steps of span/512, trapezoid sum of the decay rate.  The steps are
-    evaluated one span (512 steps) per call of V; positions and sums are
-    accumulated in the same order as a step-by-step loop, so the stop
-    position is the same to the bit.  Returns the (possibly soft-extended)
-    potential and the stop position.
+    """Stop of the decay walk into one forbidden side: where the exponent
+    of :func:`~phasebound.potentials.decay_march`, 512 steps a width,
+    reaches 1.1 * _TAIL_EXPONENT, or a hard edge, nudged off an open one
+    by :meth:`PotentialModel.grid`.  NormalizationError when no decay
+    starts within a width or 200,000 steps plus edge moves pass ("decays
+    too slowly"), or when V falls back to E first ("stopped decaying").
+    Returns the (possibly soft-extended) model and the stop.
     """
-    field = MomentumField(potential, energy)
     pot = potential
-    span = pot.domain[1] - pot.domain[0]
-    step = direction * span / 512.0
-    x, total = start, 0.0
-    k_prev = 0.0
-    hbar = pot.constants.hbar
-    flat_steps = 0
-    budget = 200000     # steps plus domain extensions
-    while budget > 0:
-        xs = np.full(min(512, budget) + 1, step)
-        xs[0] = x
-        xs = np.add.accumulate(xs)[1:]
-        lo, hi = pot.domain
-        outside = np.flatnonzero((xs < lo) | (xs > hi))
-        xs = xs[:outside[0]] if outside.size else xs
-        k = field.forbidden_magnitude(xs) / hbar
-        if total == 0.0:
-            # barely out of the region yet; keep going, but a tail that
-            # has not started to decay a full domain span out never will
-            flat = int(np.argmax(k != 0.0)) if k.any() else k.size
-            if flat_steps + flat >= 512:
-                break
-            flat_steps += flat
-            budget -= flat
-            if flat:
-                x = xs[flat - 1]
-            xs, k = xs[flat:], k[flat:]
-        if k.size:
-            stalls = np.flatnonzero(k == 0.0)
-            stall = stalls[0] if stalls.size else k.size
-            sums = np.add.accumulate(np.concatenate((
-                [total],
-                0.5 * (k + np.concatenate(([k_prev], k[:-1])))
-                * abs(step))))[1:]
-            hit = np.flatnonzero(sums[:stall] >= 1.1 * _TAIL_EXPONENT)
-            if hit.size:
-                return pot, xs[hit[0]]
-            if stall < k.size:
-                raise NormalizationError(
-                    "forbidden tail stopped decaying; state not normalizable")
-            total, k_prev, x = sums[-1], k[-1], xs[-1]
-            budget -= k.size
-        if outside.size:
-            budget -= 1
-            soft = pot.soft_edges[0] if direction < 0 else pot.soft_edges[1]
-            if not soft:
-                nudge = 1e-12 * span
-                if direction < 0:
-                    return pot, lo + nudge if pot.lo_open else lo
-                return pot, hi - nudge if pot.hi_open else hi
-            pot = pot.with_domain(lo - span if direction < 0 else lo,
-                                  hi + span if direction > 0 else hi)
-            field = MomentumField(pot, energy)
+    budget = 200000     # steps plus edge moves
+    flat = 0            # steps before the decay starts
+    for model, xs, v, expos in decay_march(potential, energy, start,
+                                           direction, 512):
+        budget -= model is not pot      # an edge move
+        pot = model
+        n = min(xs.size, budget)
+        budget -= n
+        v, expos = v[:n], expos[:n]
+        flat += np.count_nonzero(expos == 0.0)
+        if flat >= 512:
+            break
+        stalls = np.flatnonzero((v <= energy) & (expos > 0.0))
+        stall = stalls[0] if stalls.size else n
+        hit = np.flatnonzero(expos[:stall] >= 1.1 * _TAIL_EXPONENT)
+        if hit.size:
+            return pot, xs[hit[0]]
+        if stall < n:
+            raise NormalizationError(
+                "forbidden tail stopped decaying; state not normalizable")
+        if budget <= 0:
+            break
+    else:
+        return pot, float(pot.grid(2)[int(direction > 0)])
     raise NormalizationError("forbidden tail decays too slowly to normalize")
 
 

@@ -14,10 +14,10 @@ from .potentials import (MomentumField, PhysicalConstants, PotentialModel,
 from .quadrature import QuadratureResult, integrate_adaptive
 from .quantize import (AuditRow, EnergyLevel, SpectrumResult, claim_audit,
                        solve_level, spectrum)
-from .radial import (AngularQuantumNumbers, RadialLevel, RadialResult,
-                     SeparableState, angular_eigenvalue, angular_numbers,
-                     assemble_state, azimuthal_eigenvalue,
-                     canonical_3d_residual, radial_spectrum)
+from .radial import (AngularQuantumNumbers, RadialResult, SeparableState,
+                     angular_eigenvalue, angular_numbers, assemble_state,
+                     azimuthal_eigenvalue, canonical_3d_residual,
+                     radial_spectrum)
 from .states import (ContinuityReport, PaperNormalization, StateFunction,
                      WavefunctionSample, build_state, connection_check,
                      delta_functional, epsilon_parameter,
@@ -33,7 +33,7 @@ __all__ = [
     "PaperNormalization", "ParseError", "PhaseAccumulator",
     "PhaseboundError", "PhysicalConstants", "PotentialModel",
     "QuadratureError", "QuadratureResult",
-    "RadialLevel", "RadialResult", "SeparableState", "SingularPointError",
+    "RadialResult", "SeparableState", "SingularPointError",
     "SolverError", "SpectrumResult", "StateFunction",
     "TridiagonalOperator", "TurningPointReport", "UsageError",
     "WavefunctionSample", "action_energy_derivative", "action_integral",

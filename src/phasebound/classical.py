@@ -65,11 +65,10 @@ class TurningPointReport:
             return self.regions[0]
         if not self.regions:
             raise NoClassicalMotion(
-                f"no classically allowed region at E = {self.energy}",
-                report=self)
+                f"no classically allowed region at E = {self.energy}")
         raise MultiRegionError(
             f"{len(self.regions)} allowed regions at E = {self.energy}; "
-            "tunnelling-coupled wells are not supported", report=self)
+            "tunnelling-coupled wells are not supported")
 
 
 def find_turning_points(potential: PotentialModel,
@@ -104,8 +103,7 @@ def find_turning_points(potential: PotentialModel,
         if not regions:
             if v_min is None or energy < v_min:
                 raise NoClassicalMotion(
-                    f"no classically allowed region at E = {energy}",
-                    report=TurningPointReport(energy, (), False))
+                    f"no classically allowed region at E = {energy}")
             # E is above the floor, so q(x_min) > 0
             k = int(np.searchsorted(xs, x_min))
             xs = np.insert(xs, k, x_min)
@@ -160,11 +158,27 @@ def _over_region(region: ClassicalRegion, integrand) -> float:
                               -_HALF_PI, _HALF_PI).value
 
 
+def _confined_region(potential: PotentialModel,
+                     energy: float) -> ClassicalRegion:
+    """The lone allowed region; DomainError when it leans on a soft edge,
+    past which the true region, and any integral over it, goes on."""
+    region = find_turning_points(potential, energy).require_single()
+    if ((region.left_is_edge and potential.soft_edges[0])
+            or (region.right_is_edge and potential.soft_edges[1])):
+        raise DomainError(f"allowed region at E = {energy} reaches a soft "
+                          "domain edge; widen the domain")
+    return region
+
+
 def action_integral(potential: PotentialModel, energy: float,
                     region: ClassicalRegion | None = None) -> float:
-    """W(E) = integral of sqrt(2m(E - V)) over the allowed region."""
+    """W(E) = integral of sqrt(2m(E - V)) over the allowed region.
+
+    Without ``region`` the turning-point scan finds it, and one that
+    reaches a soft domain edge raises DomainError.
+    """
     if region is None:
-        region = find_turning_points(potential, energy).require_single()
+        region = _confined_region(potential, energy)
     return _over_region(region,
                         MomentumField(potential, energy).allowed_magnitude)
 
@@ -176,10 +190,12 @@ def action_energy_derivative(potential: PotentialModel, energy: float,
     The 1/sqrt endpoint behaviour is tamed by the sine substitution; the
     few points that land outside the refined region (where the clamped
     momentum is zero) lie outside the true interval too, so their
-    contribution is dropped rather than divided by zero.
+    contribution is dropped rather than divided by zero.  Without
+    ``region``, one that reaches a soft edge raises DomainError, as in
+    :func:`action_integral`.
     """
     if region is None:
-        region = find_turning_points(potential, energy).require_single()
+        region = _confined_region(potential, energy)
     field = MomentumField(potential, energy)
     m = potential.constants.mass
 

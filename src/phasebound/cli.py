@@ -231,8 +231,8 @@ def _cmd_radial(args) -> int:
            "angular": {"m_z": result.angular.m_z,
                        "n_theta": result.angular.n_theta,
                        "M": result.angular.M},
-           "levels": [{"n_r": lv.n_r, "E": lv.energy,
-                       "residual": lv.level_1d.residual}
+           "levels": [{"n_r": lv.n, "E": lv.energy,
+                       "residual": lv.residual}
                       for lv in result.levels],
            "truncated": result.truncated,
            "reason": result.reason}

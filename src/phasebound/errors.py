@@ -21,23 +21,11 @@ class ParseError(PhaseboundError, ValueError):
 
 
 class NoClassicalMotion(PhaseboundError):
-    """No classically allowed region exists at the requested energy.
-
-    Carries the turning-point report (if one was produced) as ``report`` so
-    callers can inspect degenerate near-touches.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """No classically allowed region exists at the requested energy."""
 
 
 class MultiRegionError(PhaseboundError):
     """More than one allowed region at a trial energy; quantization refused."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class LevelUnbound(PhaseboundError):

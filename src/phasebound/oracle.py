@@ -6,7 +6,10 @@ tridiagonal operator come from LAPACK (stebz bisection), through
 scipy.linalg.eigh_tridiagonal.  A vectorized Sturm count stays alongside
 as an independent check on those eigenvalues.  Nothing here touches the
 phase-integral machinery: this path exists so the two solvers can be
-compared without a shared failure mode, so keep it that way.
+compared without a shared failure mode, so keep it that way.  From
+``potentials`` it uses only the model (V, its minimum, the scan grid and
+domain moves) and :func:`~phasebound.potentials.decay_march`, which the
+quantizer never calls.
 
 The reference follows one fixed policy: a box sized for the requested
 levels, 4001 grid points, Richardson-combined with 8001 points on the same
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import OracleError, UsageError
-from .potentials import PotentialModel
+from .potentials import PotentialModel, decay_march
 
 _DECAY_REQUIRED = 14.0
 _DECAY_ENOUGH = 16.0
@@ -118,21 +121,16 @@ def _extend_edge(potential: PotentialModel, e_top: float, side: int,
                  margin: float) -> float:
     """Box edge on one side (-1 lower, +1 upper).
 
-    Marches outward from the classical boundary at e_top until the
-    potential clears e_top + margin (margin rule) and the accumulated
-    decay exponent reaches 14, or until the exponent alone reaches 16
-    (for wells whose tails flatten out below the margin bar).  A hard
-    domain edge is simply the wall.
+    Follows :func:`~phasebound.potentials.decay_march` from the classical
+    boundary at e_top in steps of width/1000 until the potential clears
+    e_top + margin (margin rule) and the decay exponent reaches 14, or
+    until the exponent alone reaches 16 (for wells whose tails flatten
+    out below the margin bar).  OracleError when neither happens within
+    64 widths.  A hard domain edge is simply the wall.
     """
-    lo, hi = potential.domain
-    soft = potential.soft_edges[0] if side < 0 else potential.soft_edges[1]
-    if not soft:
-        return lo if side < 0 else hi
-    m = potential.constants.mass
-    hbar = potential.constants.hbar
-    span = hi - lo
-    target_v = e_top + margin
-
+    if not potential.soft_edges[side > 0]:
+        return potential.domain[side > 0]
+    span = potential.domain[1] - potential.domain[0]
     xs = potential.grid(2001)
     mask = potential.evaluate(xs) <= e_top
     if not mask.any():
@@ -140,42 +138,18 @@ def _extend_edge(potential: PotentialModel, e_top: float, side: int,
     allowed = xs[mask]
     x = float(allowed[0] if side < 0 else allowed[-1])
 
-    # The march takes steps of span/1000, one span of steps per call of V.
-    # Positions and exponents accumulate in the order of a step-by-step
-    # loop, so the edge found is the same to the bit.
-    pot = potential
-    expo = 0.0
-    k_prev = 0.0
-    dx = span / 1000.0
-    step = -dx if side < 0 else dx
-    limit = x - 64.0 * span if side < 0 else x + 64.0 * span
-    while (x > limit) if side < 0 else (x < limit):
-        xs = np.full(1001, step)
-        xs[0] = x
-        xs = np.add.accumulate(xs)
+    limit = x + side * 64.0 * span
+    for _, xs, v, expos in decay_march(potential, e_top, x, side, 1000):
         # a step is taken only from a position short of the limit
-        short = (xs[:-1] > limit) if side < 0 else (xs[:-1] < limit)
-        taken = int(np.argmin(short)) if not short.all() else short.size
-        xs = xs[1:taken + 1]
-        d_lo, d_hi = pot.domain
-        outside = np.flatnonzero((xs < d_lo) | (xs > d_hi))
-        if outside.size:
-            xs = xs[:outside[0]]
-        if xs.size:
-            v = pot.evaluate(xs)
-            k = np.sqrt(2.0 * m * np.maximum(v - e_top, 0.0)) / hbar
-            expos = np.add.accumulate(np.concatenate((
-                [expo],
-                0.5 * (k + np.concatenate(([k_prev], k[:-1]))) * dx)))[1:]
-            stop = np.flatnonzero(
-                (expos >= _DECAY_ENOUGH)
-                | ((expos >= _DECAY_REQUIRED) & (v >= target_v)))
-            if stop.size:
-                return float(xs[stop[0]])
-            expo, k_prev, x = expos[-1], k[-1], xs[-1]
-        if outside.size:
-            pot = pot.with_domain(d_lo - span if side < 0 else d_lo,
-                                  d_hi if side < 0 else d_hi + span)
+        past = np.flatnonzero(xs <= limit if side < 0 else xs >= limit)
+        end = past[0] + 1 if past.size else xs.size
+        enough = (expos >= _DECAY_ENOUGH) | (
+            (expos >= _DECAY_REQUIRED) & (v >= e_top + margin))
+        stop = np.flatnonzero(enough[:end])
+        if stop.size:
+            return float(xs[stop[0]])
+        if past.size:
+            break
     raise OracleError(
         "auto box cannot confine the requested levels "
         f"({'below' if side < 0 else 'above'} the well)")

@@ -3,9 +3,10 @@
 A :class:`PotentialModel` bundles the potential function V(x), its analytic
 derivative when one is available, the physical constants (hbar, mass) and a
 finite working domain.  Domains that stand in for infinite or half-infinite
-extents carry soft edges: consumers (the quantizer, normalization) may push
-a soft edge outward with :meth:`PotentialModel.with_domain`, while hard
-edges (tabulated data, the r = 0 axis) cannot be crossed.
+extents carry soft edges: consumers (the quantizer, and :func:`decay_march`
+for normalization and the oracle's box) may push a soft edge outward with
+:meth:`PotentialModel.with_domain`, while hard edges (tabulated data, the
+r = 0 axis) cannot be crossed.
 
 Built-in families:
 
@@ -266,8 +267,8 @@ class PotentialModel:
 
         ``hbar``, ``mass``, ``domain`` and the family parameters are
         optional, except ``samples``.  Unknown keys, in ``params`` too,
-        non-numeric values and a ``domain`` that is not a list of two
-        numbers raise ParseError.
+        non-numeric values, a ``domain`` that is not a list of two numbers
+        and values whose 2m V overflows on the domain raise ParseError.
         """
         if not isinstance(spec, dict):
             raise ParseError("potential description must be a JSON object")
@@ -318,9 +319,19 @@ class PotentialModel:
                         f"parameter {key!r} must be a number, got {value!r}")
         try:
             # _PARAMS lists each family's keys in its constructor's order
-            return getattr(cls, kind)(*args.values(), constants, domain)
+            model = getattr(cls, kind)(*args.values(), constants, domain)
         except UsageError as exc:
             raise ParseError(str(exc)) from exc
+        # 2m V must stay finite on the turning-point scan's 512-point grid
+        with np.errstate(all="ignore"):
+            try:
+                q = 2.0 * constants.mass * model.evaluate(model.grid(512))
+            except DomainError:     # V itself is not finite
+                q = np.inf
+        if not np.all(np.isfinite(q)):
+            raise ParseError(
+                "the potential overflows on its domain: 2m V is not finite")
+        return model
 
     @classmethod
     def from_json_file(cls, path) -> "PotentialModel":
@@ -516,8 +527,8 @@ def decay_march(potential: PotentialModel, energy: float, start: float,
     c = pot.constants
     x, expo, k_prev = float(start), 0.0, 0.0
     while True:
-        xs = np.add.accumulate(np.concatenate(([x], np.full(steps,
-                                                            side * dx))))[1:]
+        xs = np.add.accumulate(
+            np.concatenate(([x], np.full(steps, side * dx))))[1:]
         lo, hi = pot.domain
         outside = np.flatnonzero((xs < lo) | (xs > hi))
         if outside.size:

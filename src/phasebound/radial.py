@@ -42,18 +42,12 @@ class AngularQuantumNumbers:
 
 
 @dataclass(frozen=True)
-class RadialLevel:
-    n_r: int
-    l_equivalent: int
-    energy: float
-    level_1d: EnergyLevel
-
-
-@dataclass(frozen=True)
 class RadialResult:
+    """Levels of the effective radial problem; ``n`` of each is n_r."""
+
     angular: AngularQuantumNumbers
     m_squared: float
-    levels: tuple[RadialLevel, ...]
+    levels: tuple[EnergyLevel, ...]
     truncated: bool = False
     reason: str | None = None
 
@@ -145,9 +139,8 @@ def radial_spectrum(potential: PotentialModel, n_r_max: int, n_theta: int,
     m_sq = ang.M * ang.M
     v_eff = effective_radial(potential, m_sq)
     result = spectrum(v_eff, n_r_max)
-    levels = tuple(RadialLevel(lv.n, ang.l_equivalent, lv.energy, lv)
-                   for lv in result.levels)
-    return RadialResult(ang, m_sq, levels, result.truncated, result.reason)
+    return RadialResult(ang, m_sq, result.levels, result.truncated,
+                        result.reason)
 
 
 # -- separated-state consistency ---------------------------------------------

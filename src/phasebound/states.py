@@ -137,7 +137,7 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
     """
     pot = potential
     budget = 200000     # steps plus edge moves
-    flat = 0            # steps before the decay starts
+    flat = 0            # steps before the decay starts (exponent 0)
     for model, xs, v, expos in decay_march(potential, energy, start,
                                            direction, 512):
         budget -= model is not pot      # an edge move

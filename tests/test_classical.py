@@ -9,7 +9,7 @@ from phasebound.classical import (
     action_integral,
     find_turning_points,
 )
-from phasebound.errors import MultiRegionError, NoClassicalMotion
+from phasebound.errors import DomainError, MultiRegionError, NoClassicalMotion
 from phasebound.potentials import (
     PotentialModel,
     effective_radial,
@@ -142,6 +142,18 @@ def test_action_closed_forms(harmonic, morse10):
     # morse: W(E) = (pi/a) sqrt(2m) (sqrt(D) - sqrt(-E))
     want = np.pi * np.sqrt(2.0) * (np.sqrt(10.0) - np.sqrt(5.0))
     assert action_integral(morse10, -5.0) == pytest.approx(want, rel=1e-10)
+
+
+def test_action_refuses_a_region_on_a_soft_edge():
+    # on (-1, 1) the allowed region at E = 5 runs past both soft edges:
+    # W there would be cut short (6.2175 where 5 pi is due)
+    narrow = PotentialModel.harmonic(1.0, domain=(-1.0, 1.0))
+    with pytest.raises(DomainError):
+        action_integral(narrow, 5.0)
+    with pytest.raises(DomainError):
+        action_energy_derivative(narrow, 5.0)
+    wide = PotentialModel.harmonic(1.0, domain=(-4.0, 4.0))
+    assert abs(action_integral(wide, 5.0) / np.pi - 5.0) <= 1e-12
 
 
 def test_action_against_blunt_midpoint_sum():

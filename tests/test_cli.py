@@ -89,10 +89,27 @@ def test_spectrum_truncation_exit_code(capsys, tmp_path):
     path = _write_potential(tmp_path, {"type": "morse",
                                        "params": {"depth": 10.0,
                                                   "range": 1.0}})
-    code, out, err = _run(capsys, ["spectrum", path, "--levels", "10"])
+    for args, note in ((["spectrum", path, "--levels", "10"], "truncated"),
+                       (["audit", path, "--levels", "6", "--format", "csv"],
+                        "truncated: only 4 bound levels")):
+        code, out, err = _run(capsys, args)
+        assert code == 2
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4
+        assert note in err
+
+
+def test_radial_truncation_exit_code(capsys, tmp_path):
+    path = _write_potential(tmp_path, {"type": "morse",
+                                       "params": {"depth": 10.0,
+                                                  "range": 1.0},
+                                       "domain": [0, 40]})
+    code, out, err = _run(capsys, ["radial", path, "--ntheta", "0",
+                                   "--mz", "0", "--nrmax", "8"])
     assert code == 2
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 4
+    doc = json.loads(out)
+    assert len(doc["levels"]) == 3
+    assert doc["truncated"] is True and "unbound" in doc["reason"]
     assert "truncated" in err
 
 
@@ -135,8 +152,12 @@ def test_unknown_potential_type_is_rejected(capsys, tmp_path):
     {"type": "coulomb", "params": {"charge": 1.0}, "hbar": 1e200},
     {"type": "tabulated",
      "params": {"samples": [[0, 1e308], [1, -1e308], [2, 1e308], [3, 1]]}},
+    {"type": "morse", "params": {"depth": 1e308}},
+    {"type": "coulomb", "params": {"charge": 1e200}},
+    {"type": "square_well", "params": {"depth": 1e308, "width": 1e-300}},
 ], ids=["string", "null", "samples-string", "misspelled", "omega-overflow",
-        "linear-hbar-overflow", "coulomb-hbar-overflow", "slope-overflow"])
+        "linear-hbar-overflow", "coulomb-hbar-overflow", "slope-overflow",
+        "morse-v-overflow", "coulomb-v-overflow", "square-v-overflow"])
 def test_bad_parameter_is_a_clean_error(capsys, tmp_path, doc):
     path = _write_potential(tmp_path, doc)
     code, out, err = _run(capsys, ["spectrum", path, "--levels", "2"])

@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import phasebound
 from phasebound import oracle
+from phasebound.classical import PhaseAccumulator
 from phasebound.errors import OracleError, UsageError
 from phasebound.oracle import (
     TridiagonalOperator,
@@ -10,6 +15,7 @@ from phasebound.oracle import (
     reference_levels,
 )
 from phasebound.potentials import PotentialModel
+from phasebound.quantize import spectrum
 
 
 def _toy_operator():
@@ -176,3 +182,40 @@ def test_curvature_sets_the_margin_when_the_top_spacing_vanishes(
     assert abs(levels[1] - levels[0]) < 1e-9
     assert levels[0] == pytest.approx(4.21443981, abs=1e-7)
     assert 4.1 < levels[0] < 0.5 * np.sqrt(72.0)
+
+
+def _refuse_everywhere(monkeypatch, names):
+    """Make each named function raise in every phasebound module that
+    holds it, the package's own namespace included."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path that must stay separate was taken")
+
+    modules = [phasebound] + [
+        importlib.import_module(f"phasebound.{info.name}")
+        for info in pkgutil.iter_modules(phasebound.__path__)]
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    return refuse
+
+
+def test_oracle_shares_no_code_with_the_quantizer(monkeypatch):
+    # the audit compares two solvers, so neither may lean on the other:
+    # the reference runs with the phase-integral code switched off, and
+    # the quantizer with the decay walk that the oracle uses switched off
+    want_ref = reference_levels(PotentialModel.harmonic(1.0), 4)
+    want_levels = spectrum(PotentialModel.harmonic(1.0), 5).energies
+    with monkeypatch.context() as patch:
+        refuse = _refuse_everywhere(patch, (
+            "find_turning_points", "action_integral", "integrate_adaptive",
+            "integrate_cells", "bisect_then_brent"))
+        for name, member in vars(PhaseAccumulator).items():
+            if callable(member):
+                patch.setattr(PhaseAccumulator, name, refuse)
+        got_ref = reference_levels(PotentialModel.harmonic(1.0), 4)
+    assert got_ref.tobytes() == want_ref.tobytes()
+    with monkeypatch.context() as patch:
+        _refuse_everywhere(patch, ("decay_march",))
+        got_levels = spectrum(PotentialModel.harmonic(1.0), 5).energies
+    assert got_levels == want_levels

@@ -10,6 +10,7 @@ from phasebound.potentials import (
     MomentumField,
     PhysicalConstants,
     PotentialModel,
+    decay_march,
     effective_radial,
     local_momentum,
 )
@@ -294,3 +295,42 @@ def test_from_dict_returns_a_model_or_raises_parse_error(doc):
         PotentialModel.from_dict(doc)
     except ParseError:
         pass
+
+
+def _plain_march(potential, energy, start, side, steps, count):
+    """The decay walk one step at a time: (domain, x, exponent) per step."""
+    lo, hi = potential.domain
+    width = hi - lo
+    dx = width / steps
+    two_m, hbar = 2.0 * potential.constants.mass, potential.constants.hbar
+    x, expo, k_prev = start, 0.0, 0.0
+    out = []
+    while len(out) < count:
+        x_next = x + side * dx
+        if not lo <= x_next <= hi:     # a soft edge in the way moves out
+            lo, hi = (lo - width, hi) if side < 0 else (lo, hi + width)
+            continue
+        v = potential.with_domain(lo, hi).evaluate(np.array([x_next]))[0]
+        k = np.sqrt(two_m * max(v - energy, 0.0)) / hbar
+        expo = expo + 0.5 * (k + k_prev) * dx
+        x, k_prev = x_next, k
+        out.append(((lo, hi), x, expo))
+    return out
+
+
+@pytest.mark.parametrize("steps", [512, 1000])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_decay_march_equals_a_plain_loop(steps, side):
+    # a harmonic tail: V is a polynomial, and the walk moves the soft
+    # edge of the domain (-3, 3) out three times within three widths
+    pot = PotentialModel.harmonic(1.0, domain=(-3.0, 3.0))
+    start = side * 1.0       # the turning point at E = 1/2
+    walked = []
+    for model, xs, v, expos in decay_march(pot, 0.5, start, side, steps):
+        assert np.array_equal(v, pot.with_domain(*model.domain).evaluate(xs))
+        walked += [(model.domain, x, e) for x, e in zip(xs, expos)]
+        if len(walked) >= 3 * steps:
+            break
+    plain = _plain_march(pot, 0.5, start, side, steps, len(walked))
+    assert walked == plain
+    assert len({domain for domain, _, _ in walked}) == 4

@@ -33,6 +33,16 @@ def test_level_count_is_inclusive():
                                             rel=1e-12)
 
 
+def test_survey_grows_a_soft_edge_to_hold_a_level():
+    # on (-1, 1) every level above the ground state runs past both soft
+    # edges, so the surveys move them out until its allowed region fits
+    result = spectrum(PotentialModel.harmonic(1.0, domain=(-1.0, 1.0)), 3)
+    assert not result.truncated
+    for lv in result.levels:
+        assert abs(lv.energy - (lv.n + 0.5)) <= 1e-12
+    assert result.levels[-1].region.right == pytest.approx(np.sqrt(7.0))
+
+
 def test_solve_single_level(harmonic):
     lv = solve_level(harmonic, 5)
     assert lv.n == 5

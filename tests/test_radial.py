@@ -72,7 +72,7 @@ def test_hydrogen_partitions_share_principal_energy():
         assert not res.truncated
         level = res.levels[n_r]
         assert level.energy == pytest.approx(expected, rel=1e-8)
-        assert level.l_equivalent == n_theta + abs(m_z)
+        assert res.angular.l_equivalent == n_theta + abs(m_z)
 
 
 @pytest.mark.parametrize("charge", [0.505, 0.55, 0.6, 0.8886])

@@ -8,7 +8,7 @@ from phasebound.errors import (
 )
 from phasebound.classical import find_turning_points
 from phasebound.potentials import PotentialModel
-from phasebound.quantize import spectrum
+from phasebound.quantize import solve_level, spectrum
 from phasebound.states import (
     build_state,
     connection_check,
@@ -288,3 +288,28 @@ def test_unbound_tail_refused():
     with pytest.raises((NormalizationError, UsageError)):
         build_state(pot, fake)
     assert calls[0] < 2000
+
+
+def _falling_well():
+    # x^2 exp(-(x/6)^4) rises to a rim of 36/sqrt(e) ~ 15.4 at
+    # |x| = 648^(1/4) ~ 5.05, just past the soft edges, and falls back to 0
+    return PotentialModel.from_callable(
+        lambda x: x ** 2 * np.exp(-(x / 6.0) ** 4), (-5.0, 5.0),
+        soft_edges=(True, True))
+
+
+def test_tail_reach_on_a_falling_well():
+    pot = _falling_well()
+    state = build_state(pot, solve_level(pot, 0))
+    assert state.normalization_numeric == 0.5321365551132914
+    # the left tail moves the lower edge out by the width 10, the right
+    # tail the upper one by the new width 20
+    assert state.potential.domain == (-15.0, 25.0)
+
+
+def test_tail_that_stops_decaying_is_refused():
+    # level 3 sits so close to the rim that V falls back to E before the
+    # tail has spent its decay budget
+    pot = _falling_well()
+    with pytest.raises(NormalizationError, match="stopped decaying"):
+        build_state(pot, solve_level(pot, 3))

@@ -13,16 +13,17 @@ quantizer never calls.
 
 The reference follows one fixed policy: a box sized for the requested
 levels, 4001 grid points, Richardson-combined with 8001 points on the same
-box.  Both box edges must clear the highest requested level by a margin of
-5*hbar*omega_char (omega_char from the level spacing at the top of the
-stack, or from the curvature at the well bottom when only one level is
-asked for) and accumulate a decay exponent of at least 14 across the
-forbidden zone, which keeps the truncation error below the
-h^2 discretization error.  Where a potential flattens out below the
-margin bar (Morse tails, Coulomb tails) the march stops once the decay
-exponent alone reaches 16; insisting on the unreachable margin would
-reject confining wells that plainly hold bound states.  Hard domain
-edges (tabulated data, the r = 0 axis) are used as walls directly.
+box.  Both box edges must clear the highest requested level by a margin
+and accumulate a decay exponent of at least 14 across the forbidden zone,
+which keeps the truncation error below the h^2 discretization error.  A
+coarse solve for one level more than asked sets the margin: 5*hbar*omega,
+with hbar*omega the spacing just above the top requested level, or half
+the top level's height above the floor when that spacing is under 1e-9 of
+the energy scale (a degenerate doublet).  Where a potential flattens out
+below the margin bar (Morse tails, Coulomb tails) the march stops once the
+decay exponent alone reaches 16; insisting on the unreachable margin would
+reject confining wells that plainly hold bound states.  Hard domain edges
+(tabulated data, the r = 0 axis) are used as walls directly.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class TridiagonalOperator:
 
     diag: np.ndarray
     off: float
-    a: float
-    b: float
-    h: float
-    x: np.ndarray
 
     @property
     def size(self) -> int:
@@ -87,18 +84,6 @@ class TridiagonalOperator:
         return eigh_tridiagonal(self.diag, np.full(self.size - 1, self.off),
                                 eigvals_only=True, select="i",
                                 select_range=(0, count - 1))
-
-
-def _char_frequency(potential: PotentialModel) -> float:
-    x0, _ = potential.minimum()
-    lo, hi = potential.domain
-    h = 1e-4 * (hi - lo)
-    x0 = min(max(x0, lo + h), hi - h)
-    curv = (potential.evaluate(x0 + h) - 2.0 * potential.evaluate(x0)
-            + potential.evaluate(x0 - h)) / (h * h)
-    if curv > 0.0:
-        return float(np.sqrt(curv / potential.constants.mass))
-    return 0.0
 
 
 def _estimate_top_level(potential: PotentialModel, count: int
@@ -162,9 +147,8 @@ def _auto_box(potential: PotentialModel, count: int) -> tuple[float, float]:
         raise OracleError("level estimate fell below the potential floor")
     hbar = potential.constants.hbar
     scale = max(1.0, abs(e_top), abs(v_min))
-    omega = spacing / hbar if spacing > 1e-9 * scale \
-        else _char_frequency(potential)
-    margin = 5.0 * hbar * omega if omega > 0.0 \
+    omega = spacing / hbar
+    margin = 5.0 * hbar * omega if spacing > 1e-9 * scale \
         else 0.5 * (e_top - v_min)
     lo = _extend_edge(potential, e_top, -1, margin)
     hi = _extend_edge(potential, e_top, +1, margin)
@@ -191,7 +175,7 @@ def discretize(potential: PotentialModel, box, points: int
     hbar, m = pot.constants.hbar, pot.constants.mass
     diag = hbar * hbar / (m * h * h) + pot.evaluate(x)
     off = -hbar * hbar / (2.0 * m * h * h)
-    return TridiagonalOperator(diag, off, a, b, h, x)
+    return TridiagonalOperator(diag, off)
 
 
 def reference_levels(potential: PotentialModel, count: int) -> np.ndarray:

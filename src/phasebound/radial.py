@@ -77,12 +77,8 @@ def _polar_potential(m_z_momentum: float,
         s = np.sin(theta)
         return mz2 / (s * s)
 
-    def df(theta):
-        s = np.sin(theta)
-        return -2.0 * mz2 * np.cos(theta) / (s * s * s)
-
     return PotentialModel.from_callable(
-        f, (0.0, math.pi), df=df,
+        f, (0.0, math.pi),
         constants=PhysicalConstants(constants.hbar, 0.5),
         kind="polar_barrier", params={"m_z_momentum": m_z_momentum},
         lo_open=True, hi_open=True)
@@ -106,9 +102,7 @@ def angular_eigenvalue(n_theta: int, m_z_momentum: float,
     if m_z_momentum == 0.0:
         pot = PotentialModel.from_callable(
             lambda th: np.zeros_like(np.asarray(th, dtype=float)),
-            (0.0, math.pi), df=lambda th: np.zeros_like(
-                np.asarray(th, dtype=float)),
-            constants=PhysicalConstants(c.hbar, 0.5))
+            (0.0, math.pi), constants=PhysicalConstants(c.hbar, 0.5))
         region = ClassicalRegion(0.0, math.pi, True, True)
         w = action_integral(pot, closed * closed, region)
         numeric = w / math.pi

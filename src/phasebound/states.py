@@ -330,9 +330,11 @@ def delta_functional(potential: PotentialModel, energy: float, x,
 
 @dataclass(frozen=True)
 class ContinuityReport:
+    """Branch jumps probed at the two turning points x1, x2;
+    ``max_residual`` is the largest of the four."""
+
     value_gap: tuple[float, float]        # |psi jump| probed at x1, x2
     derivative_gap: tuple[float, float]   # |dpsi/dphi jump| at x1, x2
-    coefficient_residual: float           # matching-system residual
     max_residual: float
 
 
@@ -340,13 +342,10 @@ def connection_check(state: StateFunction) -> ContinuityReport:
     """Verify the branch hand-off at both anchors.
 
     Probes the evaluated state just inside and outside each turning point
-    (value and phase-derivative), and checks the two-sided matching system
-    A + B = C + D, i(A - B) = C - D for the complex decomposition of the
-    interior branch against the exponential coefficients on either side.
+    and compares the two branches' values and phase derivatives there.
     """
     region = state.level.region
     h = 1e-8 * region.width
-    n = state.level.n
 
     gaps = []
     dgaps = []
@@ -356,24 +355,4 @@ def connection_check(state: StateFunction) -> ContinuityReport:
         gaps.append(abs(hi.psi - lo.psi))
         dgaps.append(abs(state.branch_derivative(hi.phi, hi.region)
                          - state.branch_derivative(lo.phi, lo.region)))
-
-    # Interior branch sqrt(2) cos(u - pi/4) = A e^{iu} + B e^{-iu} with
-    # u the phase from the left anchor; left-side coefficients (C, D) in
-    # the basis (e^{u}, e^{-u}) are (1, 0).
-    a = complex(math.cos(0.25 * math.pi), -math.sin(0.25 * math.pi)) \
-        / math.sqrt(2.0)
-    b = a.conjugate()
-    c, d = 1.0, 0.0
-    res = max(abs(a + b - (c + d)), abs(1j * (a - b) - (c - d)))
-
-    # Right anchor, in the phase variable v measured from phi2: interior
-    # branch is (-1)^n sqrt(2) cos(v + pi/4); right coefficients (0, (-1)^n).
-    sign = -1.0 if n % 2 else 1.0
-    a2 = sign * b
-    b2 = sign * a
-    c2, d2 = 0.0, sign
-    res = max(res, abs(a2 + b2 - (c2 + d2)),
-              abs(1j * (a2 - b2) - (c2 - d2)))
-
-    return ContinuityReport(tuple(gaps), tuple(dgaps), res,
-                            max(res, *gaps, *dgaps))
+    return ContinuityReport(tuple(gaps), tuple(dgaps), max(*gaps, *dgaps))

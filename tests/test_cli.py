@@ -114,9 +114,18 @@ def test_radial_truncation_exit_code(capsys, tmp_path):
 
 
 def test_spectrum_rejects_zero_levels(capsys, harmonic2_file):
-    code, out, err = _run(capsys, ["spectrum", harmonic2_file,
-                                   "--levels", "0"])
+    for command in ("spectrum", "audit"):
+        code, out, err = _run(capsys, [command, harmonic2_file,
+                                       "--levels", "0"])
+        assert code == 1
+        assert "error:" in err
+
+
+def test_wavefunction_rejects_a_one_point_grid(capsys, harmonic2_file):
+    code, out, err = _run(capsys, ["wavefunction", harmonic2_file,
+                                   "--n", "0", "--grid", "1"])
     assert code == 1
+    assert out == ""
     assert "error:" in err
 
 
@@ -155,9 +164,19 @@ def test_unknown_potential_type_is_rejected(capsys, tmp_path):
     {"type": "morse", "params": {"depth": 1e308}},
     {"type": "coulomb", "params": {"charge": 1e200}},
     {"type": "square_well", "params": {"depth": 1e308, "width": 1e-300}},
+    {"type": "harmonic", "params": {"omega": 0}},
+    {"type": "linear", "params": {"slope": -1}},
+    {"type": "morse", "params": {"depth": 0}},
+    {"type": "coulomb", "params": {"charge": 1.0}, "domain": [1, 5]},
+    {"type": "tabulated",
+     "params": {"samples": [[0, 1], [1, 0], [2, 0.5], [3, 1]]},
+     "domain": [0, 4]},
+    [{"type": "harmonic", "params": {"omega": 1.0}}],
 ], ids=["string", "null", "samples-string", "misspelled", "omega-overflow",
         "linear-hbar-overflow", "coulomb-hbar-overflow", "slope-overflow",
-        "morse-v-overflow", "coulomb-v-overflow", "square-v-overflow"])
+        "morse-v-overflow", "coulomb-v-overflow", "square-v-overflow",
+        "omega-zero", "slope-negative", "morse-depth-zero",
+        "coulomb-off-axis", "domain-past-samples", "array-file"])
 def test_bad_parameter_is_a_clean_error(capsys, tmp_path, doc):
     path = _write_potential(tmp_path, doc)
     code, out, err = _run(capsys, ["spectrum", path, "--levels", "2"])
@@ -171,7 +190,9 @@ def test_bad_parameter_is_a_clean_error(capsys, tmp_path, doc):
     {"hbar": True},
     {"domain": [-5, 5, 99]},
     {"domain": {"a": 1}},
-], ids=["hbar-string", "hbar-bool", "domain-three", "domain-object"])
+    {"params": [1]},
+], ids=["hbar-string", "hbar-bool", "domain-three", "domain-object",
+        "params-list"])
 def test_bad_top_level_field_is_a_clean_error(capsys, tmp_path, extra):
     doc = {"type": "harmonic", "params": {"omega": 1.0}, **extra}
     path = _write_potential(tmp_path, doc)

@@ -20,8 +20,7 @@ from phasebound.quantize import spectrum
 
 def _toy_operator():
     # eigenvalues of tridiag(-1, 2, -1) at size 3: 2 - sqrt(2), 2, 2 + sqrt(2)
-    return TridiagonalOperator(np.array([2.0, 2.0, 2.0]), -1.0,
-                               0.0, 4.0, 1.0, np.array([1.0, 2.0, 3.0]))
+    return TridiagonalOperator(np.array([2.0, 2.0, 2.0]), -1.0)
 
 
 def test_toy_eigenvalues():
@@ -36,8 +35,7 @@ def test_sturm_count_brackets_spectrum():
 
 
 def test_sturm_count_survives_exact_pivot_zero():
-    op = TridiagonalOperator(np.array([1.0, 1.0]), 1.0,
-                             0.0, 3.0, 1.0, np.array([1.0, 2.0]))
+    op = TridiagonalOperator(np.array([1.0, 1.0]), 1.0)
     # sigma = 1 makes the first pivot exactly zero; eigenvalues are 0 and 2
     assert op.counts([1.0]).tolist() == [1]
 
@@ -149,6 +147,13 @@ def test_discretize_validation(harmonic):
         _toy_operator().lowest(4)
 
 
+def test_discretize_grows_a_soft_domain_to_the_box(harmonic):
+    assert harmonic.domain == (-12.0, 12.0)
+    op = discretize(harmonic, (-20.0, 20.0), 2001)
+    assert op.size == 1999
+    assert abs(op.lowest(1)[0] - 0.5) < 2e-5
+
+
 def test_morse_reference_matches_closed_form(morse10):
     refs = reference_levels(morse10, 4)
     closed = [-10.0 * (1.0 - (n + 0.5) / np.sqrt(20.0)) ** 2
@@ -156,11 +161,10 @@ def test_morse_reference_matches_closed_form(morse10):
     assert refs == pytest.approx(closed, rel=1e-6)
 
 
-def test_curvature_sets_the_margin_when_the_top_spacing_vanishes(
-        monkeypatch):
-    # double well (x^2 - 9)^2: the coarse solve puts the lowest doublet
-    # at one value, so the top spacing is 0 and the box margin comes from
-    # the curvature at the well floor, omega = sqrt(V''(3) / m) = sqrt(72)
+def test_half_depth_sets_the_margin_when_the_top_spacing_vanishes():
+    # double well (x^2 - 9)^2: the coarse solve puts the second doublet
+    # at one value, so the top spacing is 0 and the box margin is half the
+    # top level's height above the floor V = 0
     def well(x):
         x = np.asarray(x, dtype=float)
         return (x * x - 9.0) ** 2
@@ -168,17 +172,11 @@ def test_curvature_sets_the_margin_when_the_top_spacing_vanishes(
     pot = PotentialModel.from_callable(
         well, (-8.0, 8.0), df=lambda x: 4.0 * x * (x * x - 9.0),
         soft_edges=(True, True))
-    seen = []
-    real = oracle._char_frequency
-
-    def spy(potential):
-        seen.append(real(potential))
-        return seen[-1]
-
-    monkeypatch.setattr(oracle, "_char_frequency", spy)
+    e_top, spacing = oracle._estimate_top_level(pot, 3)
+    assert spacing == 0.0
+    for wall in oracle._auto_box(pot, 3):
+        assert pot.evaluate(wall) >= 1.5 * e_top
     levels = reference_levels(pot, 3)
-    assert len(seen) == 1
-    assert seen[0] == pytest.approx(np.sqrt(72.0), rel=1e-6)
     assert abs(levels[1] - levels[0]) < 1e-9
     assert levels[0] == pytest.approx(4.21443981, abs=1e-7)
     assert 4.1 < levels[0] < 0.5 * np.sqrt(72.0)

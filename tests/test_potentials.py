@@ -144,6 +144,25 @@ def test_with_domain_extends_soft_edges_only():
                                     (3.0, 4.0)])
     with pytest.raises((UsageError, DomainError)):
         tab.with_domain(-1.0, 3.0)  # hard edge: no data out there
+    with pytest.raises(UsageError, match="upper"):
+        tab.with_domain(0.0, 4.0)
+
+
+def test_callable_without_derivative_has_no_derivative_or_json():
+    pot = PotentialModel.from_callable(lambda x: x * x, (-1.0, 1.0))
+    assert not pot.has_derivative
+    with pytest.raises(UsageError):
+        pot.to_dict()
+    with pytest.raises(UsageError):
+        pot.derivative(0.5)
+
+
+def test_open_upper_edge_is_refused():
+    pot = PotentialModel.from_callable(lambda x: 1.0 / (1.0 - x), (0.0, 1.0),
+                                       hi_open=True)
+    assert pot.evaluate(0.5) == 2.0
+    with pytest.raises(DomainError, match="open edge"):
+        pot.evaluate(1.0)
 
 
 def test_minimum_unbounded_below():
@@ -162,6 +181,8 @@ def test_effective_radial_adds_centrifugal_term():
     harm = PotentialModel.harmonic(1.0)
     with pytest.raises(UsageError):
         effective_radial(harm, 0.25)  # not a half-line potential
+    with pytest.raises(UsageError):
+        effective_radial(coul, -1.0)
 
 
 def test_local_momentum_classification():

@@ -194,3 +194,12 @@ def test_assemble_state_requires_zero_mz():
     ang = angular_numbers(0, 1)
     with pytest.raises(UsageError):
         assemble_state(lambda r: 1.0, ang, -0.5)
+
+
+def test_assembled_polar_factor_is_cos_m_theta_over_hbar():
+    c = PhysicalConstants(hbar=0.5)
+    ang = angular_numbers(2, 0, c)   # M = 2.5 hbar
+    state = assemble_state(lambda r: 1.0, ang, -0.5, c)
+    for theta in (0.0, 0.4, 1.3, 2.9):
+        assert state.polar(theta) == math.cos(2.5 * theta)
+    assert state.azimuthal(0.7) == 1.0

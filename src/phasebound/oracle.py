@@ -3,8 +3,11 @@
 The potential is discretized with second-order central differences on a
 Dirichlet box and the lowest eigenvalues of the resulting symmetric
 tridiagonal operator come from LAPACK (stebz bisection), through
-scipy.linalg.eigh_tridiagonal.  A vectorized Sturm count stays alongside
-as an independent check on those eigenvalues.  Nothing here touches the
+scipy.linalg.eigh_tridiagonal; scipy.linalg loads on the first call to
+:meth:`TridiagonalOperator.lowest`, so only the audit path pays for it.
+:meth:`TridiagonalOperator.counts`, a vectorized Sturm count, is no part of
+the reference: no production path calls it, and the tests use it as an
+independent check on the LAPACK eigenvalues.  Nothing here touches the
 phase-integral machinery: this path exists so the two solvers can be
 compared without a shared failure mode, so keep it that way.  From
 ``potentials`` it uses only the model (V, its minimum, the scan grid and
@@ -31,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import OracleError, UsageError
 from .potentials import PotentialModel, decay_march
@@ -81,6 +83,8 @@ class TridiagonalOperator:
         """Lowest ``count`` eigenvalues in ascending order."""
         if not 1 <= count <= self.size:
             raise UsageError("level count must be between 1 and the grid size")
+        from scipy.linalg import eigh_tridiagonal
+
         return eigh_tridiagonal(self.diag, np.full(self.size - 1, self.off),
                                 eigvals_only=True, select="i",
                                 select_range=(0, count - 1))

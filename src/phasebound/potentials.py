@@ -29,10 +29,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, ParseError, SolverError, UsageError
+from .rootfind import bounded_minimum
 
 # The "params" keys of each family in the JSON description format, in the
 # order of the family constructor's arguments, with their defaults;
@@ -218,7 +217,11 @@ class PotentialModel:
         Needs at least 4 samples with strictly increasing x.  The shape-
         preserving interpolant cannot overshoot between samples, so no
         spurious turning points appear.  The sample range is a hard domain.
+        The interpolant is scipy's PchipInterpolator, so the first tabulated
+        model a process builds loads scipy.interpolate.
         """
+        from scipy.interpolate import PchipInterpolator
+
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise UsageError("tabulated potential needs >= 4 (x, V) samples")
@@ -419,11 +422,10 @@ class PotentialModel:
         lo = xs[max(i - 1, 0)]
         hi = xs[min(i + 1, len(xs) - 1)]
         if lo < hi:
-            res = minimize_scalar(self.evaluate, bounds=(lo, hi),
-                                  method="bounded",
-                                  options={"xatol": 1e-13 * (hi - lo) + 1e-300})
-            if res.fun <= vs[i]:
-                self._min_cache = (float(res.x), float(res.fun))
+            x, v = bounded_minimum(self.evaluate, lo, hi,
+                                   xatol=1e-13 * (hi - lo) + 1e-300)
+            if v <= vs[i]:
+                self._min_cache = (float(x), float(v))
                 return self._min_cache
         self._min_cache = (float(xs[i]), float(vs[i]))
         return self._min_cache

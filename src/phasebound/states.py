@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .classical import (ClassicalRegion, PhaseAccumulator,
                         find_turning_points)
@@ -163,6 +162,45 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
     raise NormalizationError("forbidden tail decays too slowly to normalize")
 
 
+def _ratio(num, den):
+    """num / den, with 0 where den is 0 (scipy's guarded division)."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _basic_simpson(y: np.ndarray, h: np.ndarray, stop: int) -> float:
+    """Simpson on the uneven panels (0, 1, 2), (2, 3, 4), ... that start
+    before index ``stop``; h holds the spacings diff(x)."""
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _ratio(h0, h1)
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - _ratio(1.0, h0divh1))
+                        + y[1:stop + 1:2] * (hsum * _ratio(hsum, hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Integral of samples y on the grid x (1-D, at least 3 points).
+
+    scipy.integrate.simpson(y, x=x) with the same arithmetic in the same
+    order, so the same bits.  Odd N is composite Simpson on the uneven
+    spacing.  Even N runs it over the first N - 1 points and adds
+    Cartwright's correction for the last interval (Cartwright 2017, eq. 8).
+    """
+    h = np.diff(x)
+    n = len(y)
+    if n % 2:
+        return _basic_simpson(y, h, n - 2)
+    result = _basic_simpson(y, h, n - 3)
+    h0, h1 = h[-2, ...], h[-1, ...]  # 0-d arrays, so powers take numpy's loops
+    alpha = _ratio(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _ratio(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _ratio(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
+
+
 def _tail_integral(acc: PhaseAccumulator, start: float, stop: float,
                    side: str) -> float:
     """Integral of exp(-2 t(x)) over one forbidden tail."""
@@ -170,7 +208,7 @@ def _tail_integral(acc: PhaseAccumulator, start: float, stop: float,
         return 0.0
     xs = np.linspace(start, stop, _TAIL_POINTS)
     tail = acc.left_tail if side == "left" else acc.right_tail
-    return abs(simpson(np.exp(-2.0 * tail(xs)), x=xs))
+    return abs(_simpson(np.exp(-2.0 * tail(xs)), xs))
 
 
 def _detect_wavenumber(potential: PotentialModel, level: EnergyLevel
@@ -199,7 +237,7 @@ def build_state(potential: PotentialModel, level: EnergyLevel
 
     xs = np.linspace(region.left, region.right, _INTERIOR_POINTS)
     us = acc.interior(xs)
-    inner = simpson(2.0 * np.cos(us - 0.25 * math.pi) ** 2, x=xs)
+    inner = _simpson(2.0 * np.cos(us - 0.25 * math.pi) ** 2, xs)
     left = _tail_integral(acc, region.left, reach_left, "left")
     right = _tail_integral(acc, region.right, reach_right, "right")
     total = inner + left + right

@@ -1,10 +1,21 @@
-"""Every name a module of the package imports is used in that module.
+"""What the package imports.
 
-A name kept alive only so that outside code can patch it looks dead to a
-reader; this test makes such a name fail openly instead.
+Every name a module of the package imports is used in that module: a name
+kept alive only so that outside code can patch it looks dead to a reader,
+and this test makes such a name fail openly instead.
+
+Start-up runs on numpy alone: no scipy module loads for ``spectrum``,
+``wavefunction`` or ``radial`` on a closed-form family.  Only a tabulated
+potential (scipy.interpolate, for PCHIP) and ``audit`` (scipy.linalg, for
+LAPACK) load scipy, on first use.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,3 +48,75 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Each step runs in one fresh interpreter, in this order, and prints the
+# scipy modules loaded so far; modules only accumulate, so a step that pulls
+# scipy in shows first at that step.
+_STEPS = textwrap.dedent("""
+    import contextlib, io, json, os, sys
+    tmp = sys.argv[1]
+    def loaded():
+        return sorted(m for m in sys.modules if m.startswith("scipy"))
+    def potential(name, kind, params):
+        path = os.path.join(tmp, name + ".json")
+        with open(path, "w") as fh:
+            json.dump({"type": kind, "params": params}, fh)
+        return path
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0, argv
+    steps = {}
+    import phasebound
+    steps["import phasebound"] = loaded()
+    from phasebound.cli import main
+    steps["import phasebound.cli"] = loaded()
+    run("spectrum", potential("h", "harmonic", {"omega": 1.3}),
+        "--levels", "21")
+    steps["spectrum harmonic"] = loaded()
+    run("wavefunction", potential("m", "morse", {"depth": 50.0, "range": 0.5}),
+        "--n", "3", "--grid", "201", "--out", os.path.join(tmp, "m.csv"))
+    steps["wavefunction morse"] = loaded()
+    run("radial", potential("c", "coulomb", {"charge": 2.5}),
+        "--ntheta", "1", "--mz", "1", "--nrmax", "2")
+    steps["radial coulomb"] = loaded()
+    run("audit", potential("a", "harmonic", {"omega": 1.0}), "--levels", "3")
+    steps["audit harmonic"] = loaded()
+    quartic = [[x, x ** 4 + x * x] for x in (-3.0 + 0.15 * k for k in range(41))]
+    run("spectrum", potential("t", "tabulated", {"samples": quartic}),
+        "--levels", "2")
+    steps["spectrum tabulated"] = loaded()
+    print(json.dumps(steps))
+""")
+
+
+@pytest.fixture(scope="module")
+def scipy_after_each_step(tmp_path_factory):
+    src = str(Path(phasebound.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _STEPS, str(tmp_path_factory.mktemp("steps"))],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("step", ["import phasebound", "import phasebound.cli",
+                                  "spectrum harmonic", "wavefunction morse",
+                                  "radial coulomb"])
+def test_numpy_alone_serves_the_closed_form_commands(scipy_after_each_step,
+                                                     step):
+    assert scipy_after_each_step[step] == []
+
+
+def test_audit_loads_only_the_linear_algebra(scipy_after_each_step):
+    loaded = scipy_after_each_step["audit harmonic"]
+    assert "scipy.linalg" in loaded
+    for name in ("scipy.optimize", "scipy.interpolate", "scipy.integrate"):
+        assert name not in loaded
+
+
+def test_tabulated_potential_loads_the_interpolator(scipy_after_each_step):
+    assert "scipy.interpolate" in scipy_after_each_step["spectrum tabulated"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from phasebound.errors import (
     NormalizationError,
@@ -10,6 +11,7 @@ from phasebound.classical import find_turning_points
 from phasebound.potentials import PotentialModel
 from phasebound.quantize import solve_level, spectrum
 from phasebound.states import (
+    _simpson,
     build_state,
     connection_check,
     delta_functional,
@@ -313,3 +315,23 @@ def test_tail_that_stops_decaying_is_refused():
     pot = _falling_well()
     with pytest.raises(NormalizationError, match="stopped decaying"):
         build_state(pot, solve_level(pot, 3))
+
+
+def _simpson_grids():
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 6, 384, 2001):
+        yield f"uniform-{n}", np.linspace(-1.3, 2.9, n)
+    yield "uniform-decreasing-384", np.linspace(4.0, 1.5, 384)
+    for n in (7, 10):
+        yield f"uneven-{n}", np.cumsum(rng.uniform(0.01, 1.0, n)) - 2.0
+
+
+_SIMPSON_GRIDS = dict(_simpson_grids())
+
+
+@pytest.mark.parametrize("name", sorted(_SIMPSON_GRIDS))
+def test_simpson_matches_scipy_bit_for_bit(name):
+    xs = _SIMPSON_GRIDS[name]
+    rng = np.random.default_rng(len(xs))
+    for y in (rng.normal(size=len(xs)), np.exp(-xs ** 2), np.cos(3.0 * xs)):
+        assert _simpson(y, xs) == simpson(y, x=xs)

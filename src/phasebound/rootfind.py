@@ -17,6 +17,7 @@ import math
 from .errors import UsageError
 
 _EPS = 2.220446049250313e-16
+_MAX_EVALS = 500  # scipy's default maxiter for method="bounded"
 
 
 def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
@@ -95,14 +96,13 @@ def _sign1(v: float) -> float:
     return 1.0 if v >= 0.0 else (-1.0 if v < 0.0 else v)
 
 
-def bounded_minimum(f, a: float, b: float, xatol: float,
-                    maxiter: int = 500) -> tuple[float, float]:
+def bounded_minimum(f, a: float, b: float,
+                    xatol: float) -> tuple[float, float]:
     """(x, f(x)) at a local minimum of f on [a, b], to xatol in x.
 
-    Stops after maxiter evaluations of f and returns the best point so far.
+    Stops after 500 evaluations of f and returns the best point so far.
     Bit for bit the (res.x, res.fun) of scipy.optimize.minimize_scalar(f,
-    bounds=(a, b), method="bounded", options={"xatol": xatol, "maxiter":
-    maxiter}).
+    bounds=(a, b), method="bounded", options={"xatol": xatol}).
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -168,6 +168,6 @@ def bounded_minimum(f, a: float, b: float, xatol: float,
         xm = 0.5 * (a + b)
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _MAX_EVALS:
             break
     return xf, fx

@@ -9,6 +9,7 @@ interval ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,12 +151,20 @@ def _sine_integrand(region: ClassicalRegion, integrand):
     return g
 
 
-def _over_region(region: ClassicalRegion, integrand) -> float:
-    """Integrate f(x) over the region via x = mid + half * sin(t)."""
+def _over_region(region: ClassicalRegion, integrand,
+                 knots: tuple[float, ...]) -> float:
+    """Integrate f(x) over the region via x = mid + half * sin(t).
+
+    The potential's ``knots`` inside the region, where f is only as
+    smooth as an interpolant there, split the quadrature at their t.
+    """
     if region.width == 0.0:
         return 0.0
+    mid, half = region.midpoint, 0.5 * region.width
+    points = [math.asin(min(max((x - mid) / half, -1.0), 1.0))
+              for x in knots if region.left < x < region.right]
     return integrate_adaptive(_sine_integrand(region, integrand),
-                              -_HALF_PI, _HALF_PI).value
+                              -_HALF_PI, _HALF_PI, points).value
 
 
 def _confined_region(potential: PotentialModel,
@@ -180,7 +189,8 @@ def action_integral(potential: PotentialModel, energy: float,
     if region is None:
         region = _confined_region(potential, energy)
     return _over_region(region,
-                        MomentumField(potential, energy).allowed_magnitude)
+                        MomentumField(potential, energy).allowed_magnitude,
+                        potential.knots)
 
 
 def action_energy_derivative(potential: PotentialModel, energy: float,
@@ -203,7 +213,7 @@ def action_energy_derivative(potential: PotentialModel, energy: float,
         p = field.allowed_magnitude(x)
         return np.where(p > 0.0, m / np.where(p > 0.0, p, 1.0), 0.0)
 
-    return _over_region(region, integrand)
+    return _over_region(region, integrand, potential.knots)
 
 
 class PhaseAccumulator:
@@ -249,7 +259,7 @@ class PhaseAccumulator:
     def interior(self, x):
         x = np.asarray(x, dtype=float)
         region = self.region
-        if np.any(x < region.left) or np.any(x > region.right):
+        if (x < region.left).any() or (x > region.right).any():
             raise UsageError("point lies outside the allowed region")
         g = _sine_integrand(
             region, lambda s: self._field.allowed_magnitude(s) / self._hbar)
@@ -273,12 +283,12 @@ class PhaseAccumulator:
 
     def left_tail(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x > self.region.left):
+        if (x > self.region.left).any():
             raise UsageError("point lies right of the left turning point")
         return self._tail(x, -1)
 
     def right_tail(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.region.right):
+        if (x < self.region.right).any():
             raise UsageError("point lies left of the right turning point")
         return self._tail(x, +1)

@@ -94,7 +94,8 @@ class PotentialModel:
     """
 
     def __init__(self, kind, params, f, df, constants, domain, *,
-                 soft_edges=(False, False), lo_open=False, hi_open=False):
+                 soft_edges=(False, False), lo_open=False, hi_open=False,
+                 knots=()):
         lo, hi = float(domain[0]), float(domain[1])
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"invalid domain [{lo}, {hi}]")
@@ -105,6 +106,8 @@ class PotentialModel:
         self.soft_edges = (bool(soft_edges[0]), bool(soft_edges[1]))
         self.lo_open = bool(lo_open)
         self.hi_open = bool(hi_open)
+        # abscissae where V is only piecewise smooth (interpolation knots)
+        self.knots = tuple(knots)
         self._f = f
         self._df = df
         self._min_cache = None
@@ -218,17 +221,19 @@ class PotentialModel:
         preserving interpolant cannot overshoot between samples, so no
         spurious turning points appear.  The sample range is a hard domain.
         The interpolant is scipy's PchipInterpolator, so the first tabulated
-        model a process builds loads scipy.interpolate.
+        model a process builds loads scipy.interpolate.  It is only C1 at
+        the samples, so their x are the model's ``knots``, where the action
+        quadrature splits its panels.
         """
         from scipy.interpolate import PchipInterpolator
 
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise UsageError("tabulated potential needs >= 4 (x, V) samples")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise UsageError("tabulated samples must be finite")
         xs, vs = pts[:, 0], pts[:, 1]
-        if not np.all(xs[1:] > xs[:-1]):
+        if not (xs[1:] > xs[:-1]).all():
             raise UsageError("tabulated sample x values must strictly increase")
         c = constants or PhysicalConstants()
         with np.errstate(all="ignore"):
@@ -238,7 +243,7 @@ class PotentialModel:
                 interp = None
             dinterp = None if interp is None else interp.derivative()
         # the derivative holds every non-constant coefficient, scaled
-        if dinterp is None or not np.all(np.isfinite(dinterp.c)):
+        if dinterp is None or not np.isfinite(dinterp.c).all():
             raise UsageError("tabulated samples give a non-finite slope")
         if domain is None:
             domain = (xs[0], xs[-1])
@@ -246,7 +251,8 @@ class PotentialModel:
             if domain[0] < xs[0] or domain[1] > xs[-1]:
                 raise UsageError("domain exceeds the tabulated sample range")
         return cls("tabulated", {"samples": pts.tolist()},
-                   lambda x: interp(x), lambda x: dinterp(x), c, domain)
+                   lambda x: interp(x), lambda x: dinterp(x), c, domain,
+                   knots=xs.tolist())
 
     @classmethod
     def from_callable(cls, f, domain, df=None, constants=None, kind="custom",
@@ -331,7 +337,7 @@ class PotentialModel:
                 q = 2.0 * constants.mass * model.evaluate(model.grid(512))
             except DomainError:     # V itself is not finite
                 q = np.inf
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ParseError(
                 "the potential overflows on its domain: 2m V is not finite")
         return model
@@ -364,13 +370,14 @@ class PotentialModel:
     def _check_inside(self, x: np.ndarray):
         lo, hi = self.domain
         slack = 1e-9 * (hi - lo)
-        if np.any(x < lo - slack) or np.any(x > hi + slack):
+        # ndarray methods: the np.any function costs a dispatch per call
+        if (x < lo - slack).any() or (x > hi + slack).any():
             raise DomainError(
                 f"coordinate outside domain [{lo}, {hi}]")
-        if self.lo_open and np.any(x <= lo):
+        if self.lo_open and (x <= lo).any():
             raise DomainError(
                 f"potential is singular at the open edge x = {lo}")
-        if self.hi_open and np.any(x >= hi):
+        if self.hi_open and (x >= hi).any():
             raise DomainError(
                 f"potential is singular at the open edge x = {hi}")
 
@@ -379,7 +386,7 @@ class PotentialModel:
         arr = np.asarray(x, dtype=float)
         self._check_inside(arr)
         out = np.asarray(self._f(arr), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainError("potential evaluated to a non-finite value")
         return float(out) if out.ndim == 0 else out
 
@@ -443,7 +450,8 @@ class PotentialModel:
         return PotentialModel(self.kind, self.params, self._f, self._df,
                               self.constants, (lo, hi),
                               soft_edges=self.soft_edges,
-                              lo_open=self.lo_open, hi_open=self.hi_open)
+                              lo_open=self.lo_open, hi_open=self.hi_open,
+                              knots=self.knots)
 
     def __repr__(self):
         lo, hi = self.domain
@@ -481,7 +489,7 @@ def effective_radial(potential: PotentialModel,
     return PotentialModel("effective_radial", params, f, df,
                           potential.constants, potential.domain,
                           soft_edges=potential.soft_edges, lo_open=True,
-                          hi_open=potential.hi_open)
+                          hi_open=potential.hi_open, knots=potential.knots)
 
 
 class MomentumField:

@@ -3,8 +3,9 @@
 Small self-contained engine: one embedded G7/K15 evaluation per panel, the
 panel with the worst error estimate is split until the combined estimate
 is at most max(1e-12, 1e-12 * |integral|), a fixed tolerance, within a
-fixed budget of 400 splits.  Integrands are called with a numpy array of
-nodes and must return an array of the same shape.
+fixed budget of 400 splits.  Known breakpoints of the integrand start the
+panels split there, as in QUADPACK's QAGP.  Integrands are called with a
+numpy array of nodes and must return an array of the same shape.
 
 ``integrate_cells`` applies the same rule to many adjacent cells at once,
 for cumulative integrals tabulated on a grid: each refinement round
@@ -94,7 +95,7 @@ def kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     y = np.asarray(f(mid + half * _XK), dtype=float)
     if y.shape != _XK.shape:
         raise UsageError("integrand must return one value per node")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise QuadratureError("integrand returned a non-finite value")
     kron = half * float(_WK @ y)
     gauss = half * float(_WG @ y[1::2])
@@ -105,8 +106,14 @@ def kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     return kron, err
 
 
-def integrate_adaptive(f, a: float, b: float) -> QuadratureResult:
+def integrate_adaptive(f, a: float, b: float,
+                       points=()) -> QuadratureResult:
     """Integrate ``f`` over [a, b] by adaptive panel bisection.
+
+    ``points`` are breakpoints where ``f`` is not smooth, such as the
+    knots of a spline.  Those strictly inside (a, b) split the starting
+    panel; the rest, and repeats, are ignored.  The split budget and the
+    tolerance are the same with or without them.
 
     Raises QuadratureError (carrying the best estimate and its error bound)
     when the tolerance is not reached within _MAX_SUBDIVISIONS splits.
@@ -118,12 +125,17 @@ def integrate_adaptive(f, a: float, b: float) -> QuadratureResult:
     if a > b:
         raise UsageError("quadrature limits must satisfy a <= b")
 
-    val, err = kronrod_panel(f, a, b)
+    ends = [a, *sorted({p for p in points if a < p < b}), b]
     # heap of (-error, tiebreak, a, b, value): worst panel first
-    heap = [(-err, 0, a, b, val)]
-    total = val
-    total_err = err
-    counter = 1
+    heap = []
+    total = total_err = 0.0
+    for counter, (pa, pb) in enumerate(zip(ends[:-1], ends[1:])):
+        val, err = kronrod_panel(f, pa, pb)
+        heap.append((-err, counter, pa, pb, val))
+        total += val
+        total_err += err
+    heapq.heapify(heap)
+    counter = len(heap)
     width_floor = 50.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
 
     for split in range(_MAX_SUBDIVISIONS):

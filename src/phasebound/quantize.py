@@ -55,11 +55,13 @@ class SpectrumResult:
 
 
 class _Quantizer:
-    """Solver state for one potential: working domain and eval counter."""
+    """Solver state for one potential: working domain, survey counter and
+    the last successful survey."""
 
     def __init__(self, potential: PotentialModel):
         self.pot = potential
         self.evals = 0
+        self._last = None   # (energy, w, report) of the last success
         self.v_min = potential.minimum()[1]
         self.scale = max(1.0, abs(self.v_min))
 
@@ -71,7 +73,15 @@ class _Quantizer:
         growth is committed only when the probe succeeds, so failed
         probes above the binding ceiling cannot inflate the working
         domain for later ones.
+
+        Asked again at the energy of the last successful survey (the seed
+        of the next level, or the root Brent just evaluated), it returns
+        that result without counting a survey: only a success changes the
+        working domain, so a fresh survey would repeat it bit for bit.
         """
+        last = self._last
+        if last is not None and last[0] == energy:
+            return last[1], last[2]
         self.evals += 1
         pot = self.pot
         for _ in range(_MAX_DOMAIN_GROWTH + 1):
@@ -97,6 +107,7 @@ class _Quantizer:
                         "cannot quantize against a data boundary")
                 w = action_integral(pot, energy, region)
                 self.pot = pot
+                self._last = (energy, w, report)
                 return w, report
             lo, hi = pot.domain
             span = hi - lo

@@ -148,6 +148,21 @@ def test_with_domain_extends_soft_edges_only():
         tab.with_domain(0.0, 4.0)
 
 
+def test_knots_are_the_samples_of_a_table_only():
+    samples = [(0.0, 4.0), (0.5, 1.0), (1.5, 0.5), (2.0, 1.0), (3.0, 2.0)]
+    tab = PotentialModel.tabulated(samples)
+    xs = (0.0, 0.5, 1.5, 2.0, 3.0)
+    assert tab.knots == xs
+    assert tab.with_domain(0.25, 2.5).knots == xs
+    assert effective_radial(tab, 0.25).knots == xs
+    for family in ("harmonic", "linear", "morse", "coulomb", "square_well"):
+        model = getattr(PotentialModel, family)()
+        assert model.knots == ()
+        assert model.with_domain(*model.domain).knots == ()
+    assert effective_radial(PotentialModel.coulomb(), 0.25).knots == ()
+    assert PotentialModel.from_callable(np.abs, (-1.0, 1.0)).knots == ()
+
+
 def test_callable_without_derivative_has_no_derivative_or_json():
     pot = PotentialModel.from_callable(lambda x: x * x, (-1.0, 1.0))
     assert not pot.has_derivative

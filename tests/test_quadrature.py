@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from phasebound import quadrature
+from phasebound import classical, quadrature
 from phasebound.errors import QuadratureError, UsageError
 from phasebound.quadrature import (
     integrate_adaptive,
     integrate_cells,
     kronrod_panel,
 )
+from phasebound.potentials import PotentialModel
 
 
 def test_panel_exact_on_gauss_degree_polynomials():
@@ -125,3 +126,67 @@ def test_cells_validation_and_failure(monkeypatch):
         integrate_cells(lambda x: np.abs(x) ** -0.9, [1e-12, 1.0])
     assert exc.value.estimate is not None
     assert exc.value.error_bound > 0.0
+
+
+def test_points_outside_at_the_ends_or_repeated_are_ignored():
+    plain = integrate_adaptive(np.exp, 0.0, 1.0)
+    for points in ([], [-0.5, 1.5], [0.0, 1.0], [0.0, 0.0, 1.0, 2.0]):
+        assert integrate_adaptive(np.exp, 0.0, 1.0, points) == plain
+    once = integrate_adaptive(np.exp, 0.0, 1.0, [0.25])
+    assert integrate_adaptive(np.exp, 0.0, 1.0,
+                              [0.25, 0.25, 0.0, 1.0, 7.0]) == once
+    assert once.panels == 2
+    assert integrate_adaptive(np.exp, 1.5, 1.5, [1.5]).panels == 0
+
+
+def test_a_kink_at_a_point_is_exact_in_two_panels():
+    # each side of the kink is linear, which a single G7/K15 pass nails
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.abs(x - 0.3)
+
+    res = integrate_adaptive(f, 0.0, 1.0, [0.3])
+    assert res.panels == 2 and calls == [15, 15]
+    assert res.value == pytest.approx(0.5 * (0.3 ** 2 + 0.7 ** 2),
+                                      abs=1e-15)
+    # without the point the heap bisects toward the kink
+    assert integrate_adaptive(lambda x: np.abs(x - 0.3), 0.0, 1.0).panels > 2
+
+
+def test_panels_count_the_kronrod_passes(monkeypatch):
+    passes = []
+    panel = quadrature.kronrod_panel
+
+    def counted(*args):
+        passes.append(args)
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "kronrod_panel", counted)
+    for f, points in ((np.sin, ()), (lambda x: np.abs(x - 0.3), ()),
+                      (lambda x: np.abs(x - 0.3), [0.3]),
+                      (lambda x: np.sqrt(np.abs(x - 0.61)), [0.2, 0.9])):
+        passes.clear()
+        res = integrate_adaptive(f, 0.0, 1.0, points)
+        assert res.panels == len(passes)
+
+
+def test_action_on_the_golden_quartic_is_within_its_bound(monkeypatch):
+    """W(3.0) on the 41-sample PCHIP table of x^4 + x^2, split at its
+    samples, against a 30-digit mpmath value: the exact PCHIP cubics
+    (scipy's coefficients) integrated cell by cell."""
+    from test_golden import _QUARTIC
+
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(integrate_adaptive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(classical, "integrate_adaptive", recorded)
+    w = classical.action_integral(PotentialModel.tabulated(_QUARTIC), 3.0)
+    (res,) = results
+    assert w == res.value
+    assert abs(w - 4.683257644869101527462) <= max(res.error_bound,
+                                                   1e-14 * w)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import phasebound.oracle as oracle_mod
+import phasebound.quantize as quantize
 from phasebound.errors import OracleError, SolverError
 from phasebound.potentials import PhysicalConstants, PotentialModel
 from phasebound.quantize import claim_audit, solve_level, spectrum
@@ -41,6 +42,27 @@ def test_survey_grows_a_soft_edge_to_hold_a_level():
     for lv in result.levels:
         assert abs(lv.energy - (lv.n + 0.5)) <= 1e-12
     assert result.levels[-1].region.right == pytest.approx(np.sqrt(7.0))
+
+
+def test_no_survey_repeats_the_one_before(monkeypatch):
+    # the seed of the next level and Brent's last root are surveyed
+    # again; the quantizer answers both from its last survey
+    actions = []
+    action = quantize.action_integral
+
+    def recorded(pot, energy, region=None):
+        actions.append(energy)
+        return action(pot, energy, region)
+
+    monkeypatch.setattr(quantize, "action_integral", recorded)
+    for pot, n_max in ((PotentialModel.harmonic(1.0), 20),
+                       (PotentialModel.morse(10.0, 1.0), 9),
+                       (PotentialModel.square_well(8.0, 2.0), 5),
+                       (PotentialModel.linear(1.7), 8)):
+        actions.clear()
+        result = spectrum(pot, n_max)
+        assert sum(lv.iterations for lv in result.levels) <= len(actions)
+        assert all(a != b for a, b in zip(actions, actions[1:]))
 
 
 def test_solve_single_level(harmonic):

@@ -81,7 +81,8 @@ def find_turning_points(potential: PotentialModel,
     grid spacing, such as a Coulomb well on a domain many orders of
     magnitude wider than its classical region, leaves every scan point
     forbidden; then the floor x_min of :meth:`PotentialModel.minimum`
-    joins the grid, and its two neighbours bracket the turning points.
+    (closed form for a named family, so on any domain width) joins the
+    grid, and its two neighbours bracket the turning points.
     An energy within 1e-8 (relative) of the floor yields a degenerate
     zero-width region; one below the floor, or on a potential with no
     floor, raises NoClassicalMotion.

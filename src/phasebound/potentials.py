@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, SolverError, UsageError
-from .rootfind import bounded_minimum
+from .rootfind import golden_minimum
 
 # The "params" keys of each family in the JSON description format, in the
 # order of the family constructor's arguments, with their defaults;
@@ -95,7 +95,7 @@ class PotentialModel:
 
     def __init__(self, kind, params, f, df, constants, domain, *,
                  soft_edges=(False, False), lo_open=False, hi_open=False,
-                 knots=()):
+                 knots=(), floor_at=()):
         lo, hi = float(domain[0]), float(domain[1])
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"invalid domain [{lo}, {hi}]")
@@ -108,6 +108,9 @@ class PotentialModel:
         self.hi_open = bool(hi_open)
         # abscissae where V is only piecewise smooth (interpolation knots)
         self.knots = tuple(knots)
+        # abscissae among which V is lowest on any sub-domain, once each is
+        # clipped into it; empty when only a numeric search can tell
+        self.floor_at = tuple(floor_at)
         self._f = f
         self._df = df
         self._min_cache = None
@@ -126,7 +129,7 @@ class PotentialModel:
         k = _finite(lambda: 0.5 * c.mass * omega ** 2)
         return cls("harmonic", {"omega": float(omega)},
                    lambda x: k * x ** 2, lambda x: 2.0 * k * x,
-                   c, domain, soft_edges=(True, True))
+                   c, domain, soft_edges=(True, True), floor_at=(0.0,))
 
     @classmethod
     def linear(cls, slope=1.0, constants=None, domain=None):
@@ -141,7 +144,7 @@ class PotentialModel:
         s = float(slope)
         return cls("linear", {"slope": s},
                    lambda x: s * np.abs(x), lambda x: s * np.sign(x),
-                   c, domain, soft_edges=(True, True))
+                   c, domain, soft_edges=(True, True), floor_at=(0.0,))
 
     @classmethod
     def morse(cls, depth=1.0, a=1.0, constants=None, domain=None):
@@ -162,7 +165,7 @@ class PotentialModel:
             return 2.0 * al * d * (e - e * e)
 
         return cls("morse", {"depth": d, "range": al}, f, df, c, domain,
-                   soft_edges=(True, True))
+                   soft_edges=(True, True), floor_at=(0.0,))
 
     @classmethod
     def coulomb(cls, charge=1.0, centrifugal=0.0, constants=None, domain=None):
@@ -170,7 +173,9 @@ class PotentialModel:
 
         ``centrifugal`` is the squared angular momentum M^2 entering
         M^2 / (2 m r^2).  The domain lower edge is pinned at r = 0, which
-        is open (the model is singular there).
+        is open (the model is singular there).  With M^2 > 0 the floor
+        is at r = M^2 / (m charge); without, V falls into r = 0 and
+        :meth:`minimum` refuses it.
         """
         if not charge > 0.0:
             raise UsageError("charge must be positive")
@@ -192,7 +197,8 @@ class PotentialModel:
             return z / r ** 2 - 2.0 * half_m2 / r ** 3
 
         return cls("coulomb", {"charge": z, "centrifugal": m2}, f, df, c,
-                   domain, soft_edges=(False, True), lo_open=True)
+                   domain, soft_edges=(False, True), lo_open=True,
+                   floor_at=(m2 / (c.mass * z),) if m2 > 0.0 else ())
 
     @classmethod
     def square_well(cls, depth=1.0, width=1.0, constants=None, domain=None):
@@ -211,7 +217,7 @@ class PotentialModel:
 
         return cls("square_well", {"depth": d, "width": float(width)},
                    f, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   c, domain, soft_edges=(True, True))
+                   c, domain, soft_edges=(True, True), floor_at=(0.0,))
 
     @classmethod
     def tabulated(cls, samples, constants=None, domain=None):
@@ -219,11 +225,12 @@ class PotentialModel:
 
         Needs at least 4 samples with strictly increasing x.  The shape-
         preserving interpolant cannot overshoot between samples, so no
-        spurious turning points appear.  The sample range is a hard domain.
-        The interpolant is scipy's PchipInterpolator, so the first tabulated
-        model a process builds loads scipy.interpolate.  It is only C1 at
-        the samples, so their x are the model's ``knots``, where the action
-        quadrature splits its panels.
+        spurious turning points appear, and V on any sub-range is lowest at
+        a sample inside it or at one of its ends.  The sample range is a
+        hard domain.  The interpolant is scipy's PchipInterpolator, so the
+        first tabulated model a process builds loads scipy.interpolate.  It
+        is only C1 at the samples, so their x are the model's ``knots``,
+        where the action quadrature splits its panels.
         """
         from scipy.interpolate import PchipInterpolator
 
@@ -252,7 +259,7 @@ class PotentialModel:
                 raise UsageError("domain exceeds the tabulated sample range")
         return cls("tabulated", {"samples": pts.tolist()},
                    lambda x: interp(x), lambda x: dinterp(x), c, domain,
-                   knots=xs.tolist())
+                   knots=xs.tolist(), floor_at=xs.tolist())
 
     @classmethod
     def from_callable(cls, f, domain, df=None, constants=None, kind="custom",
@@ -411,30 +418,35 @@ class PotentialModel:
                            hi - off if self.hi_open else hi, int(n))
 
     def minimum(self) -> tuple[float, float]:
-        """(x_min, V_min) over the domain, located numerically and cached.
+        """(x_min, V_min) over the domain, cached.
 
-        Raises SolverError when the potential keeps falling into an open
-        lower edge (no minimum exists: unbounded below).
+        A named family states where its V is lowest (``floor_at``): the
+        origin for harmonic, linear, Morse and square well, r = M^2/(m Z)
+        for Coulomb, the samples of a table.  V is evaluated once at those
+        points, clipped into the domain, and the lowest wins.  Any other
+        model is scanned on 2048 points and the lowest refined by a
+        golden-section search.  Raises SolverError when the potential keeps
+        falling into an open edge (no minimum exists: unbounded below).
         """
-        if self._min_cache is not None:
-            return self._min_cache
-        xs = self.grid(2048)
-        vs = self.evaluate(xs)
-        i = int(np.argmin(vs))
-        if i == 0 and self.lo_open:
-            probe = self.domain[0] + (xs[0] - self.domain[0]) * 1e-2
-            if self.evaluate(probe) < vs[0]:
-                raise SolverError(
-                    "potential not bounded below toward the lower domain edge")
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-        if lo < hi:
-            x, v = bounded_minimum(self.evaluate, lo, hi,
-                                   xatol=1e-13 * (hi - lo) + 1e-300)
-            if v <= vs[i]:
-                self._min_cache = (float(x), float(v))
-                return self._min_cache
-        self._min_cache = (float(xs[i]), float(vs[i]))
+        if self._min_cache is None:
+            xs = (np.clip(self.floor_at, *self.domain) if self.floor_at
+                  else self.grid(2048))
+            vs = self.evaluate(xs)
+            i = int(np.argmin(vs))
+            x, v = xs[i], vs[i]
+            if not self.floor_at:
+                last = len(xs) - 1
+                if (i == 0 and self.lo_open) or (i == last and self.hi_open):
+                    edge = self.domain[i > 0]
+                    if self.evaluate(edge + 1e-2 * (x - edge)) < v:
+                        raise SolverError(
+                            "potential not bounded below toward the "
+                            f"{'upper' if i else 'lower'} domain edge")
+                xg, vg = golden_minimum(self.evaluate, xs[max(i - 1, 0)],
+                                        xs[min(i + 1, last)], 1e-13)
+                if vg <= v:
+                    x, v = xg, vg
+            self._min_cache = (float(x), float(v))
         return self._min_cache
 
     def with_domain(self, lo: float, hi: float) -> "PotentialModel":
@@ -451,7 +463,7 @@ class PotentialModel:
                               self.constants, (lo, hi),
                               soft_edges=self.soft_edges,
                               lo_open=self.lo_open, hi_open=self.hi_open,
-                              knots=self.knots)
+                              knots=self.knots, floor_at=self.floor_at)
 
     def __repr__(self):
         lo, hi = self.domain
@@ -465,7 +477,9 @@ def effective_radial(potential: PotentialModel,
 
     The input must live on a radial domain starting at r = 0.  The result
     is again a full model, consumable by every one-dimensional operation.
-    With ``m_squared`` = 0 the potential is returned unchanged.
+    With ``m_squared`` = 0 the potential is returned unchanged; a Coulomb
+    model comes back as a Coulomb model with ``m_squared`` added to its
+    centrifugal term, so it keeps a closed-form floor.
     """
     if m_squared < 0.0:
         raise UsageError("squared angular momentum must be non-negative")
@@ -473,6 +487,10 @@ def effective_radial(potential: PotentialModel,
         raise UsageError("effective_radial needs a domain starting at r = 0")
     if m_squared == 0.0:
         return potential
+    if potential.kind == "coulomb":
+        p = potential.params
+        return PotentialModel.coulomb(p["charge"], p["centrifugal"] + m_squared,
+                                      potential.constants, potential.domain)
     half_m2 = m_squared / (2.0 * potential.constants.mass)
     base_f, base_df = potential._f, potential._df
 

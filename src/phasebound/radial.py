@@ -69,7 +69,8 @@ def _polar_potential(m_z_momentum: float,
                      constants: PhysicalConstants) -> PotentialModel:
     """The polar problem as a 1D model on (0, pi) with auxiliary mass 1/2.
 
-    With mass fixed at 1/2 the solved energy is exactly M^2.
+    With mass fixed at 1/2 the solved energy is exactly M^2.  The barrier
+    is lowest at theta = pi/2.
     """
     mz2 = m_z_momentum * m_z_momentum
 
@@ -77,11 +78,10 @@ def _polar_potential(m_z_momentum: float,
         s = np.sin(theta)
         return mz2 / (s * s)
 
-    return PotentialModel.from_callable(
-        f, (0.0, math.pi),
-        constants=PhysicalConstants(constants.hbar, 0.5),
-        kind="polar_barrier", params={"m_z_momentum": m_z_momentum},
-        lo_open=True, hi_open=True)
+    return PotentialModel(
+        "polar_barrier", {"m_z_momentum": m_z_momentum}, f, None,
+        PhysicalConstants(constants.hbar, 0.5), (0.0, math.pi),
+        lo_open=True, hi_open=True, floor_at=(0.5 * math.pi,))
 
 
 def angular_eigenvalue(n_theta: int, m_z_momentum: float,

@@ -1,13 +1,10 @@
-"""Scalar root refinement and bounded minimization, both after Brent.
+"""Scalar root refinement and bounded minimization.
 
 The root finder is a bisection warm-up followed by Brent's method; its loop
 follows the classic zeroin structure (inverse quadratic interpolation with
-secant and bisection safeguards).
-
-The minimizer is Brent's golden-section search with parabolic steps on a
-bracket (Brent, *Algorithms for Minimization without Derivatives*, 1973,
-ch. 5).  It repeats scipy's ``minimize_scalar(method="bounded")`` step for
-step, so it returns the same bits without importing scipy.optimize.
+secant and bisection safeguards).  The minimizer is a golden-section search
+(Kiefer, Proc. AMS 4, 1953), which refines the floor of a potential that
+does not state it in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import math
 from .errors import UsageError
 
 _EPS = 2.220446049250313e-16
-_MAX_EVALS = 500  # scipy's default maxiter for method="bounded"
 
 
 def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
@@ -91,83 +87,24 @@ def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
     return xcur
 
 
-def _sign1(v: float) -> float:
-    """+1 for v >= 0, -1 for v < 0, nan for nan (numpy's sign(v) + (v == 0))."""
-    return 1.0 if v >= 0.0 else (-1.0 if v < 0.0 else v)
+def golden_minimum(f, a: float, b: float,
+                   rtol: float) -> tuple[float, float]:
+    """(x, f(x)) at a local minimum of f on [a, b], to rtol * (b - a) in x.
 
-
-def bounded_minimum(f, a: float, b: float,
-                    xatol: float) -> tuple[float, float]:
-    """(x, f(x)) at a local minimum of f on [a, b], to xatol in x.
-
-    Stops after 500 evaluations of f and returns the best point so far.
-    Bit for bit the (res.x, res.fun) of scipy.optimize.minimize_scalar(f,
-    bounds=(a, b), method="bounded", options={"xatol": xatol}).
+    Each step keeps the part of the bracket around the lower of two inner
+    points and shrinks it by 1/phi, reusing one point, so the search makes
+    2 + ceil(log(rtol) / log(1/phi)) calls of f.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
-                    and p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign1(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        step = tol1 if abs(rat) < tol1 else abs(rat)
-        x = xf + _sign1(rat) * step
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(math.ceil(math.log(rtol) / math.log(r))):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_EVALS:
-            break
-    return xf, fx
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)

@@ -5,7 +5,8 @@ kept alive only so that outside code can patch it looks dead to a reader,
 and this test makes such a name fail openly instead.
 
 Start-up runs on numpy alone: no scipy module loads for ``spectrum``,
-``wavefunction`` or ``radial`` on a closed-form family.  Only a tabulated
+``wavefunction`` or ``radial`` on a closed-form family, nor for the
+numeric floor search of a ``radial`` harmonic base.  Only a tabulated
 potential (scipy.interpolate, for PCHIP) and ``audit`` (scipy.linalg, for
 LAPACK) load scipy, on first use.
 """
@@ -58,14 +59,16 @@ _STEPS = textwrap.dedent("""
     tmp = sys.argv[1]
     def loaded():
         return sorted(m for m in sys.modules if m.startswith("scipy"))
-    def potential(name, kind, params):
+    def potential(name, kind, params, **extra):
         path = os.path.join(tmp, name + ".json")
         with open(path, "w") as fh:
-            json.dump({"type": kind, "params": params}, fh)
+            json.dump({"type": kind, "params": params, **extra}, fh)
         return path
     def run(*argv):
-        with contextlib.redirect_stdout(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             assert main(list(argv)) == 0, argv
+        return out.getvalue()
     steps = {}
     import phasebound
     steps["import phasebound"] = loaded()
@@ -80,6 +83,12 @@ _STEPS = textwrap.dedent("""
     run("radial", potential("c", "coulomb", {"charge": 2.5}),
         "--ntheta", "1", "--mz", "1", "--nrmax", "2")
     steps["radial coulomb"] = loaded()
+    out = run("radial", potential("r", "harmonic", {"omega": 1.0},
+                                  domain=[0.0, 12.0]),
+              "--ntheta", "1", "--mz", "1", "--nrmax", "2")
+    steps["radial harmonic"] = loaded()
+    steps["radial harmonic levels"] = [
+        level["E"] for level in json.loads(out)["levels"]]
     run("audit", potential("a", "harmonic", {"omega": 1.0}), "--levels", "3")
     steps["audit harmonic"] = loaded()
     quartic = [[x, x ** 4 + x * x] for x in (-3.0 + 0.15 * k for k in range(41))]
@@ -105,10 +114,18 @@ def scipy_after_each_step(tmp_path_factory):
 
 @pytest.mark.parametrize("step", ["import phasebound", "import phasebound.cli",
                                   "spectrum harmonic", "wavefunction morse",
-                                  "radial coulomb"])
+                                  "radial coulomb", "radial harmonic"])
 def test_numpy_alone_serves_the_closed_form_commands(scipy_after_each_step,
                                                      step):
     assert scipy_after_each_step[step] == []
+
+
+def test_radial_harmonic_takes_the_numeric_floor(scipy_after_each_step):
+    # a harmonic base under M^2 = 2.5^2 states no floor, so minimum() runs
+    # the scan and the golden-section search; n_theta = 1, m_z = 1 is
+    # l = 2, and E = hbar omega (2 n_r + l + 3/2)
+    assert scipy_after_each_step["radial harmonic levels"] == pytest.approx(
+        [3.5, 5.5, 7.5], rel=1e-12)
 
 
 def test_audit_loads_only_the_linear_algebra(scipy_after_each_step):

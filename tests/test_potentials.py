@@ -14,6 +14,8 @@ from phasebound.potentials import (
     effective_radial,
     local_momentum,
 )
+from phasebound.quantize import spectrum
+from phasebound.radial import _polar_potential
 
 
 def test_constants_validation():
@@ -183,8 +185,109 @@ def test_open_upper_edge_is_refused():
 def test_minimum_unbounded_below():
     pot = PotentialModel.from_callable(
         lambda r: -1.0 / r**2, domain=(0.0, 10.0), lo_open=True)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="lower domain edge"):
         pot.minimum()
+    pot = PotentialModel.from_callable(
+        lambda r: -1.0 / (5.0 - r), domain=(0.0, 5.0), hi_open=True)
+    with pytest.raises(SolverError, match="upper domain edge"):
+        pot.minimum()
+    with pytest.raises(SolverError, match="upper domain edge"):
+        spectrum(pot, 0)
+
+
+def test_bare_coulomb_has_no_floor():
+    # -Z/r falls into r = 0: no closed form, and the scan refuses the edge
+    for pot in (PotentialModel.coulomb(2.5), PotentialModel.coulomb(2.5, 0.0),
+                effective_radial(PotentialModel.coulomb(2.5), 0.0)):
+        assert pot.floor_at == ()
+        with pytest.raises(SolverError, match="lower domain edge"):
+            pot.minimum()
+
+
+_GOLDEN_QUARTIC = [[x, x ** 4 + x * x]
+                   for x in (-3.0 + 6.0 * k / 40 for k in range(41))]
+
+# Models whose V_min is known in closed form, on their default domains and
+# on domains that cut the floor off, then two that take the numeric search.
+_FLOORS = {
+    "harmonic": lambda: PotentialModel.harmonic(1.3),
+    "harmonic_off_centre": lambda: PotentialModel.harmonic(
+        1.0, domain=(1.0, 5.0)),
+    "linear": lambda: PotentialModel.linear(1.7),
+    "linear_left": lambda: PotentialModel.linear(1.7, domain=(-5.0, -2.0)),
+    "morse": lambda: PotentialModel.morse(10.0, 1.0),
+    "morse_wall": lambda: PotentialModel.morse(10.0, 1.0,
+                                               domain=(-4.0, -1.0)),
+    "morse_tail": lambda: PotentialModel.morse(10.0, 1.0, domain=(0.5, 10.0)),
+    "coulomb": lambda: PotentialModel.coulomb(2.5, 0.75),
+    "coulomb_short": lambda: PotentialModel.coulomb(2.5, 0.75,
+                                                    domain=(0.0, 0.1)),
+    "square_well": lambda: PotentialModel.square_well(8.0, 2.0),
+    "square_well_wide": lambda: PotentialModel.square_well(
+        8.0, 2.0, domain=(-3000.0, 3000.0)),
+    "square_well_off": lambda: PotentialModel.square_well(
+        8.0, 2.0, domain=(2.0, 10.0)),
+    "tabulated": lambda: PotentialModel.tabulated(_GOLDEN_QUARTIC),
+    "tabulated_right": lambda: PotentialModel.tabulated(
+        _GOLDEN_QUARTIC, domain=(0.5, 2.5)),
+    "tabulated_left": lambda: PotentialModel.tabulated(
+        _GOLDEN_QUARTIC, domain=(-2.7, -1.1)),
+    "effective_coulomb": lambda: effective_radial(
+        PotentialModel.coulomb(2.5), 6.25),
+    "polar_barrier": lambda: _polar_potential(2.0, PhysicalConstants()),
+    "effective_harmonic": lambda: effective_radial(
+        PotentialModel.harmonic(1.0, domain=(0.0, 12.0)), 6.25),
+    "custom": lambda: PotentialModel.from_callable(
+        lambda x: np.cosh(x - 0.3), (-2.0, 2.0)),
+}
+_NUMERIC = ("effective_harmonic", "custom")
+
+
+def _reference_floor(pot):
+    """Lowest V of a 20001-point scan, refined by scipy's bounded search
+    between the neighbours of the lowest point."""
+    from scipy.optimize import minimize_scalar
+
+    xs = pot.grid(20001)
+    vs = pot.evaluate(xs)
+    i = int(np.argmin(vs))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    res = minimize_scalar(pot.evaluate, bounds=(a, b), method="bounded",
+                          options={"xatol": 1e-12 * (b - a)})
+    return min(vs[i], res.fun)
+
+
+@pytest.mark.parametrize("name", sorted(_FLOORS))
+def test_floor_matches_a_dense_scan(name):
+    pot = _FLOORS[name]()
+    x, v = pot.minimum()
+    ref = _reference_floor(pot)
+    lo, hi = pot.domain
+    assert lo <= x <= hi and pot.evaluate(x) == v
+    # never above the reference beyond rounding: PCHIP's cubics round to
+    # -5.2e-18 between the quartic's samples, whose lowest is 0
+    assert v <= ref + 1e-15 * max(1.0, abs(ref))
+    assert v == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_FLOORS))
+def test_a_stated_floor_costs_one_call_of_v(name, monkeypatch):
+    pot = _FLOORS[name]()
+    evaluate, calls = PotentialModel.evaluate, []
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(PotentialModel, "evaluate", counting)
+    pot.minimum()
+    # the numeric path: one scan, then golden-section steps to 1e-13
+    assert calls == ([2048] + [1] * 65 if name in _NUMERIC
+                     else [len(pot.floor_at)])
+
+
+def test_tabulated_floor_is_the_lowest_sample():
+    assert PotentialModel.tabulated(_GOLDEN_QUARTIC).minimum() == (0.0, 0.0)
 
 
 def test_effective_radial_adds_centrifugal_term():

@@ -65,6 +65,16 @@ def test_no_survey_repeats_the_one_before(monkeypatch):
         assert all(a != b for a, b in zip(actions, actions[1:]))
 
 
+def test_a_narrow_well_on_a_wide_domain_keeps_its_levels():
+    # the well is 2 wide on a 6000-wide domain: a scan for its floor
+    # would step over it
+    wide = PotentialModel.square_well(8.0, 2.0, domain=(-3000.0, 3000.0))
+    got = spectrum(wide, 2).energies
+    assert got == pytest.approx(
+        spectrum(PotentialModel.square_well(8.0, 2.0), 2).energies,
+        rel=1e-12, abs=0.0)
+
+
 def test_solve_single_level(harmonic):
     lv = solve_level(harmonic, 5)
     assert lv.n == 5

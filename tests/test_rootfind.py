@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from phasebound import potentials
 from phasebound.errors import SolverError, UsageError
 from phasebound.potentials import PotentialModel
-from phasebound.rootfind import bisect_then_brent, bounded_minimum
+from phasebound.rootfind import bisect_then_brent, golden_minimum
 
 
 def test_cubic_root():
@@ -32,12 +34,13 @@ def test_unbracketed_rejected():
         bisect_then_brent(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-# -- bounded_minimum: scipy's bounded Brent search, bit for bit -------------
+# -- golden_minimum: the numeric floor search, against scipy ---------------
 
 _QUARTIC = [[x, x ** 4 + x * x]
             for x in (-3.0 + 6.0 * k / 50 for k in range(51))]
 
-# The families minimum() searches, each on the bracket it builds there.
+# Each family's V as a custom callable, which states no floor, so that
+# minimum() takes the scan and the golden-section search.
 _FAMILIES = {
     "harmonic": lambda: PotentialModel.harmonic(1.3),
     "morse": lambda: PotentialModel.morse(10.0, 1.0),
@@ -56,23 +59,32 @@ def _scipy_minimum(f, a, b, xatol):
     return res.x, res.fun
 
 
+def _rise(f, x, h):
+    """How much f grows within h of x: what an error of h in x can cost."""
+    return max(abs(f(x + h) - f(x)), abs(f(x - h) - f(x)))
+
+
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
-def test_bounded_minimum_matches_scipy_on_each_family_bracket(
+def test_numeric_minimum_matches_scipy_on_each_family_bracket(
         family, monkeypatch):
+    named = _FAMILIES[family]()
+    pot = PotentialModel.from_callable(
+        named.evaluate, named.domain, lo_open=named.lo_open)
     calls = []
 
-    def spy(f, a, b, xatol):
-        calls.append((f, a, b, xatol))
-        return bounded_minimum(f, a, b, xatol)
+    def spy(f, a, b, rtol):
+        calls.append((a, b, rtol))
+        return golden_minimum(f, a, b, rtol)
 
-    monkeypatch.setattr(potentials, "bounded_minimum", spy)
-    pot = _FAMILIES[family]()
+    monkeypatch.setattr(potentials, "golden_minimum", spy)
     x_min, v_min = pot.minimum()
     assert len(calls) == 1
-    f, a, b, xatol = calls[0]
-    x, v = _scipy_minimum(f, a, b, xatol)
-    assert bounded_minimum(f, a, b, xatol) == (x, v)
-    assert (x_min, v_min) == (float(x), float(v))
+    a, b, rtol = calls[0]
+    assert rtol == 1e-13 and a <= x_min <= b
+    x, v = _scipy_minimum(pot.evaluate, a, b, rtol * (b - a))
+    assert v_min <= v + _rise(pot.evaluate, x, rtol * (b - a)) \
+        + 1e-15 * abs(v)
+    assert v_min == pytest.approx(named.minimum()[1], rel=1e-12, abs=1e-12)
 
 
 _SHAPES = {
@@ -87,27 +99,37 @@ _SHAPES = {
        c=st.floats(-50.0, 50.0),
        a=st.floats(-100.0, 100.0),
        width=st.floats(1e-9, 200.0),
-       rel_tol=st.sampled_from([1e-13, 1e-8, 1e-5, 1e-3, 0.1]))
-def test_bounded_minimum_matches_scipy_on_random_brackets(shape, c, a, width,
-                                                          rel_tol):
+       rtol=st.sampled_from([1e-13, 1e-8, 1e-5, 1e-3, 0.1]))
+def test_golden_minimum_is_no_worse_than_scipy_on_random_brackets(
+        shape, c, a, width, rtol):
+    # the quartic is a double well: keep its hump at x = c out of the
+    # bracket, so that both searches look at one well
+    assume(shape != "quartic" or not a < c < a + width)
     f = _SHAPES[shape](c)
     b = a + width
-    xatol = rel_tol * (b - a) + 1e-300
-    assert bounded_minimum(f, a, b, xatol) == _scipy_minimum(f, a, b, xatol)
+    x, v = golden_minimum(f, a, b, rtol)
+    assert a <= x <= b and v == f(x)
+    sx, sv = _scipy_minimum(f, a, b, rtol * width)
+    # golden's x is within rtol * width of the minimizer (and a few ulps,
+    # where the bracket is that narrow)
+    h = rtol * width + 4.0 * math.ulp(max(abs(a), abs(b)))
+    assert v <= sv + _rise(f, sx, h) + 1e-15 * abs(sv)
 
 
-def test_bounded_minimum_stops_after_500_evaluations():
-    # with xatol 0 and the minimum at x = 0 the tolerance shrinks with x,
-    # so only the evaluation budget ends the search
-    calls = []
+def test_golden_minimum_evaluates_a_fixed_count():
+    # two inner points, then one call per 1/phi shrink of the bracket: at
+    # 1e-13 that is 63 shrinks; a bracket as narrow as one ulp still ends
+    for a, b in ((-1.0, 2.0), (1.0, math.nextafter(1.0, 2.0)), (3.0, 3.0)):
+        calls = []
 
-    def f(x):
-        calls.append(x)
-        return abs(x)
+        def f(x):
+            calls.append(x)
+            return abs(x)
 
-    got = bounded_minimum(f, -1.0, 2.0, 0.0)
-    assert len(calls) == 500
-    res = minimize_scalar(abs, bounds=(-1.0, 2.0), method="bounded",
-                          options={"xatol": 0.0})
-    assert res.nfev == 500 and res.status == 1
-    assert got == (res.x, res.fun)
+        x, v = golden_minimum(f, a, b, 1e-13)
+        assert len(calls) == 65
+        assert abs(x - min(max(0.0, a), b)) <= 1e-13 * (b - a) + math.ulp(b)
+        assert v == abs(x)
+    calls.clear()
+    golden_minimum(f, -1.0, 2.0, 0.1)
+    assert len(calls) == 2 + 5

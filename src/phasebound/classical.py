@@ -83,9 +83,9 @@ def find_turning_points(potential: PotentialModel,
     forbidden; then the floor x_min of :meth:`PotentialModel.minimum`
     (closed form for a named family, so on any domain width) joins the
     grid, and its two neighbours bracket the turning points.
-    An energy within 1e-8 (relative) of the floor yields a degenerate
-    zero-width region; one below the floor, or on a potential with no
-    floor, raises NoClassicalMotion.
+    An energy within 1e-8 of max(|E|, |V_min|, the model's energy_scale)
+    of the floor yields a degenerate zero-width region; one below the
+    floor, or on a potential with no floor, raises NoClassicalMotion.
     """
     energy = float(energy)
     field = MomentumField(potential, energy)
@@ -99,7 +99,7 @@ def find_turning_points(potential: PotentialModel,
         except (SolverError, DomainError):   # V unbounded below, or not finite
             x_min = v_min = None
         if v_min is not None and abs(energy - v_min) <= 1e-8 * max(
-                1.0, abs(energy), abs(v_min)):
+                abs(energy), abs(v_min), potential.energy_scale):
             region = ClassicalRegion(x_min, x_min)
             return TurningPointReport(energy, (region,), True)
         if not regions:
@@ -121,10 +121,11 @@ def _allowed_regions(field: MomentumField, xs: np.ndarray,
     mask = q > 0.0
     crossings = []
     sgn = np.where(q > 0.0, 1.0, -1.0)
+    # relative to the end nearer 0: a floor cell can reach far past the root
     for i in np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]:
         crossings.append(bisect_then_brent(
             field.q, xs[i], xs[i + 1], fa=q[i], fb=q[i + 1],
-            xtol=1e-15 * max(1.0, abs(xs[i]), abs(xs[i + 1]))))
+            xtol=1e-15 * min(abs(xs[i]), abs(xs[i + 1]))))
 
     regions = []
     cursor = xs[0] if mask[0] else None

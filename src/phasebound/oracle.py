@@ -10,9 +10,9 @@ the reference: no production path calls it, and the tests use it as an
 independent check on the LAPACK eigenvalues.  Nothing here touches the
 phase-integral machinery: this path exists so the two solvers can be
 compared without a shared failure mode, so keep it that way.  From
-``potentials`` it uses only the model (V, its minimum, the scan grid and
-domain moves) and :func:`~phasebound.potentials.decay_march`, which the
-quantizer never calls.
+``potentials`` it uses only the model (V, its minimum and energy scale, the
+scan grid and domain moves) and :func:`~phasebound.potentials.decay_march`,
+which the quantizer never calls.
 
 The reference follows one fixed policy: a box sized for the requested
 levels, 4001 grid points, Richardson-combined with 8001 points on the same
@@ -22,11 +22,12 @@ which keeps the truncation error below the h^2 discretization error.  A
 coarse solve for one level more than asked sets the margin: 5*hbar*omega,
 with hbar*omega the spacing just above the top requested level, or half
 the top level's height above the floor when that spacing is under 1e-9 of
-the energy scale (a degenerate doublet).  Where a potential flattens out
-below the margin bar (Morse tails, Coulomb tails) the march stops once the
-decay exponent alone reaches 16; insisting on the unreachable margin would
-reject confining wells that plainly hold bound states.  Hard domain edges
-(tabulated data, the r = 0 axis) are used as walls directly.
+max(|E_top|, |V_min|, the model's energy_scale) (a degenerate doublet).
+Where a potential flattens out below the margin bar (Morse tails, Coulomb
+tails) the march stops once the decay exponent alone reaches 16; insisting
+on the unreachable margin would reject confining wells that plainly hold
+bound states.  Hard domain edges (tabulated data, the r = 0 axis) are used
+as walls directly.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _auto_box(potential: PotentialModel, count: int) -> tuple[float, float]:
     if e_top <= v_min:
         raise OracleError("level estimate fell below the potential floor")
     hbar = potential.constants.hbar
-    scale = max(1.0, abs(e_top), abs(v_min))
+    scale = max(potential.energy_scale, abs(e_top), abs(v_min))
     omega = spacing / hbar
     margin = 5.0 * hbar * omega if spacing > 1e-9 * scale \
         else 0.5 * (e_top - v_min)

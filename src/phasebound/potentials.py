@@ -95,7 +95,7 @@ class PotentialModel:
 
     def __init__(self, kind, params, f, df, constants, domain, *,
                  soft_edges=(False, False), lo_open=False, hi_open=False,
-                 knots=(), floor_at=()):
+                 knots=(), floor_at=(), length=None):
         lo, hi = float(domain[0]), float(domain[1])
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"invalid domain [{lo}, {hi}]")
@@ -111,6 +111,10 @@ class PotentialModel:
         # abscissae among which V is lowest on any sub-domain, once each is
         # clipped into it; empty when only a numeric search can tell
         self.floor_at = tuple(floor_at)
+        # the family's own length, else the domain width (see energy_scale)
+        self.length = hi - lo if length is None else float(length)
+        self._energy_scale = _finite(
+            lambda: (constants.hbar / self.length) ** 2 / constants.mass)
         self._f = f
         self._df = df
         self._min_cache = None
@@ -123,13 +127,14 @@ class PotentialModel:
         if not omega > 0.0:
             raise UsageError("omega must be positive")
         c = constants or PhysicalConstants()
+        length = _finite(lambda: np.sqrt(c.hbar / (c.mass * omega)))
         if domain is None:
-            length = _finite(lambda: np.sqrt(c.hbar / (c.mass * omega)))
             domain = (-12.0 * length, 12.0 * length)
         k = _finite(lambda: 0.5 * c.mass * omega ** 2)
         return cls("harmonic", {"omega": float(omega)},
                    lambda x: k * x ** 2, lambda x: 2.0 * k * x,
-                   c, domain, soft_edges=(True, True), floor_at=(0.0,))
+                   c, domain, soft_edges=(True, True), floor_at=(0.0,),
+                   length=length)
 
     @classmethod
     def linear(cls, slope=1.0, constants=None, domain=None):
@@ -137,14 +142,15 @@ class PotentialModel:
         if not slope > 0.0:
             raise UsageError("slope must be positive")
         c = constants or PhysicalConstants()
+        length = _finite(
+            lambda: (c.hbar ** 2 / (c.mass * slope)) ** (1.0 / 3.0))
         if domain is None:
-            length = _finite(
-                lambda: (c.hbar ** 2 / (c.mass * slope)) ** (1.0 / 3.0))
             domain = (-30.0 * length, 30.0 * length)
         s = float(slope)
         return cls("linear", {"slope": s},
                    lambda x: s * np.abs(x), lambda x: s * np.sign(x),
-                   c, domain, soft_edges=(True, True), floor_at=(0.0,))
+                   c, domain, soft_edges=(True, True), floor_at=(0.0,),
+                   length=length)
 
     @classmethod
     def morse(cls, depth=1.0, a=1.0, constants=None, domain=None):
@@ -165,7 +171,7 @@ class PotentialModel:
             return 2.0 * al * d * (e - e * e)
 
         return cls("morse", {"depth": d, "range": al}, f, df, c, domain,
-                   soft_edges=(True, True), floor_at=(0.0,))
+                   soft_edges=(True, True), floor_at=(0.0,), length=1.0 / al)
 
     @classmethod
     def coulomb(cls, charge=1.0, centrifugal=0.0, constants=None, domain=None):
@@ -182,8 +188,8 @@ class PotentialModel:
         if centrifugal < 0.0:
             raise UsageError("centrifugal term must be non-negative")
         c = constants or PhysicalConstants()
+        bohr = _finite(lambda: c.hbar ** 2 / (c.mass * charge))
         if domain is None:
-            bohr = _finite(lambda: c.hbar ** 2 / (c.mass * charge))
             domain = (0.0, 600.0 * bohr)
         elif float(domain[0]) != 0.0:
             raise UsageError("coulomb domain must start at r = 0")
@@ -198,7 +204,8 @@ class PotentialModel:
 
         return cls("coulomb", {"charge": z, "centrifugal": m2}, f, df, c,
                    domain, soft_edges=(False, True), lo_open=True,
-                   floor_at=(m2 / (c.mass * z),) if m2 > 0.0 else ())
+                   floor_at=(m2 / (c.mass * z),) if m2 > 0.0 else (),
+                   length=bohr)
 
     @classmethod
     def square_well(cls, depth=1.0, width=1.0, constants=None, domain=None):
@@ -217,7 +224,8 @@ class PotentialModel:
 
         return cls("square_well", {"depth": d, "width": float(width)},
                    f, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   c, domain, soft_edges=(True, True), floor_at=(0.0,))
+                   c, domain, soft_edges=(True, True), floor_at=(0.0,),
+                   length=width)
 
     @classmethod
     def tabulated(cls, samples, constants=None, domain=None):
@@ -417,6 +425,12 @@ class PotentialModel:
         return np.linspace(lo + off if self.lo_open else lo,
                            hi - off if self.hi_open else hi, int(n))
 
+    @property
+    def energy_scale(self) -> float:
+        """hbar^2 / (m L^2), L the family's ``length`` (sqrt(hbar/m omega),
+        (hbar^2/m F)^(1/3), 1/a, Bohr radius, width) or the domain width."""
+        return self._energy_scale
+
     def minimum(self) -> tuple[float, float]:
         """(x_min, V_min) over the domain, cached.
 
@@ -463,7 +477,8 @@ class PotentialModel:
                               self.constants, (lo, hi),
                               soft_edges=self.soft_edges,
                               lo_open=self.lo_open, hi_open=self.hi_open,
-                              knots=self.knots, floor_at=self.floor_at)
+                              knots=self.knots, floor_at=self.floor_at,
+                              length=self.length)
 
     def __repr__(self):
         lo, hi = self.domain

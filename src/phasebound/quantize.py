@@ -2,9 +2,11 @@
 
 A level n is the root of F(E) = W(E)/hbar - pi*(n + 1/2), where W is the
 action integral across the single classically allowed region.  W grows
-monotonically with E for a single well, so the root is unique; it is
-bracketed by geometric growth from just above the potential floor and
-polished with Brent's method.
+monotonically with E for a single well, so the root is unique.  It is
+bracketed from the level below, or from the floor, where W = 0 needs no
+survey, by geometric growth in E - V_min that starts at the model's
+``energy_scale`` (or 1e-3 |V_min| if larger), and polished with Brent's
+method.  No tolerance is an absolute energy.
 
 Potentials whose wells open up at finite energy (Morse, finite square
 well, Coulomb tails) support finitely many levels; asking beyond the last
@@ -63,7 +65,6 @@ class _Quantizer:
         self.evals = 0
         self._last = None   # (energy, w, report) of the last success
         self.v_min = potential.minimum()[1]
-        self.scale = max(1.0, abs(self.v_min))
 
     def survey(self, energy: float) -> tuple[float, TurningPointReport]:
         """W and turning-point report at one energy.
@@ -123,19 +124,11 @@ class _Quantizer:
 
     def _bracket(self, target: float, seed: float | None,
                  step_hint: float | None):
-        """Return (a, fa, b, fb) with fa < 0 < fb around the level."""
-        if seed is None:
-            a = self.v_min + 1e-9 * self.scale
-        else:
-            a = seed
-        fa = self.condition(a, target)
-        while fa >= 0.0 and a > self.v_min:
-            a = self.v_min + 0.5 * (a - self.v_min)
-            fa = self.condition(a, target)
-        if fa >= 0.0:
-            raise SolverError("cannot find an energy below the level")
-
-        step = step_hint if step_hint else 1e-3 * self.scale
+        """Return (a, fa, b, fb) with fa < 0 < fb around the level, from the
+        seed (F is -pi plus the residual of the level below) or the floor."""
+        a = self.v_min if seed is None else seed
+        fa = -target if seed is None else self.condition(seed, target)
+        step = step_hint or max(self.pot.energy_scale, 1e-3 * abs(self.v_min))
         b = a + step
         for _ in range(_MAX_ITERATIONS):
             try:
@@ -146,8 +139,6 @@ class _Quantizer:
                 return a, fa, b, fb
             a, fa = b, fb
             b = self.v_min + (b - self.v_min) * _BRACKET_GROWTH
-            if b - self.v_min > 1e12 * self.scale:
-                break
         raise SolverError(
             f"quantization target {target:.6g} not bracketed; "
             "potential may not support this level")
@@ -155,7 +146,7 @@ class _Quantizer:
     def _ceiling_bracket(self, lo, flo, hi_bad, target):
         """Close in on the binding ceiling between a good and a bad energy."""
         for _ in range(128):
-            if hi_bad - lo <= 1e-13 * max(1.0, abs(hi_bad)):
+            if hi_bad - lo <= 1e-13 * max(abs(hi_bad), self.pot.energy_scale):
                 break
             mid = 0.5 * (lo + hi_bad)
             try:
@@ -183,11 +174,11 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
     evals_before = q.evals
     a, fa, b, fb = q._bracket(target, seed, step_hint)
     hbar = q.pot.constants.hbar
-    limit = _RESIDUAL_LIMIT * max(1.0, target)
+    limit = _RESIDUAL_LIMIT * target
     # where dW/dE is steep (weakly bound levels) the energy tolerance
     # alone leaves the residual above the limit, so also stop no coarser
     # than a tenth of the limit over the bracket's secant slope
-    xtol = min(_ENERGY_TOL * max(1.0, abs(b)),
+    xtol = min(_ENERGY_TOL * abs(b),
                0.1 * limit * (b - a) / (fb - fa))
     energy = bisect_then_brent(lambda e: q.condition(e, target), a, b,
                                fa=fa, fb=fb, xtol=xtol,
@@ -195,9 +186,12 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
     w, report = q.survey(energy)
     residual = abs(w / hbar - target)
     if residual > limit:
+        # a level far nearer its floor than E = 0 can be finer than doubles
+        jump = abs(q.survey(math.nextafter(energy, math.inf))[0] - w) / hbar
         raise SolverError(
-            f"level {n}: converged with residual {residual:.3e}, "
-            "beyond the acceptance limit")
+            f"level {n}: residual {residual:.3e} is beyond the limit "
+            f"{limit:.3e}; W/hbar moves {jump:.3e} from E = {energy:.17g} "
+            "to the next double")
     return EnergyLevel(int(n), energy, w, report.require_single(),
                        residual, q.evals - evals_before)
 
@@ -210,12 +204,8 @@ def spectrum(potential: PotentialModel, n_max: int) -> SpectrumResult:
     levels: list[EnergyLevel] = []
     for n in range(int(n_max) + 1):
         seed = levels[-1].energy if levels else None
-        if len(levels) >= 2:
-            hint = levels[-1].energy - levels[-2].energy
-        elif levels:
-            hint = max(1e-3 * q.scale, levels[-1].energy - q.v_min)
-        else:
-            hint = None
+        below = levels[-2].energy if len(levels) >= 2 else q.v_min
+        hint = seed - below if levels else None
         try:
             level = _solve(q, n, seed, hint)
         except LevelUnbound as exc:

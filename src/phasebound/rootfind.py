@@ -68,10 +68,10 @@ def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
             if xpre == xblk:
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
             else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / \
-                    (dblk * dpre * (fblk - fpre))
+                # inverse quadratic; f only in ratios, which cannot overflow
+                stry = -fcur / (fblk - fpre) * (
+                    fblk / (fpre - fcur) * (xpre - xcur)
+                    - fpre / (fblk - fcur) * (xblk - xcur))
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -27,8 +27,7 @@ import numpy as np
 
 from .classical import (ClassicalRegion, PhaseAccumulator,
                         find_turning_points)
-from .errors import (DomainError, NormalizationError, SingularPointError,
-                     SolverError, UsageError)
+from .errors import NormalizationError, SingularPointError, UsageError
 from .potentials import MomentumField, PotentialModel, decay_march
 from .quantize import EnergyLevel
 
@@ -162,43 +161,19 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
     raise NormalizationError("forbidden tail decays too slowly to normalize")
 
 
-def _ratio(num, den):
-    """num / den, with 0 where den is 0 (scipy's guarded division)."""
-    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
-
-
-def _basic_simpson(y: np.ndarray, h: np.ndarray, stop: int) -> float:
-    """Simpson on the uneven panels (0, 1, 2), (2, 3, 4), ... that start
-    before index ``stop``; h holds the spacings diff(x)."""
-    h0 = h[0:stop:2]
-    h1 = h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _ratio(h0, h1)
-    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - _ratio(1.0, h0divh1))
-                        + y[1:stop + 1:2] * (hsum * _ratio(hsum, hprod))
-                        + y[2:stop + 2:2] * (2.0 - h0divh1))
-    return np.sum(tmp)
-
-
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Integral of samples y on the grid x (1-D, at least 3 points).
-
-    scipy.integrate.simpson(y, x=x) with the same arithmetic in the same
-    order, so the same bits.  Odd N is composite Simpson on the uneven
-    spacing.  Even N runs it over the first N - 1 points and adds
-    Cartwright's correction for the last interval (Cartwright 2017, eq. 8).
-    """
-    h = np.diff(x)
+    """Integral of samples y on the uniform grid x (at least 3 points):
+    composite Simpson, and with an even count the last interval takes
+    h (5 y[-1] + 8 y[-2] - y[-3]) / 12 (Cartwright 2017, eq. 8), as in
+    scipy.integrate.simpson."""
     n = len(y)
-    if n % 2:
-        return _basic_simpson(y, h, n - 2)
-    result = _basic_simpson(y, h, n - 3)
-    h0, h1 = h[-2, ...], h[-1, ...]  # 0-d arrays, so powers take numpy's loops
-    alpha = _ratio(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
-    beta = _ratio(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
-    eta = _ratio(1 * h1 ** 3, 6 * h0 * (h0 + h1))
-    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
+    h = (x[-1] - x[0]) / (n - 1)
+    end = n - 1 + n % 2     # points under composite Simpson: odd
+    total = h / 3.0 * (y[0:end - 2:2] + 4.0 * y[1:end - 1:2]
+                       + y[2:end:2]).sum()
+    if not n % 2:
+        total += h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
+    return total
 
 
 def _tail_integral(acc: PhaseAccumulator, start: float, stop: float,
@@ -273,18 +248,13 @@ def _allowed_momentum(potential: PotentialModel, energy: float,
     """Momentum p at each point, NaN where the diagnostics refuse one.
 
     A point is refused outside the allowed region (where V >= E) and where
-    p falls below 1e-12 of the well's momentum scale.  With ``strict`` the
-    first refused point raises instead: UsageError outside the region,
-    SingularPointError below the floor.
+    p falls below 1e-12 of sqrt(2m max(|E|, the model's energy_scale)).
+    With ``strict`` the first refused point raises instead: UsageError
+    outside the region, SingularPointError below the floor.
     """
     q = MomentumField(potential, energy).q(x)
-    try:
-        _, v_min = potential.minimum()
-        p_scale = math.sqrt(2.0 * potential.constants.mass
-                            * max(energy - v_min, abs(energy), 1e-300))
-    except (SolverError, DomainError):
-        p_scale = math.sqrt(2.0 * potential.constants.mass
-                            * max(abs(energy), 1.0))
+    p_scale = math.sqrt(2.0 * potential.constants.mass
+                        * max(abs(energy), potential.energy_scale))
     outside = (q <= 0.0) & ((x < region.left) | (x > region.right))
     p = np.sqrt(np.maximum(q, 0.0))
     refused = outside | (p < 1e-12 * p_scale)

@@ -150,6 +150,43 @@ def test_with_domain_extends_soft_edges_only():
         tab.with_domain(0.0, 4.0)
 
 
+_C = PhysicalConstants(hbar=0.7, mass=1.9)
+_SAMPLES = [[x, x * x] for x in np.linspace(-2.0, 3.0, 11)]
+
+
+@pytest.mark.parametrize("model, want", [
+    (PotentialModel.harmonic(2.3, _C), 0.7 * 2.3),
+    (PotentialModel.linear(2.3, _C), (0.49 * 2.3 ** 2 / 1.9) ** (1.0 / 3.0)),
+    (PotentialModel.morse(5.0, 2.3, _C), 0.49 * 2.3 ** 2 / 1.9),
+    (PotentialModel.coulomb(2.3, 0.4, _C), 1.9 * 2.3 ** 2 / 0.49),
+    (PotentialModel.square_well(5.0, 2.3, _C), 0.49 / (1.9 * 2.3 ** 2)),
+    (PotentialModel.tabulated(_SAMPLES, _C), 0.49 / (1.9 * 5.0 ** 2)),
+    (PotentialModel.from_callable(np.abs, (-2.0, 3.0), constants=_C),
+     0.49 / (1.9 * 5.0 ** 2)),
+    (effective_radial(PotentialModel.from_callable(
+        np.abs, (0.0, 5.0), constants=_C), 2.0), 0.49 / (1.9 * 5.0 ** 2)),
+    (_polar_potential(1.0, _C), 0.49 / (0.5 * np.pi ** 2)),
+], ids=["harmonic", "linear", "morse", "coulomb", "square_well", "tabulated",
+        "callable", "effective_radial", "polar"])
+def test_energy_scale_is_the_familys_own(model, want):
+    # hbar^2 / (m L^2) with L the family's length, else the domain width;
+    # moving the domain keeps it
+    assert model.energy_scale == pytest.approx(want, rel=1e-14)
+    lo, hi = model.domain
+    wider = model.with_domain(lo - 10.0 * model.soft_edges[0],
+                              hi + 10.0 * model.soft_edges[1])
+    assert wider.energy_scale == model.energy_scale
+
+
+def test_a_non_finite_energy_scale_is_refused():
+    # a width of 1e-200 puts hbar^2 / (m L^2) past the largest double
+    with pytest.raises(UsageError, match="not finite"):
+        PotentialModel.square_well(1.0, 1e-200)
+    with pytest.raises(ParseError, match="not finite"):
+        PotentialModel.from_dict({"type": "square_well",
+                                  "params": {"width": 1e-200}})
+
+
 def test_knots_are_the_samples_of_a_table_only():
     samples = [(0.0, 4.0), (0.5, 1.0), (1.5, 0.5), (2.0, 1.0), (3.0, 2.0)]
     tab = PotentialModel.tabulated(samples)

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasebound.oracle as oracle_mod
 import phasebound.quantize as quantize
 from phasebound.errors import OracleError, SolverError
 from phasebound.potentials import PhysicalConstants, PotentialModel
 from phasebound.quantize import claim_audit, solve_level, spectrum
+
+_PROPERTIES = settings(derandomize=True, database=None, deadline=None,
+                       max_examples=40)
+# 10^u for u uniform in [-12, 12]
+_LOG_UNIFORM = st.floats(-12.0, 12.0).map(lambda u: 10.0 ** u)
 
 
 def _gaussian_well(depth, soft=True):
@@ -180,3 +187,84 @@ def test_claim_audit_lets_unexpected_errors_through(monkeypatch, harmonic):
     monkeypatch.setattr(oracle_mod, "reference_levels", broken)
     with pytest.raises(TypeError, match="not a reference failure"):
         claim_audit(harmonic, 1)
+
+
+@_PROPERTIES
+@given(omega=_LOG_UNIFORM)
+def test_harmonic_levels_scale_with_hbar_omega(omega):
+    energies = spectrum(PotentialModel.harmonic(omega), 5).energies
+    assert [e / omega for e in energies] == pytest.approx(
+        [n + 0.5 for n in range(6)], rel=1e-10, abs=0.0)
+
+
+_LINEAR_UNIT = spectrum(PotentialModel.linear(1.0), 5).energies
+
+
+@_PROPERTIES
+@given(slope=_LOG_UNIFORM)
+def test_linear_levels_scale_with_the_slope(slope):
+    # E_n is (hbar^2 F^2 / m)^(1/3) times a number fixed by n
+    energies = spectrum(PotentialModel.linear(slope), 5).energies
+    unit = (slope * slope) ** (1.0 / 3.0)
+    assert [e / unit for e in energies] == pytest.approx(
+        _LINEAR_UNIT, rel=1e-10, abs=0.0)
+
+
+@_PROPERTIES
+@given(charge=_LOG_UNIFORM)
+def test_coulomb_levels_scale_with_the_charge_squared(charge):
+    # M^2 = 6.25: E = -Z^2 / (2 (n_r + 3)^2), and the levels follow Z^2
+    energies = spectrum(PotentialModel.coulomb(charge, 6.25), 3).energies
+    assert [e / charge ** 2 for e in energies] == pytest.approx(
+        [-0.5 / (n + 3.0) ** 2 for n in range(4)], rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("omega", [1e-9, 1e12, 1e150])
+def test_harmonic_far_from_unit_scale(omega):
+    # any warning fails a test (pyproject.toml): 1e150 must solve without
+    energies = spectrum(PotentialModel.harmonic(omega), 3).energies
+    assert energies == pytest.approx(
+        [omega * (n + 0.5) for n in range(4)], rel=1e-10, abs=0.0)
+
+
+def test_claim_audit_on_a_weak_oscillator():
+    rows = claim_audit(PotentialModel.harmonic(1e-9), 3)
+    assert [r.n for r in rows] == [0, 1, 2, 3]
+    for row in rows:
+        assert row.note is None
+        assert row.quantized == pytest.approx(1e-9 * (row.n + 0.5),
+                                              rel=1e-12)
+        assert row.deviation < 1e-6
+
+
+@pytest.mark.parametrize("half_width", [1e6, 1e8])
+@pytest.mark.parametrize("family, args", [
+    ("harmonic", (1.0,)), ("linear", (1.7,)), ("square_well", (8.0, 2.0))])
+def test_levels_do_not_depend_on_the_domain_width(family, args, half_width):
+    make = getattr(PotentialModel, family)
+    wide = make(*args, domain=(-half_width, half_width))
+    assert spectrum(wide, 3).energies == pytest.approx(
+        spectrum(make(*args), 3).energies, rel=1e-12, abs=0.0)
+
+
+def test_a_level_finer_than_the_doubles_is_refused_naming_the_limit():
+    # level 0 sits ~5e-6 above a floor at -1e6, where doubles are 1.2e-10
+    # apart: one of those steps moves W/hbar by far more than the limit
+    with pytest.raises(SolverError, match=r"beyond the limit 1\.571e-10; "
+                       r"W/hbar moves .* to the next double"):
+        spectrum(PotentialModel.square_well(1e6, 1000.0), 2)
+
+
+_QUARTIC = [[x, x ** 4 + x * x]
+            for x in (-3.0 + 6.0 * k / 40 for k in range(41))]
+
+
+@pytest.mark.parametrize("family, args, n_max, most", [
+    ("harmonic", (1.0,), 20, 106), ("morse", (10.0, 1.0), 9, 42),
+    ("square_well", (8.0, 2.0), 5, 39), ("linear", (1.7,), 8, 90),
+    ("tabulated", (_QUARTIC,), 7, 87), ("harmonic", (1.3,), 20, 135),
+    ("coulomb", (2.5, 6.25), 4, 54)])
+def test_surveys_stay_within_the_recorded_counts(family, args, n_max, most):
+    # ``most`` is the survey count before the bracket started at the floor
+    result = spectrum(getattr(PotentialModel, family)(*args), n_max)
+    assert sum(lv.iterations for lv in result.levels) <= most

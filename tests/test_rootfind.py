@@ -29,6 +29,19 @@ def test_flat_then_steep():
     assert abs(f(root)) < 1e-10
 
 
+@pytest.mark.parametrize("x_scale, f_scale", [(1e-75, 1e150),
+                                               (1e75, 1e-150)])
+def test_interpolation_far_from_unit_scale(x_scale, f_scale):
+    # the turning points of harmonic(1e150) sit at x ~ 1e-75 with
+    # 2m(E - V) ~ 1e150: slopes ~ 1e225, whose products overflow
+    def f(x):
+        return np.float64(f_scale) * (1.0 - (x / x_scale) ** 2)
+
+    a, b = np.float64(0.9 * x_scale), np.float64(1.7 * x_scale)
+    root = bisect_then_brent(f, a, b, xtol=1e-15 * float(a), pre_bisect=0)
+    assert root == pytest.approx(x_scale, rel=1e-14)
+
+
 def test_unbracketed_rejected():
     with pytest.raises((SolverError, UsageError, ValueError)):
         bisect_then_brent(lambda x: x * x + 1.0, -1.0, 1.0)

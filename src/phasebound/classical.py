@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import (DomainError, MultiRegionError, NoClassicalMotion,
                      SolverError, UsageError)
-from .potentials import MomentumField, PotentialModel
+from .potentials import SCAN_POINTS, MomentumField, PotentialModel
 from .quadrature import integrate_adaptive, integrate_cells
 from .rootfind import bisect_then_brent
 
 _HALF_PI = 0.5 * np.pi
-_SCAN_POINTS = 512
 _UNIFORM_CELLS = 64
 _GRADED_CELLS = 40
 # extra cumulative knots, as fractions of the reach from the start
@@ -76,7 +75,7 @@ def find_turning_points(potential: PotentialModel,
                         energy: float) -> TurningPointReport:
     """Locate the classically allowed regions at the given energy.
 
-    A uniform scan of 2m(E - V) over _SCAN_POINTS points finds sign
+    A uniform scan of 2m(E - V) over SCAN_POINTS points finds sign
     changes, each refined to root precision.  A well narrower than the
     grid spacing, such as a Coulomb well on a domain many orders of
     magnitude wider than its classical region, leaves every scan point
@@ -89,7 +88,7 @@ def find_turning_points(potential: PotentialModel,
     """
     energy = float(energy)
     field = MomentumField(potential, energy)
-    xs = potential.grid(_SCAN_POINTS)
+    xs = potential.grid(SCAN_POINTS)
     q = field.q(xs)
     regions = _allowed_regions(field, xs, q)
     if not regions or (len(regions) == 1

@@ -32,6 +32,7 @@ as walls directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +87,16 @@ class TridiagonalOperator:
             raise UsageError("level count must be between 1 and the grid size")
         from scipy.linalg import eigh_tridiagonal
 
-        return eigh_tridiagonal(self.diag, np.full(self.size - 1, self.off),
-                                eigvals_only=True, select="i",
-                                select_range=(0, count - 1))
+        # stebz stops converging far from unit scale (|off| ~ 1e156 for
+        # harmonic(1e150)), so it sees the operator over the power of two
+        # nearest |off|: exact both ways
+        k = round(math.log2(abs(self.off)))
+        values = eigh_tridiagonal(np.ldexp(self.diag, -k),
+                                  np.full(self.size - 1,
+                                          math.ldexp(self.off, -k)),
+                                  eigvals_only=True, select="i",
+                                  select_range=(0, count - 1))
+        return np.ldexp(values, k)
 
 
 def _estimate_top_level(potential: PotentialModel, count: int

@@ -50,6 +50,9 @@ _KINDS = tuple(_PARAMS)
 # inside which local_momentum tags a point as a turning point.
 _BOUNDARY_RTOL = 1e-13
 
+# Points of the turning-point scan's grid; from_dict checks 2m V on it too.
+SCAN_POINTS = 512
+
 
 def _is_number(value) -> bool:
     """A finite JSON number: int or float, but not a bool."""
@@ -346,10 +349,11 @@ class PotentialModel:
             model = getattr(cls, kind)(*args.values(), constants, domain)
         except UsageError as exc:
             raise ParseError(str(exc)) from exc
-        # 2m V must stay finite on the turning-point scan's 512-point grid
+        # 2m V must stay finite on the turning-point scan's grid
         with np.errstate(all="ignore"):
             try:
-                q = 2.0 * constants.mass * model.evaluate(model.grid(512))
+                q = 2.0 * constants.mass * model.evaluate(
+                    model.grid(SCAN_POINTS))
             except DomainError:     # V itself is not finite
                 q = np.inf
         if not np.isfinite(q).all():

@@ -23,7 +23,7 @@ from .classical import (ClassicalRegion, TurningPointReport,
                         find_turning_points)
 from .classical import action_integral
 from .errors import LevelUnbound, PhaseboundError, SolverError, UsageError
-from .potentials import PotentialModel
+from .potentials import MomentumField, PotentialModel
 from .rootfind import bisect_then_brent
 
 _RESIDUAL_LIMIT = 1e-10
@@ -57,66 +57,53 @@ class SpectrumResult:
 
 
 class _Quantizer:
-    """Solver state for one potential: working domain, survey counter and
-    the last successful survey."""
+    """Solver state for one potential: survey counter and every
+    successful survey, keyed by energy."""
 
     def __init__(self, potential: PotentialModel):
         self.pot = potential
         self.evals = 0
-        self._last = None   # (energy, w, report) of the last success
+        self._surveys: dict[float, tuple[float, TurningPointReport]] = {}
         self.v_min = potential.minimum()[1]
 
     def survey(self, energy: float) -> tuple[float, TurningPointReport]:
-        """W and turning-point report at one energy.
+        """W and turning-point report at one energy, a function of the
+        energy alone.
 
-        Grows soft domain edges while the allowed region leans on them;
-        a persistent lean means the motion escapes: LevelUnbound.  Domain
-        growth is committed only when the probe succeeds, so failed
-        probes above the binding ceiling cannot inflate the working
-        domain for later ones.
-
-        Asked again at the energy of the last successful survey (the seed
-        of the next level, or the root Brent just evaluated), it returns
-        that result without counting a survey: only a success changes the
-        working domain, so a fresh survey would repeat it bit for bit.
+        Each soft edge where q = 2m(E - V) > 0 at its scan-grid point (the
+        test by which the scan's region leans on it) moves out by a domain
+        width; one still leaning after _MAX_DOMAIN_GROWTH moves means the
+        motion escapes: LevelUnbound, before any scan.  One scan on the
+        domain reached finds the region.  That domain is not kept; every
+        success is, so an energy asked again costs no survey.
         """
-        last = self._last
-        if last is not None and last[0] == energy:
-            return last[1], last[2]
+        hit = self._surveys.get(energy)
+        if hit is not None:
+            return hit
         self.evals += 1
         pot = self.pot
-        for _ in range(_MAX_DOMAIN_GROWTH + 1):
-            report = find_turning_points(pot, energy)
-            if len(report.regions) > 1 and any(
-                    (r.left_is_edge and pot.soft_edges[0])
-                    or (r.right_is_edge and pot.soft_edges[1])
-                    for r in report.regions):
-                # A second allowed region hanging off a soft edge is the
-                # continuum showing through past a barrier summit, not a
-                # second well; the probe energy is not bound.  Interior
-                # disjoint regions still refuse below via require_single.
-                raise LevelUnbound(
-                    f"motion at E = {energy:.12g} spills into an "
-                    "edge-touching region beyond a barrier")
-            region = report.require_single()
-            grow_lo = region.left_is_edge and pot.soft_edges[0]
-            grow_hi = region.right_is_edge and pot.soft_edges[1]
+        for growths in range(_MAX_DOMAIN_GROWTH + 1):
+            q = MomentumField(pot, energy).q(pot.grid(2))
+            grow_lo = pot.soft_edges[0] and q[0] > 0.0
+            grow_hi = pot.soft_edges[1] and q[1] > 0.0
             if not (grow_lo or grow_hi):
-                if region.left_is_edge or region.right_is_edge:
-                    raise SolverError(
-                        "allowed region reaches a hard domain edge; "
-                        "cannot quantize against a data boundary")
-                w = action_integral(pot, energy, region)
-                self.pot = pot
-                self._last = (energy, w, report)
-                return w, report
+                break
+            if growths == _MAX_DOMAIN_GROWTH:
+                raise LevelUnbound(
+                    f"motion at E = {energy:.12g} is not confined "
+                    "(allowed region keeps reaching the domain edge)")
             lo, hi = pot.domain
             span = hi - lo
             pot = pot.with_domain(lo - span if grow_lo else lo,
                                   hi + span if grow_hi else hi)
-        raise LevelUnbound(
-            f"motion at E = {energy:.12g} is not confined "
-            "(allowed region keeps reaching the domain edge)")
+        report = find_turning_points(pot, energy)
+        region = report.require_single()
+        if region.left_is_edge or region.right_is_edge:
+            raise SolverError("allowed region reaches a hard domain edge; "
+                              "cannot quantize against a data boundary")
+        w = action_integral(pot, energy, region)
+        self._surveys[energy] = (w, report)
+        return w, report
 
     def condition(self, energy: float, target: float) -> float:
         w, _ = self.survey(energy)

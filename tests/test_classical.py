@@ -11,6 +11,7 @@ from phasebound.classical import (
 )
 from phasebound.errors import DomainError, MultiRegionError, NoClassicalMotion
 from phasebound.potentials import (
+    SCAN_POINTS,
     PotentialModel,
     effective_radial,
     local_momentum,
@@ -89,7 +90,7 @@ def test_well_narrower_than_the_scan_grid(family, energy):
         pot = PotentialModel.linear(1.0)
         left, right = -energy, energy
         want = 4.0 * np.sqrt(2.0) / 3.0 * energy ** 1.5
-    scan = pot.grid(classical_mod._SCAN_POINTS)
+    scan = pot.grid(SCAN_POINTS)
     assert np.all(pot.evaluate(scan) > energy)
     report = find_turning_points(pot, energy)
     assert not report.degenerate

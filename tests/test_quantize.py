@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import phasebound.oracle as oracle_mod
 import phasebound.quantize as quantize
-from phasebound.errors import OracleError, SolverError
+from phasebound.errors import (LevelUnbound, MultiRegionError, OracleError,
+                               SolverError)
 from phasebound.potentials import PhysicalConstants, PotentialModel
 from phasebound.quantize import claim_audit, solve_level, spectrum
 
@@ -53,7 +54,7 @@ def test_survey_grows_a_soft_edge_to_hold_a_level():
 
 def test_no_survey_repeats_the_one_before(monkeypatch):
     # the seed of the next level and Brent's last root are surveyed
-    # again; the quantizer answers both from its last survey
+    # again; the quantizer answers both from its kept surveys
     actions = []
     action = quantize.action_integral
 
@@ -227,12 +228,13 @@ def test_harmonic_far_from_unit_scale(omega):
         [omega * (n + 0.5) for n in range(4)], rel=1e-10, abs=0.0)
 
 
-def test_claim_audit_on_a_weak_oscillator():
-    rows = claim_audit(PotentialModel.harmonic(1e-9), 3)
+@pytest.mark.parametrize("omega", [1e-9, 1e150])
+def test_claim_audit_far_from_unit_scale(omega):
+    rows = claim_audit(PotentialModel.harmonic(omega), 3)
     assert [r.n for r in rows] == [0, 1, 2, 3]
     for row in rows:
         assert row.note is None
-        assert row.quantized == pytest.approx(1e-9 * (row.n + 0.5),
+        assert row.quantized == pytest.approx(omega * (row.n + 0.5),
                                               rel=1e-12)
         assert row.deviation < 1e-6
 
@@ -268,3 +270,89 @@ def test_surveys_stay_within_the_recorded_counts(family, args, n_max, most):
     # ``most`` is the survey count before the bracket started at the floor
     result = spectrum(getattr(PotentialModel, family)(*args), n_max)
     assert sum(lv.iterations for lv in result.levels) <= most
+
+
+def _spectrum_and_scans(monkeypatch, pot, n_max):
+    """spectrum(pot, n_max) and the energy of every turning-point scan."""
+    energies = []
+    scan = quantize.find_turning_points
+
+    def recorded(potential, energy):
+        energies.append(energy)
+        return scan(potential, energy)
+
+    monkeypatch.setattr(quantize, "find_turning_points", recorded)
+    return spectrum(pot, n_max), energies
+
+
+@pytest.mark.parametrize("family, args, n_max", [
+    ("harmonic", (1.0,), 20), ("morse", (10.0, 1.0), 9),
+    ("square_well", (8.0, 2.0), 5), ("linear", (1.7,), 8)])
+def test_no_energy_is_scanned_twice(monkeypatch, family, args, n_max):
+    _, energies = _spectrum_and_scans(
+        monkeypatch, getattr(PotentialModel, family)(*args), n_max)
+    assert len(set(energies)) == len(energies)
+
+
+@pytest.mark.parametrize("family, args, n_max, surveys, scans", [
+    ("harmonic", (1.0,), 20, 87, 87), ("morse", (10.0, 1.0), 9, 29, 248),
+    ("square_well", (8.0, 2.0), 5, 30, 259), ("linear", (1.7,), 8, 74, 74),
+    ("tabulated", (_QUARTIC,), 7, 79, 79), ("harmonic", (1.3,), 20, 95, 95),
+    ("coulomb", (2.5, 6.25), 4, 49, 73)])
+def test_surveys_and_scans_stay_within_the_recorded_counts(
+        monkeypatch, family, args, n_max, surveys, scans):
+    # the counts when each soft-edge growth rescanned and only the last
+    # survey was kept
+    result, energies = _spectrum_and_scans(
+        monkeypatch, getattr(PotentialModel, family)(*args), n_max)
+    assert len(energies) <= scans
+    assert sum(lv.iterations for lv in result.levels) <= surveys
+
+
+def _plateau_well(half_width):
+    # a harmonic well, a wall at 8 for 4 <= |x| < 5, then a plateau at 2
+    # out to |x| = 20, beyond which V rises again
+    def f(x):
+        a = np.abs(np.asarray(x, dtype=float))
+        return np.where(a < 4.0, 0.5 * a * a, np.where(
+            a < 5.0, 8.0, 2.0 + 0.5 * np.maximum(a - 20.0, 0.0) ** 2))
+
+    return PotentialModel.from_callable(f, (-half_width, half_width),
+                                        soft_edges=(True, True))
+
+
+@pytest.mark.parametrize("half_width", [6.0, 60.0])
+def test_a_survey_does_not_depend_on_the_window(half_width):
+    # above 2 the plateau is a second and third allowed region however
+    # far the window first reaches
+    with pytest.raises(MultiRegionError, match="3 allowed regions"):
+        spectrum(_plateau_well(half_width), 6)
+
+
+def test_an_unbound_probe_scans_nothing(monkeypatch):
+    q = quantize._Quantizer(PotentialModel.morse(10.0, 1.0))
+    sizes = []
+    evaluate = PotentialModel.evaluate
+
+    def recorded(self, x):
+        sizes.append(np.size(x))
+        return evaluate(self, x)
+
+    def scan(*args):
+        raise AssertionError("an unbound probe was scanned")
+
+    monkeypatch.setattr(PotentialModel, "evaluate", recorded)
+    monkeypatch.setattr(quantize, "find_turning_points", scan)
+    with pytest.raises(LevelUnbound, match="not confined"):
+        q.survey(0.5)
+    assert len(sizes) <= 7 and set(sizes) == {2}
+
+
+def test_a_survey_is_a_function_of_its_energy():
+    # E = -1e-3 reaches far past the default domain of this Coulomb well
+    pot = PotentialModel.coulomb(2.5, 30.25)
+    q = quantize._Quantizer(pot)
+    q.survey(-1e-3)
+    for n in range(4):
+        energy = -6.25 / (2.0 * (n + 6.0) ** 2)
+        assert q.survey(energy) == quantize._Quantizer(pot).survey(energy)

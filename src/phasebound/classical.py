@@ -1,8 +1,11 @@
 """Classical structure at fixed energy: turning points, actions, phases.
 
-Everything here works on a single (potential, energy) pair.  Turning points
-are located by a sign scan over the squared momentum plus root refinement,
-then action-type integrals are taken over the classically allowed region
+Everything here works on a single (potential, energy) pair.  The named
+families with a closed-form well (harmonic, linear, Morse, square well,
+Coulomb with M^2 > 0, the polar barrier) state their turning points;
+tables, custom callables and the other radial potentials have theirs
+located by a sign scan over the squared momentum plus root refinement.
+Action-type integrals are then taken over the classically allowed region
 with a sine substitution that absorbs the square-root behaviour at the
 interval ends.
 """
@@ -75,22 +78,33 @@ def find_turning_points(potential: PotentialModel,
                         energy: float) -> TurningPointReport:
     """Locate the classically allowed regions at the given energy.
 
-    A uniform scan of 2m(E - V) over SCAN_POINTS points finds sign
-    changes, each refined to root precision.  A well narrower than the
-    grid spacing, such as a Coulomb well on a domain many orders of
-    magnitude wider than its classical region, leaves every scan point
-    forbidden; then the floor x_min of :meth:`PotentialModel.minimum`
-    (closed form for a named family, so on any domain width) joins the
-    grid, and its two neighbours bracket the turning points.
-    An energy within 1e-8 of max(|E|, |V_min|, the model's energy_scale)
+    A named family with a closed-form well (harmonic, linear, Morse,
+    square well, Coulomb with M^2 > 0, the polar barrier) states its two
+    turning points (:attr:`PotentialModel.turns`).  They are clipped to
+    the ends of the scan grid, with an edge flag on a side whose root
+    lies beyond, and no scan or root refinement runs.
+    Any other model (a table, a custom callable, a radial potential that
+    is not Coulomb, Coulomb with M^2 = 0) is scanned: sign changes of
+    2m(E - V) over SCAN_POINTS uniform points, each refined to root
+    precision.  A well narrower than the grid spacing, such as a Coulomb
+    well on a domain many orders of magnitude wider than its classical
+    region, leaves every scan point forbidden; then the floor x_min of
+    :meth:`PotentialModel.minimum` joins the grid, and its two
+    neighbours bracket the turning points.
+    When no region, or one narrower than 1e-6 of the grid, is found, an
+    energy within 1e-8 of max(|E|, |V_min|, the model's energy_scale)
     of the floor yields a degenerate zero-width region; one below the
     floor, or on a potential with no floor, raises NoClassicalMotion.
     """
     energy = float(energy)
     field = MomentumField(potential, energy)
-    xs = potential.grid(SCAN_POINTS)
-    q = field.q(xs)
-    regions = _allowed_regions(field, xs, q)
+    if potential.turns is None:
+        xs = potential.grid(SCAN_POINTS)
+        q = field.q(xs)
+        regions = _allowed_regions(field, xs, q)
+    else:
+        xs = potential.grid(2)
+        regions = _stated_regions(potential, energy, xs)
     if not regions or (len(regions) == 1
                        and regions[0].width < 1e-6 * (xs[-1] - xs[0])):
         try:
@@ -105,12 +119,26 @@ def find_turning_points(potential: PotentialModel,
             if v_min is None or energy < v_min:
                 raise NoClassicalMotion(
                     f"no classically allowed region at E = {energy}")
-            # E is above the floor, so q(x_min) > 0
+            # E is above the floor, so q(x_min) > 0; stated turning
+            # points always enclose x_min, so only a scan gets here
             k = int(np.searchsorted(xs, x_min))
             xs = np.insert(xs, k, x_min)
             q = np.insert(q, k, field.q(x_min))
             regions = _allowed_regions(field, xs, q)
     return TurningPointReport(energy, tuple(regions), False)
+
+
+def _stated_regions(potential: PotentialModel, energy: float,
+                    ends: np.ndarray) -> list[ClassicalRegion]:
+    """The region between the model's stated turning points, clipped to
+    the grid ends; none at or below the floor, where they are not
+    stated."""
+    if not energy > potential.minimum()[1]:
+        return []
+    left, right = potential.turns(energy)
+    lo, hi = float(ends[0]), float(ends[1])
+    return [ClassicalRegion(max(left, lo), min(right, hi),
+                            left < lo, right > hi)]
 
 
 def _allowed_regions(field: MomentumField, xs: np.ndarray,

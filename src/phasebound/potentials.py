@@ -25,6 +25,7 @@ All evaluation is vectorized: scalars in, scalar out; arrays in, array out.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -98,7 +99,7 @@ class PotentialModel:
 
     def __init__(self, kind, params, f, df, constants, domain, *,
                  soft_edges=(False, False), lo_open=False, hi_open=False,
-                 knots=(), floor_at=(), length=None):
+                 knots=(), floor_at=(), length=None, turns=None):
         lo, hi = float(domain[0]), float(domain[1])
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"invalid domain [{lo}, {hi}]")
@@ -114,6 +115,9 @@ class PotentialModel:
         # abscissae among which V is lowest on any sub-domain, once each is
         # clipped into it; empty when only a numeric search can tell
         self.floor_at = tuple(floor_at)
+        # E above the floor -> the unclipped (left, right) turning points,
+        # +-inf where the well opens; None when only a scan can tell
+        self.turns = turns
         # the family's own length, else the domain width (see energy_scale)
         self.length = hi - lo if length is None else float(length)
         self._energy_scale = _finite(
@@ -134,10 +138,19 @@ class PotentialModel:
         if domain is None:
             domain = (-12.0 * length, 12.0 * length)
         k = _finite(lambda: 0.5 * c.mass * omega ** 2)
+        if k < sys.float_info.min:
+            raise UsageError(
+                f"m omega^2 / 2 = {k:.3g} is below the smallest normal "
+                f"double {sys.float_info.min:.3g}: V would lose precision")
+
+        def turns(e):
+            x = math.sqrt(e / k)
+            return -x, x
+
         return cls("harmonic", {"omega": float(omega)},
                    lambda x: k * x ** 2, lambda x: 2.0 * k * x,
                    c, domain, soft_edges=(True, True), floor_at=(0.0,),
-                   length=length)
+                   length=length, turns=turns)
 
     @classmethod
     def linear(cls, slope=1.0, constants=None, domain=None):
@@ -150,10 +163,15 @@ class PotentialModel:
         if domain is None:
             domain = (-30.0 * length, 30.0 * length)
         s = float(slope)
+
+        def turns(e):
+            x = e / s
+            return -x, x
+
         return cls("linear", {"slope": s},
                    lambda x: s * np.abs(x), lambda x: s * np.sign(x),
                    c, domain, soft_edges=(True, True), floor_at=(0.0,),
-                   length=length)
+                   length=length, turns=turns)
 
     @classmethod
     def morse(cls, depth=1.0, a=1.0, constants=None, domain=None):
@@ -173,8 +191,21 @@ class PotentialModel:
             e = np.exp(-al * x)
             return 2.0 * al * d * (e - e * e)
 
+        def turns(e):
+            # exp(-a x) = 1 +- r; the sign of E, not r (1 + E/D can round
+            # to 1), decides whether the well is open
+            r = math.sqrt(1.0 + e / d)
+            left = -math.log1p(r) / al
+            if e >= 0.0:
+                return left, math.inf
+            if r < 0.5:
+                return left, -math.log1p(-r) / al
+            # 1 - r cancels as E -> 0-; it equals (-E/D) / (1 + r)
+            return left, math.log((1.0 + r) * d / -e) / al
+
         return cls("morse", {"depth": d, "range": al}, f, df, c, domain,
-                   soft_edges=(True, True), floor_at=(0.0,), length=1.0 / al)
+                   soft_edges=(True, True), floor_at=(0.0,), length=1.0 / al,
+                   turns=turns)
 
     @classmethod
     def coulomb(cls, charge=1.0, centrifugal=0.0, constants=None, domain=None):
@@ -205,10 +236,17 @@ class PotentialModel:
         def df(r):
             return z / r ** 2 - 2.0 * half_m2 / r ** 3
 
+        def turns(e):
+            # roots of E r^2 + Z r - M^2/(2m) = 0 without cancellation
+            # (Higham, Accuracy and Stability of Numerical Algorithms,
+            # 1.8); the discriminant can round below 0 just above V(r0)
+            big = -0.5 * (z + math.sqrt(max(z * z + 4.0 * e * half_m2, 0.0)))
+            return -half_m2 / big, (big / e if e < 0.0 else math.inf)
+
         return cls("coulomb", {"charge": z, "centrifugal": m2}, f, df, c,
                    domain, soft_edges=(False, True), lo_open=True,
                    floor_at=(m2 / (c.mass * z),) if m2 > 0.0 else (),
-                   length=bohr)
+                   length=bohr, turns=turns if m2 > 0.0 else None)
 
     @classmethod
     def square_well(cls, depth=1.0, width=1.0, constants=None, domain=None):
@@ -225,10 +263,14 @@ class PotentialModel:
         def f(x):
             return np.where(np.abs(x) < half_w, -d, 0.0)
 
+        def turns(e):
+            # at E = 0 the outside is level with E, so not allowed
+            return (-half_w, half_w) if e <= 0.0 else (-math.inf, math.inf)
+
         return cls("square_well", {"depth": d, "width": float(width)},
                    f, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                    c, domain, soft_edges=(True, True), floor_at=(0.0,),
-                   length=width)
+                   length=width, turns=turns)
 
     @classmethod
     def tabulated(cls, samples, constants=None, domain=None):
@@ -482,7 +524,7 @@ class PotentialModel:
                               soft_edges=self.soft_edges,
                               lo_open=self.lo_open, hi_open=self.hi_open,
                               knots=self.knots, floor_at=self.floor_at,
-                              length=self.length)
+                              length=self.length, turns=self.turns)
 
     def __repr__(self):
         lo, hi = self.domain

@@ -167,9 +167,10 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
     # than a tenth of the limit over the bracket's secant slope
     xtol = min(_ENERGY_TOL * abs(b),
                0.1 * limit * (b - a) / (fb - fa))
+    # F is continuous and monotone on a single well: no bisection warm-up
     energy = bisect_then_brent(lambda e: q.condition(e, target), a, b,
                                fa=fa, fb=fb, xtol=xtol,
-                               pre_bisect=2, maxiter=_MAX_ITERATIONS)
+                               pre_bisect=0, maxiter=_MAX_ITERATIONS)
     w, report = q.survey(energy)
     residual = abs(w / hbar - target)
     if residual > limit:

@@ -70,18 +70,24 @@ def _polar_potential(m_z_momentum: float,
     """The polar problem as a 1D model on (0, pi) with auxiliary mass 1/2.
 
     With mass fixed at 1/2 the solved energy is exactly M^2.  The barrier
-    is lowest at theta = pi/2.
+    is lowest at theta = pi/2, and its turning points are where
+    sin(theta) = |M_z| / sqrt(E).
     """
+    mz = abs(m_z_momentum)
     mz2 = m_z_momentum * m_z_momentum
 
     def f(theta):
         s = np.sin(theta)
         return mz2 / (s * s)
 
+    def turns(e):
+        theta = math.asin(mz / math.sqrt(e))
+        return theta, math.pi - theta
+
     return PotentialModel(
         "polar_barrier", {"m_z_momentum": m_z_momentum}, f, None,
         PhysicalConstants(constants.hbar, 0.5), (0.0, math.pi),
-        lo_open=True, hi_open=True, floor_at=(0.5 * math.pi,))
+        lo_open=True, hi_open=True, floor_at=(0.5 * math.pi,), turns=turns)
 
 
 def angular_eigenvalue(n_theta: int, m_z_momentum: float,

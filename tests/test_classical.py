@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phasebound.classical as classical_mod
 from phasebound.classical import (
@@ -9,13 +11,16 @@ from phasebound.classical import (
     action_integral,
     find_turning_points,
 )
-from phasebound.errors import DomainError, MultiRegionError, NoClassicalMotion
+from phasebound.errors import (DomainError, MultiRegionError,
+                               NoClassicalMotion, PhaseboundError)
 from phasebound.potentials import (
     SCAN_POINTS,
+    PhysicalConstants,
     PotentialModel,
     effective_radial,
     local_momentum,
 )
+from phasebound.radial import _polar_potential
 from phasebound.states import epsilon_parameter
 
 # V = -2.5/r + 0.125/r^2: floor -12.5 at r = 0.1 on a domain [0, 240] whose
@@ -33,11 +38,21 @@ def test_harmonic_turning_points_refined(harmonic):
     assert not report.degenerate
 
 
+def _scan_twin(model: PotentialModel) -> PotentialModel:
+    """The same V, floor and domain, built without stated turning points,
+    so that find_turning_points scans it."""
+    return PotentialModel(
+        model.kind, model.params, model._f, model._df, model.constants,
+        model.domain, soft_edges=model.soft_edges, lo_open=model.lo_open,
+        hi_open=model.hi_open, knots=model.knots, floor_at=model.floor_at,
+        length=model.length)
+
+
 def test_turning_point_bracket_ends_match_the_refined_function(
         monkeypatch):
     # Brent trusts fa and fb as f(a) and f(b); they must be on the scale
     # of the function it refines, not merely of the same sign
-    pot = PotentialModel.morse(10.0, 1.0)
+    pot = _scan_twin(PotentialModel.morse(10.0, 1.0))
     refine = classical_mod.bisect_then_brent
     calls = []
 
@@ -73,6 +88,87 @@ def test_floor_energy_is_degenerate(harmonic):
     region = report.require_single()
     assert region.width == 0.0
     assert region.left == pytest.approx(0.1, rel=1e-6)
+
+
+_MORSE_50 = PotentialModel.morse(50.0, 0.5)
+_STATED = [
+    PotentialModel.harmonic(1.3), PotentialModel.linear(1.7),
+    PotentialModel.morse(10.0, 1.0), _MORSE_50,
+    PotentialModel.square_well(8.0, 2.0), PotentialModel.coulomb(2.5, 6.25),
+    _polar_potential(2.0, PhysicalConstants())]
+# clipped domains: past a floor (harmonic), inside a well (square
+# well) or across it, with the roots beyond one or both ends
+_STATED += [model.with_domain(lo, hi) for model, lo, hi in zip(
+    _STATED, (0.5, -2.0, -0.5, -3.0, -0.5, 0.0, 0.3),
+    (4.0, 5.0, 3.0, 60.0, 3.0, 4.0, 2.0))]
+
+
+def _energies(model):
+    """At and below the floor, near it (down to 1e-3 of the well's span),
+    in the well, and for a well that opens at E = 0, at E -> 0- and above.
+
+    None lies just above the floor, within the 1e-8 where a scan that
+    sees no allowed grid point reports a degenerate region: the stated
+    roots give the region there unless it is narrower than 1e-6 of the
+    grid.  None is E = 0 on the square well, where V = E on a whole side
+    (see test_square_well_at_zero_energy)."""
+    v_min = model.minimum()[1]
+    opens = model.kind in ("morse", "square_well", "coulomb")
+    top = 0.0 if opens else v_min + 30.0 * model.energy_scale
+    span = max(top - v_min, model.energy_scale)
+    parts = [st.just(v_min),
+             st.floats(1e-6, 1.0).map(lambda u: v_min - u * span),
+             st.floats(0.1, 3.0).map(lambda t: v_min + span * 10.0 ** -t),
+             st.floats(1e-3, 0.999).map(lambda u: v_min + u * (top - v_min))]
+    if opens:
+        parts += [st.floats(1.0, 16.0).map(lambda t: v_min * 10.0 ** -t),
+                  st.floats(1e-3, 1.0).map(lambda u: -u * v_min)]
+    return st.one_of(parts)
+
+
+def _outcome(model, energy):
+    try:
+        return find_turning_points(model, energy)
+    except PhaseboundError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=st.sampled_from(_STATED).flatmap(
+    lambda m: st.tuples(st.just(m), _energies(m))))
+# 1 + E/D rounds to 1 here, yet the right turning point is at 77.3 < 80
+@example(case=(_MORSE_50, -1.65e-15))
+def test_stated_turning_points_match_the_scan(case):
+    model, energy = case
+    assert model.turns is not None
+    stated, scanned = _outcome(model, energy), _outcome(_scan_twin(model),
+                                                        energy)
+    if isinstance(scanned, type):
+        assert stated is scanned
+        return
+    assert not isinstance(stated, type)
+    assert stated.degenerate == scanned.degenerate
+    assert len(stated.regions) == len(scanned.regions) == 1
+    if stated.degenerate:   # both at the floor of minimum()
+        assert stated.regions == scanned.regions
+        return
+    # the rounding of E - V moves a turning point by ~eps |E| / |V'|, and
+    # |V'| falls with E - V_min toward a floor, so there the bound grows
+    # by |E| / (E - V_min)
+    v_min = model.minimum()[1]
+    rtol = 1e-14 * max(1.0, abs(energy) / (energy - v_min))
+    got, want = stated.regions[0], scanned.regions[0]
+    for a, b in ((got.left, want.left), (got.right, want.right)):
+        assert abs(a - b) <= rtol * max(abs(a), abs(b))
+    assert got.left_is_edge == want.left_is_edge
+    assert got.right_is_edge == want.right_is_edge
+
+
+def test_square_well_at_zero_energy():
+    # q = 0 outside |x| < 1, so only the well is allowed; the scan's
+    # refinement stops at the first grid point where q = 0 instead
+    report = find_turning_points(PotentialModel.square_well(8.0, 2.0), 0.0)
+    assert report.require_single() == ClassicalRegion(-1.0, 1.0)
 
 
 @pytest.mark.parametrize("family, energy", [

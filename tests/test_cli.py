@@ -202,6 +202,16 @@ def test_bad_top_level_field_is_a_clean_error(capsys, tmp_path, extra):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_subnormal_harmonic_stiffness_is_a_clean_error(capsys, tmp_path):
+    path = _write_potential(tmp_path, {"type": "harmonic",
+                                       "params": {"omega": 1e-160}})
+    code, out, err = _run(capsys, ["spectrum", path, "--levels", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "smallest normal double" in err
+
+
 def test_missing_required_flag_exits_one(harmonic2_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["spectrum", harmonic2_file])

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasebound.classical as classical_mod
 import phasebound.oracle as oracle_mod
 import phasebound.quantize as quantize
 from phasebound.errors import (LevelUnbound, MultiRegionError, OracleError,
-                               SolverError)
+                               SolverError, UsageError)
 from phasebound.potentials import PhysicalConstants, PotentialModel
 from phasebound.quantize import claim_audit, solve_level, spectrum
+from phasebound.radial import angular_eigenvalue
 
 _PROPERTIES = settings(derandomize=True, database=None, deadline=None,
                        max_examples=40)
@@ -228,6 +230,20 @@ def test_harmonic_far_from_unit_scale(omega):
         [omega * (n + 0.5) for n in range(4)], rel=1e-10, abs=0.0)
 
 
+def test_harmonic_near_the_smallest_normal_stiffness():
+    # m omega^2 / 2 = 5e-301 is still a normal double
+    energies = spectrum(PotentialModel.harmonic(1e-150), 2).energies
+    assert energies == pytest.approx(
+        [1e-150 * (n + 0.5) for n in range(3)], rel=1e-14, abs=0.0)
+
+
+def test_a_subnormal_harmonic_stiffness_is_refused():
+    # m omega^2 / 2 = 5e-321 is subnormal, so V would keep a few bits
+    with pytest.raises(UsageError, match=r"below the smallest normal "
+                       r"double 2\.23e-308"):
+        PotentialModel.harmonic(1e-160)
+
+
 @pytest.mark.parametrize("omega", [1e-9, 1e150])
 def test_claim_audit_far_from_unit_scale(omega):
     rows = claim_audit(PotentialModel.harmonic(omega), 3)
@@ -261,17 +277,6 @@ _QUARTIC = [[x, x ** 4 + x * x]
             for x in (-3.0 + 6.0 * k / 40 for k in range(41))]
 
 
-@pytest.mark.parametrize("family, args, n_max, most", [
-    ("harmonic", (1.0,), 20, 106), ("morse", (10.0, 1.0), 9, 42),
-    ("square_well", (8.0, 2.0), 5, 39), ("linear", (1.7,), 8, 90),
-    ("tabulated", (_QUARTIC,), 7, 87), ("harmonic", (1.3,), 20, 135),
-    ("coulomb", (2.5, 6.25), 4, 54)])
-def test_surveys_stay_within_the_recorded_counts(family, args, n_max, most):
-    # ``most`` is the survey count before the bracket started at the floor
-    result = spectrum(getattr(PotentialModel, family)(*args), n_max)
-    assert sum(lv.iterations for lv in result.levels) <= most
-
-
 def _spectrum_and_scans(monkeypatch, pot, n_max):
     """spectrum(pot, n_max) and the energy of every turning-point scan."""
     energies = []
@@ -295,18 +300,35 @@ def test_no_energy_is_scanned_twice(monkeypatch, family, args, n_max):
 
 
 @pytest.mark.parametrize("family, args, n_max, surveys, scans", [
-    ("harmonic", (1.0,), 20, 87, 87), ("morse", (10.0, 1.0), 9, 29, 248),
-    ("square_well", (8.0, 2.0), 5, 30, 259), ("linear", (1.7,), 8, 74, 74),
-    ("tabulated", (_QUARTIC,), 7, 79, 79), ("harmonic", (1.3,), 20, 95, 95),
-    ("coulomb", (2.5, 6.25), 4, 49, 73)])
+    ("harmonic", (1.0,), 20, 61, 61), ("morse", (10.0, 1.0), 9, 22, 38),
+    ("square_well", (8.0, 2.0), 5, 24, 43), ("linear", (1.7,), 8, 52, 52),
+    ("tabulated", (_QUARTIC,), 7, 60, 60), ("harmonic", (1.3,), 20, 61, 61),
+    ("coulomb", (2.5, 6.25), 4, 43, 39)])
 def test_surveys_and_scans_stay_within_the_recorded_counts(
         monkeypatch, family, args, n_max, surveys, scans):
-    # the counts when each soft-edge growth rescanned and only the last
-    # survey was kept
+    # the counts when the named families first stated their turning points
+    # and Brent started without forced bisections; ``scans`` counts the
+    # quantizer's find_turning_points calls, unbound probes making none
     result, energies = _spectrum_and_scans(
         monkeypatch, getattr(PotentialModel, family)(*args), n_max)
     assert len(energies) <= scans
     assert sum(lv.iterations for lv in result.levels) <= surveys
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: spectrum(PotentialModel.harmonic(1.0), 20),
+    lambda: spectrum(PotentialModel.linear(1.7), 8),
+    lambda: spectrum(PotentialModel.morse(10.0, 1.0), 9),
+    lambda: spectrum(PotentialModel.square_well(8.0, 2.0), 5),
+    lambda: spectrum(PotentialModel.coulomb(2.5, 6.25), 4),
+    lambda: angular_eigenvalue(2, 1.0)],
+    ids=["harmonic", "linear", "morse", "square_well", "coulomb", "polar"])
+def test_stated_turning_points_need_no_root_refinement(monkeypatch, solve):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a turning point was refined")
+
+    monkeypatch.setattr(classical_mod, "bisect_then_brent", refuse)
+    solve()
 
 
 def _plateau_well(half_width):

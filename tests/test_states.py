@@ -291,7 +291,7 @@ def _falling_well():
 def test_tail_reach_on_a_falling_well():
     pot = _falling_well()
     state = build_state(pot, solve_level(pot, 0))
-    assert state.normalization_numeric == 0.5321365551132945
+    assert state.normalization_numeric == 0.5321365551132915
     # the left tail moves the lower edge out by the width 10, the right
     # tail the upper one by the new width 20
     assert state.potential.domain == (-15.0, 25.0)

@@ -277,6 +277,17 @@ _QUARTIC = [[x, x ** 4 + x * x]
             for x in (-3.0 + 6.0 * k / 40 for k in range(41))]
 
 
+@pytest.mark.parametrize("family, args, n_max, most", [
+    ("harmonic", (1.0,), 20, 106), ("morse", (10.0, 1.0), 9, 42),
+    ("square_well", (8.0, 2.0), 5, 39), ("linear", (1.7,), 8, 90),
+    ("tabulated", (_QUARTIC,), 7, 87), ("harmonic", (1.3,), 20, 135),
+    ("coulomb", (2.5, 6.25), 4, 54)])
+def test_surveys_stay_within_the_recorded_counts(family, args, n_max, most):
+    # ``most`` is the survey count before the bracket started at the floor
+    result = spectrum(getattr(PotentialModel, family)(*args), n_max)
+    assert sum(lv.iterations for lv in result.levels) <= most
+
+
 def _spectrum_and_scans(monkeypatch, pot, n_max):
     """spectrum(pot, n_max) and the energy of every turning-point scan."""
     energies = []
@@ -300,11 +311,26 @@ def test_no_energy_is_scanned_twice(monkeypatch, family, args, n_max):
 
 
 @pytest.mark.parametrize("family, args, n_max, surveys, scans", [
+    ("harmonic", (1.0,), 20, 87, 87), ("morse", (10.0, 1.0), 9, 29, 248),
+    ("square_well", (8.0, 2.0), 5, 30, 259), ("linear", (1.7,), 8, 74, 74),
+    ("tabulated", (_QUARTIC,), 7, 79, 79), ("harmonic", (1.3,), 20, 95, 95),
+    ("coulomb", (2.5, 6.25), 4, 49, 73)])
+def test_surveys_and_scans_stay_within_the_recorded_counts(
+        monkeypatch, family, args, n_max, surveys, scans):
+    # the counts when each soft-edge growth rescanned and only the last
+    # survey was kept
+    result, energies = _spectrum_and_scans(
+        monkeypatch, getattr(PotentialModel, family)(*args), n_max)
+    assert len(energies) <= scans
+    assert sum(lv.iterations for lv in result.levels) <= surveys
+
+
+@pytest.mark.parametrize("family, args, n_max, surveys, scans", [
     ("harmonic", (1.0,), 20, 61, 61), ("morse", (10.0, 1.0), 9, 22, 38),
     ("square_well", (8.0, 2.0), 5, 24, 43), ("linear", (1.7,), 8, 52, 52),
     ("tabulated", (_QUARTIC,), 7, 60, 60), ("harmonic", (1.3,), 20, 61, 61),
     ("coulomb", (2.5, 6.25), 4, 43, 39)])
-def test_surveys_and_scans_stay_within_the_recorded_counts(
+def test_stated_turns_keep_surveys_and_scans_within_the_recorded_counts(
         monkeypatch, family, args, n_max, surveys, scans):
     # the counts when the named families first stated their turning points
     # and Brent started without forced bisections; ``scans`` counts the

@@ -81,32 +81,34 @@ def find_turning_points(potential: PotentialModel,
     A named family with a closed-form well (harmonic, linear, Morse,
     square well, Coulomb with M^2 > 0, the polar barrier) states its two
     turning points (:attr:`PotentialModel.turns`).  They are clipped to
-    the ends of the scan grid, with an edge flag on a side whose root
-    lies beyond, and no scan or root refinement runs.
+    the model's ``ends``, with an edge flag on a side whose root lies
+    beyond, and no scan or root refinement runs.
     Any other model (a table, a custom callable, a radial potential that
     is not Coulomb, Coulomb with M^2 = 0) is scanned: sign changes of
-    2m(E - V) over SCAN_POINTS uniform points, each refined to root
-    precision.  A well narrower than the grid spacing, such as a Coulomb
+    2m(E - V) over SCAN_POINTS uniform points from end to end, each
+    refined to root precision; where the scan meets V = E exactly, as on
+    a plateau, the edge of 2m(E - V) > 0 is found by bisection on the
+    sign.  A well narrower than the grid spacing, such as a Coulomb
     well on a domain many orders of magnitude wider than its classical
     region, leaves every scan point forbidden; then the floor x_min of
     :meth:`PotentialModel.minimum` joins the grid, and its two
     neighbours bracket the turning points.
-    When no region, or one narrower than 1e-6 of the grid, is found, an
+    When no region, or one narrower than 1e-6 of the ends' span, is found, an
     energy within 1e-8 of max(|E|, |V_min|, the model's energy_scale)
     of the floor yields a degenerate zero-width region; one below the
     floor, or on a potential with no floor, raises NoClassicalMotion.
     """
     energy = float(energy)
-    field = MomentumField(potential, energy)
+    lo, hi = potential.ends
     if potential.turns is None:
+        field = MomentumField(potential, energy)
         xs = potential.grid(SCAN_POINTS)
         q = field.q(xs)
         regions = _allowed_regions(field, xs, q)
     else:
-        xs = potential.grid(2)
-        regions = _stated_regions(potential, energy, xs)
+        regions = _stated_regions(potential, energy)
     if not regions or (len(regions) == 1
-                       and regions[0].width < 1e-6 * (xs[-1] - xs[0])):
+                       and regions[0].width < 1e-6 * (hi - lo)):
         try:
             x_min, v_min = potential.minimum()
         except (SolverError, DomainError):   # V unbounded below, or not finite
@@ -128,15 +130,15 @@ def find_turning_points(potential: PotentialModel,
     return TurningPointReport(energy, tuple(regions), False)
 
 
-def _stated_regions(potential: PotentialModel, energy: float,
-                    ends: np.ndarray) -> list[ClassicalRegion]:
+def _stated_regions(potential: PotentialModel,
+                    energy: float) -> list[ClassicalRegion]:
     """The region between the model's stated turning points, clipped to
-    the grid ends; none at or below the floor, where they are not
+    its ``ends``; none at or below the floor, where they are not
     stated."""
     if not energy > potential.minimum()[1]:
         return []
     left, right = potential.turns(energy)
-    lo, hi = float(ends[0]), float(ends[1])
+    lo, hi = potential.ends
     return [ClassicalRegion(max(left, lo), min(right, hi),
                             left < lo, right > hi)]
 
@@ -147,12 +149,16 @@ def _allowed_regions(field: MomentumField, xs: np.ndarray,
     refined to a turning point."""
     mask = q > 0.0
     crossings = []
-    sgn = np.where(q > 0.0, 1.0, -1.0)
     # relative to the end nearer 0: a floor cell can reach far past the root
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]:
-        crossings.append(bisect_then_brent(
-            field.q, xs[i], xs[i + 1], fa=q[i], fb=q[i + 1],
-            xtol=1e-15 * min(abs(xs[i]), abs(xs[i + 1]))))
+    for i in np.nonzero(mask[:-1] != mask[1:])[0]:
+        xtol = 1e-15 * min(abs(xs[i]), abs(xs[i + 1]))
+        if q[i] == 0.0 or q[i + 1] == 0.0:
+            inside, outside = (xs[i], xs[i + 1]) if mask[i] else (
+                xs[i + 1], xs[i])
+            crossings.append(_edge_of_allowed(field.q, inside, outside, xtol))
+        else:
+            crossings.append(bisect_then_brent(
+                field.q, xs[i], xs[i + 1], fa=q[i], fb=q[i + 1], xtol=xtol))
 
     regions = []
     cursor = xs[0] if mask[0] else None
@@ -166,6 +172,22 @@ def _allowed_regions(field: MomentumField, xs: np.ndarray,
     if cursor is not None:
         regions.append(ClassicalRegion(cursor, xs[-1], cursor_is_edge, True))
     return regions
+
+
+def _edge_of_allowed(q, inside: float, outside: float,
+                     xtol: float) -> float:
+    """Where q > 0 ends between ``inside`` (q > 0) and ``outside``
+    (q = 0), by bisection on the sign: V may equal E on a whole plateau
+    up to ``outside``, where a root finder would stop at once."""
+    while abs(outside - inside) > xtol:
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
+        if q(mid) > 0.0:
+            inside = mid
+        else:
+            outside = mid
+    return outside
 
 
 def _sine_integrand(region: ClassicalRegion, integrand):

@@ -157,7 +157,7 @@ def _cmd_wavefunction(args) -> int:
     pad = region.width
     lo, hi = region.left - pad, region.right + pad
     # the domain ends, nudged off an open edge such as r = 0
-    d_lo, d_hi = state.potential.grid(2)
+    d_lo, d_hi = state.potential.ends
     lo, hi = max(lo, d_lo), min(hi, d_hi)
     step = (hi - lo) / (grid - 1)
 

@@ -6,7 +6,8 @@ finite working domain.  Domains that stand in for infinite or half-infinite
 extents carry soft edges: consumers (the quantizer, and :func:`decay_march`
 for normalization and the oracle's box) may push a soft edge outward with
 :meth:`PotentialModel.with_domain`, while hard edges (tabulated data, the
-r = 0 axis) cannot be crossed.
+r = 0 axis) cannot be crossed.  A model's ``ends``, the domain nudged 1e-12
+of its width off each open (singular) edge, are where its consumers stop.
 
 Built-in families:
 
@@ -24,6 +25,7 @@ All evaluation is vectorized: scalars in, scalar out; arrays in, array out.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
@@ -100,16 +102,13 @@ class PotentialModel:
     def __init__(self, kind, params, f, df, constants, domain, *,
                  soft_edges=(False, False), lo_open=False, hi_open=False,
                  knots=(), floor_at=(), length=None, turns=None):
-        lo, hi = float(domain[0]), float(domain[1])
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise UsageError(f"invalid domain [{lo}, {hi}]")
         self.kind = kind
         self.params = dict(params)
         self.constants = constants
-        self.domain = (lo, hi)
         self.soft_edges = (bool(soft_edges[0]), bool(soft_edges[1]))
         self.lo_open = bool(lo_open)
         self.hi_open = bool(hi_open)
+        self._set_domain(domain[0], domain[1])
         # abscissae where V is only piecewise smooth (interpolation knots)
         self.knots = tuple(knots)
         # abscissae among which V is lowest on any sub-domain, once each is
@@ -119,11 +118,22 @@ class PotentialModel:
         # +-inf where the well opens; None when only a scan can tell
         self.turns = turns
         # the family's own length, else the domain width (see energy_scale)
+        lo, hi = self.domain
         self.length = hi - lo if length is None else float(length)
         self._energy_scale = _finite(
             lambda: (constants.hbar / self.length) ** 2 / constants.mass)
         self._f = f
         self._df = df
+
+    def _set_domain(self, lo, hi):
+        """Check and store the domain and its ``ends``; forget the floor."""
+        lo, hi = float(lo), float(hi)
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise UsageError(f"invalid domain [{lo}, {hi}]")
+        self.domain = (lo, hi)
+        off = (hi - lo) * 1e-12
+        self.ends = (lo + off if self.lo_open else lo,
+                     hi - off if self.hi_open else hi)
         self._min_cache = None
 
     # -- construction -----------------------------------------------------
@@ -465,11 +475,8 @@ class PotentialModel:
         return float(out) if out.ndim == 0 else out
 
     def grid(self, n: int) -> np.ndarray:
-        """Uniform scan grid over the domain, nudged off open edges."""
-        lo, hi = self.domain
-        off = (hi - lo) * 1e-12
-        return np.linspace(lo + off if self.lo_open else lo,
-                           hi - off if self.hi_open else hi, int(n))
+        """Uniform grid of n points from ``ends[0]`` to ``ends[1]``."""
+        return np.linspace(*self.ends, int(n))
 
     @property
     def energy_scale(self) -> float:
@@ -483,13 +490,13 @@ class PotentialModel:
         A named family states where its V is lowest (``floor_at``): the
         origin for harmonic, linear, Morse and square well, r = M^2/(m Z)
         for Coulomb, the samples of a table.  V is evaluated once at those
-        points, clipped into the domain, and the lowest wins.  Any other
+        points, clipped into ``ends``, and the lowest wins.  Any other
         model is scanned on 2048 points and the lowest refined by a
         golden-section search.  Raises SolverError when the potential keeps
         falling into an open edge (no minimum exists: unbounded below).
         """
         if self._min_cache is None:
-            xs = (np.clip(self.floor_at, *self.domain) if self.floor_at
+            xs = (np.clip(self.floor_at, *self.ends) if self.floor_at
                   else self.grid(2048))
             vs = self.evaluate(xs)
             i = int(np.argmin(vs))
@@ -510,21 +517,18 @@ class PotentialModel:
         return self._min_cache
 
     def with_domain(self, lo: float, hi: float) -> "PotentialModel":
-        """Copy of this model on a different working domain.
-
-        Moving an edge outward is only allowed where the edge is soft.
+        """This model on another working domain: a shallow copy whose
+        ``domain``, ``ends`` and cached floor alone differ.  Moving an edge
+        outward is only allowed where the edge is soft.
         """
         cur_lo, cur_hi = self.domain
         if lo < cur_lo and not self.soft_edges[0]:
             raise UsageError("cannot extend past a hard lower edge")
         if hi > cur_hi and not self.soft_edges[1]:
             raise UsageError("cannot extend past a hard upper edge")
-        return PotentialModel(self.kind, self.params, self._f, self._df,
-                              self.constants, (lo, hi),
-                              soft_edges=self.soft_edges,
-                              lo_open=self.lo_open, hi_open=self.hi_open,
-                              knots=self.knots, floor_at=self.floor_at,
-                              length=self.length, turns=self.turns)
+        model = copy.copy(self)
+        model._set_domain(lo, hi)
+        return model
 
     def __repr__(self):
         lo, hi = self.domain

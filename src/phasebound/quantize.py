@@ -28,7 +28,7 @@ from .rootfind import bisect_then_brent
 
 _RESIDUAL_LIMIT = 1e-10
 _ENERGY_TOL = 1e-12        # relative, on the Brent energy
-_MAX_ITERATIONS = 200      # bracket growth steps, and Brent steps
+_MAX_ITERATIONS = 200      # bracket probes: growth, then bisection
 _BRACKET_GROWTH = 1.6      # geometric step of E - V_min while bracketing
 _MAX_DOMAIN_GROWTH = 6     # soft-edge extensions before motion is unbound
 
@@ -70,8 +70,8 @@ class _Quantizer:
         """W and turning-point report at one energy, a function of the
         energy alone.
 
-        Each soft edge where q = 2m(E - V) > 0 at its scan-grid point (the
-        test by which the scan's region leans on it) moves out by a domain
+        Each soft edge where q = 2m(E - V) > 0 at its end of ``pot.ends``
+        (the test by which the region leans on it) moves out by a domain
         width; one still leaning after _MAX_DOMAIN_GROWTH moves means the
         motion escapes: LevelUnbound, before any scan.  One scan on the
         domain reached finds the region.  That domain is not kept; every
@@ -83,7 +83,7 @@ class _Quantizer:
         self.evals += 1
         pot = self.pot
         for growths in range(_MAX_DOMAIN_GROWTH + 1):
-            q = MomentumField(pot, energy).q(pot.grid(2))
+            q = MomentumField(pot, energy).q(pot.ends)
             grow_lo = pot.soft_edges[0] and q[0] > 0.0
             grow_hi = pot.soft_edges[1] and q[1] > 0.0
             if not (grow_lo or grow_hi):
@@ -112,41 +112,36 @@ class _Quantizer:
     def _bracket(self, target: float, seed: float | None,
                  step_hint: float | None):
         """Return (a, fa, b, fb) with fa < 0 < fb around the level, from the
-        seed (F is -pi plus the residual of the level below) or the floor."""
+        seed (F is -pi plus the residual of the level below) or the floor.
+        b grows in E - V_min; after an unbound probe it bisects up to that
+        binding ceiling, and LevelUnbound follows a gap of 1e-13 of it."""
         a = self.v_min if seed is None else seed
         fa = -target if seed is None else self.condition(seed, target)
         step = step_hint or max(self.pot.energy_scale, 1e-3 * abs(self.v_min))
         b = a + step
+        ceiling = None
         for _ in range(_MAX_ITERATIONS):
+            if ceiling is not None:
+                if ceiling - a <= 1e-13 * max(abs(ceiling),
+                                              self.pot.energy_scale):
+                    break
+                b = 0.5 * (a + ceiling)
             try:
                 fb = self.condition(b, target)
             except LevelUnbound:
-                return self._ceiling_bracket(a, fa, b, target)
+                ceiling = b
+                continue
             if fb > 0.0:
                 return a, fa, b, fb
             a, fa = b, fb
             b = self.v_min + (b - self.v_min) * _BRACKET_GROWTH
-        raise SolverError(
-            f"quantization target {target:.6g} not bracketed; "
-            "potential may not support this level")
-
-    def _ceiling_bracket(self, lo, flo, hi_bad, target):
-        """Close in on the binding ceiling between a good and a bad energy."""
-        for _ in range(128):
-            if hi_bad - lo <= 1e-13 * max(abs(hi_bad), self.pot.energy_scale):
-                break
-            mid = 0.5 * (lo + hi_bad)
-            try:
-                fm = self.condition(mid, target)
-            except LevelUnbound:
-                hi_bad = mid
-                continue
-            if fm > 0.0:
-                return lo, flo, mid, fm
-            lo, flo = mid, fm
+        if ceiling is None:
+            raise SolverError(
+                f"quantization target {target:.6g} not bracketed; "
+                "potential may not support this level")
         raise LevelUnbound(
             f"quantization target {target:.6g} exceeds the phase available "
-            f"below the binding ceiling (last bound probe E = {lo:.12g})")
+            f"below the binding ceiling (last bound probe E = {a:.12g})")
 
 
 def solve_level(potential: PotentialModel, n: int) -> EnergyLevel:
@@ -169,8 +164,7 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
                0.1 * limit * (b - a) / (fb - fa))
     # F is continuous and monotone on a single well: no bisection warm-up
     energy = bisect_then_brent(lambda e: q.condition(e, target), a, b,
-                               fa=fa, fb=fb, xtol=xtol,
-                               pre_bisect=0, maxiter=_MAX_ITERATIONS)
+                               fa=fa, fb=fb, xtol=xtol, pre_bisect=0)
     w, report = q.survey(energy)
     residual = abs(w / hbar - target)
     if residual > limit:

@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import math
 
-from .errors import UsageError
+from .errors import SolverError, UsageError
 
 _EPS = 2.220446049250313e-16
+_BRENT_STEPS = 200      # Brent steps before a bracket counts as unsolved
 
 
 def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
                       fb: float | None = None, xtol: float = 1e-12,
-                      pre_bisect: int = 8, maxiter: int = 100) -> float:
+                      pre_bisect: int = 8) -> float:
     """Root of f in [a, b] given a sign change; xtol is absolute in x.
 
-    A few plain bisection steps shrink the bracket first, which keeps the
-    interpolation steps honest on awkward (kinked, discontinuous) functions;
-    Brent finishes.
+    ``pre_bisect`` plain bisection steps shrink the bracket first, which
+    keeps the interpolation steps honest on awkward (kinked,
+    discontinuous) functions; Brent finishes.  A root not reached to xtol
+    within _BRENT_STEPS Brent steps raises SolverError naming the bracket
+    Brent was given, rather than returning an unconverged point.
     """
     if a > b:
         a, b = b, a
@@ -53,7 +56,7 @@ def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = 0.0
     spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_STEPS):
         if fpre * fcur < 0.0:
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -84,7 +87,8 @@ def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = f(xcur)
-    return xcur
+    raise SolverError(f"Brent's method took {_BRENT_STEPS} steps on "
+                      f"[{a!r}, {b!r}] without reaching xtol = {xtol:.3g}")
 
 
 def golden_minimum(f, a: float, b: float,

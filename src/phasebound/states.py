@@ -127,8 +127,8 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
                 direction: int) -> tuple[PotentialModel, float]:
     """Stop of the decay walk into one forbidden side: where the exponent
     of :func:`~phasebound.potentials.decay_march`, 512 steps a width,
-    reaches 1.1 * _TAIL_EXPONENT, or a hard edge, nudged off an open one
-    by :meth:`PotentialModel.grid`.  NormalizationError when no decay
+    reaches 1.1 * _TAIL_EXPONENT, or a hard edge, at the model's ``ends``
+    (off an open edge).  NormalizationError when no decay
     starts within a width or 200,000 steps plus edge moves pass ("decays
     too slowly"), or when V falls back to E first ("stopped decaying").
     Returns the (possibly soft-extended) model and the stop.
@@ -157,7 +157,7 @@ def _tail_reach(potential: PotentialModel, energy: float, start: float,
         if budget <= 0:
             break
     else:
-        return pot, float(pot.grid(2)[int(direction > 0)])
+        return pot, pot.ends[direction > 0]
     raise NormalizationError("forbidden tail decays too slowly to normalize")
 
 

@@ -110,8 +110,8 @@ def _energies(model):
     None lies just above the floor, within the 1e-8 where a scan that
     sees no allowed grid point reports a degenerate region: the stated
     roots give the region there unless it is narrower than 1e-6 of the
-    grid.  None is E = 0 on the square well, where V = E on a whole side
-    (see test_square_well_at_zero_energy)."""
+    grid.  On the square well E = 0 is drawn too, where V = E on a whole
+    side (see test_square_well_at_zero_energy)."""
     v_min = model.minimum()[1]
     opens = model.kind in ("morse", "square_well", "coulomb")
     top = 0.0 if opens else v_min + 30.0 * model.energy_scale
@@ -123,6 +123,8 @@ def _energies(model):
     if opens:
         parts += [st.floats(1.0, 16.0).map(lambda t: v_min * 10.0 ** -t),
                   st.floats(1e-3, 1.0).map(lambda u: -u * v_min)]
+    if model.kind == "square_well":
+        parts.append(st.just(0.0))
     return st.one_of(parts)
 
 
@@ -169,6 +171,16 @@ def test_square_well_at_zero_energy():
     # refinement stops at the first grid point where q = 0 instead
     report = find_turning_points(PotentialModel.square_well(8.0, 2.0), 0.0)
     assert report.require_single() == ClassicalRegion(-1.0, 1.0)
+
+
+def test_the_scan_stops_where_a_plateau_at_the_energy_starts():
+    # V = E = 0 on the whole outside: the scan meets q = 0 exactly on the
+    # first grid point past each wall and bisects back to the wall
+    twin = _scan_twin(PotentialModel.square_well(8.0, 2.0))
+    region = find_turning_points(twin, 0.0).require_single()
+    assert region.left == pytest.approx(-1.0, abs=1e-12)
+    assert region.right == pytest.approx(1.0, abs=1e-12)
+    assert not (region.left_is_edge or region.right_is_edge)
 
 
 @pytest.mark.parametrize("family, energy", [

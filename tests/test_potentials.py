@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasebound.classical import find_turning_points
 from phasebound.errors import DomainError, ParseError, SolverError, UsageError
 from phasebound.potentials import (
     MomentumField,
@@ -176,6 +177,62 @@ def test_energy_scale_is_the_familys_own(model, want):
     wider = model.with_domain(lo - 10.0 * model.soft_edges[0],
                               hi + 10.0 * model.soft_edges[1])
     assert wider.energy_scale == model.energy_scale
+
+
+_QUARTIC = [[x, x ** 4 + x * x] for x in np.linspace(-3.0, 3.0, 41)]
+_EVERY_KIND = [
+    PotentialModel.harmonic(2.3, _C), PotentialModel.linear(2.3, _C),
+    PotentialModel.morse(5.0, 2.3, _C),
+    PotentialModel.square_well(5.0, 2.3, _C),
+    PotentialModel.coulomb(2.3, 0.4, _C),
+    PotentialModel.tabulated(_QUARTIC, _C),
+    PotentialModel.from_callable(np.abs, (-2.0, 3.0), constants=_C),
+    effective_radial(PotentialModel.from_callable(
+        np.abs, (0.0, 5.0), constants=_C), 2.0),
+    _polar_potential(1.0, _C)]
+_KIND_IDS = ["harmonic", "linear", "morse", "square_well", "coulomb",
+             "tabulated", "callable", "effective_radial", "polar"]
+
+
+@pytest.mark.parametrize("model", _EVERY_KIND, ids=_KIND_IDS)
+def test_a_domain_move_shares_everything_but_the_domain(model):
+    model.minimum()
+    lo, hi = model.domain
+    for moved in (model.with_domain(lo + 0.1 * (hi - lo), hi),
+                  model.with_domain(lo, 0.5 * (lo + hi))):
+        own, new = vars(model), vars(moved)
+        assert own.keys() == new.keys()
+        assert {k for k in own if new[k] is not own[k]} == {
+            "domain", "ends", "_min_cache"}
+        assert new["_min_cache"] is None
+
+
+@pytest.mark.parametrize("model", _EVERY_KIND, ids=_KIND_IDS)
+def test_ends_are_the_grid_ends(model):
+    # the domain, nudged 1e-12 of its width off each open edge
+    lo, hi = model.domain
+    for m in (model, model.with_domain(lo, 0.5 * (lo + hi))):
+        lo, hi = m.domain
+        off = 1e-12 * (hi - lo)
+        assert m.ends == (lo + off if m.lo_open else lo,
+                          hi - off if m.hi_open else hi)
+        assert m.grid(2).tobytes() == np.array(m.ends).tobytes()
+
+
+def test_a_floor_clipped_onto_an_open_edge_stays_inside():
+    # the polar barrier is lowest at pi/2, beyond this domain, and
+    # singular at both of its edges
+    pot = _polar_potential(2.0, PhysicalConstants()).with_domain(0.3, 1.2)
+    x_min, v_min = pot.minimum()
+    assert x_min == pot.ends[1] < 1.2
+    assert v_min == pot.evaluate(x_min) == pytest.approx(4.0 / np.sin(1.2)
+                                                         ** 2)
+    region = find_turning_points(pot, 5.0).require_single()
+    assert region.right == pot.ends[1] and region.right_is_edge
+    assert region.left == pytest.approx(np.arcsin(2.0 / np.sqrt(5.0)))
+    assert not region.left_is_edge
+    with pytest.raises(SolverError, match="hard domain edge"):
+        spectrum(pot, 0)
 
 
 def test_a_non_finite_energy_scale_is_refused():

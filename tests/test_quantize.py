@@ -310,6 +310,28 @@ def test_no_energy_is_scanned_twice(monkeypatch, family, args, n_max):
     assert len(set(energies)) == len(energies)
 
 
+@pytest.mark.parametrize("family, args, n_max", [
+    ("harmonic", (1.0,), 20), ("morse", (10.0, 1.0), 9),
+    ("square_well", (8.0, 2.0), 5), ("linear", (1.7,), 8)])
+def test_a_spectrum_builds_no_grid_and_no_model(monkeypatch, family, args,
+                                                n_max):
+    # a domain move copies the model, and the edge probes read its ends
+    pot = getattr(PotentialModel, family)(*args)
+    calls = []
+    grid, init = PotentialModel.grid, PotentialModel.__init__
+
+    def counted(method, name):
+        def wrapper(*a, **k):
+            calls.append(name)
+            return method(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(PotentialModel, "grid", counted(grid, "grid"))
+    monkeypatch.setattr(PotentialModel, "__init__", counted(init, "init"))
+    assert spectrum(pot, n_max).levels
+    assert calls == []
+
+
 @pytest.mark.parametrize("family, args, n_max, surveys, scans", [
     ("harmonic", (1.0,), 20, 87, 87), ("morse", (10.0, 1.0), 9, 29, 248),
     ("square_well", (8.0, 2.0), 5, 30, 259), ("linear", (1.7,), 8, 74, 74),

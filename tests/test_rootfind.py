@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from phasebound import potentials
+from phasebound import potentials, rootfind
 from phasebound.errors import SolverError, UsageError
 from phasebound.potentials import PotentialModel
 from phasebound.rootfind import bisect_then_brent, golden_minimum
@@ -40,6 +40,13 @@ def test_interpolation_far_from_unit_scale(x_scale, f_scale):
     a, b = np.float64(0.9 * x_scale), np.float64(1.7 * x_scale)
     root = bisect_then_brent(f, a, b, xtol=1e-15 * float(a), pre_bisect=0)
     assert root == pytest.approx(x_scale, rel=1e-14)
+
+
+def test_running_out_of_brent_steps_is_an_error(monkeypatch):
+    # an unconverged point is not returned as a root
+    monkeypatch.setattr(rootfind, "_BRENT_STEPS", 2)
+    with pytest.raises(SolverError, match=r"2 steps on \[0\.0, 2\.0\]"):
+        bisect_then_brent(lambda x: x**3 - 2.0, 0.0, 2.0, pre_bisect=0)
 
 
 def test_unbracketed_rejected():

@@ -81,8 +81,8 @@ def find_turning_points(potential: PotentialModel,
     A named family with a closed-form well (harmonic, linear, Morse,
     square well, Coulomb with M^2 > 0, the polar barrier) states its two
     turning points (:attr:`PotentialModel.turns`).  They are clipped to
-    the model's ``ends``, with an edge flag on a side whose root lies
-    beyond, and no scan or root refinement runs.
+    the model's ``ends``, flagged where :meth:`PotentialModel.leans` (the
+    survey's test) says so, and no scan or root refinement runs.
     Any other model (a table, a custom callable, a radial potential that
     is not Coulomb, Coulomb with M^2 = 0) is scanned: sign changes of
     2m(E - V) over SCAN_POINTS uniform points from end to end, each
@@ -133,14 +133,14 @@ def find_turning_points(potential: PotentialModel,
 def _stated_regions(potential: PotentialModel,
                     energy: float) -> list[ClassicalRegion]:
     """The region between the model's stated turning points, clipped to
-    its ``ends``; none at or below the floor, where they are not
-    stated."""
+    its ``ends``, with the edge flags of :meth:`PotentialModel.leans`;
+    none at or below the floor, where they are not stated."""
     if not energy > potential.minimum()[1]:
         return []
     left, right = potential.turns(energy)
     lo, hi = potential.ends
     return [ClassicalRegion(max(left, lo), min(right, hi),
-                            left < lo, right > hi)]
+                            *potential.leans(energy))]
 
 
 def _allowed_regions(field: MomentumField, xs: np.ndarray,

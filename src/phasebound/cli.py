@@ -162,13 +162,9 @@ def _cmd_wavefunction(args) -> int:
     step = (hi - lo) / (grid - 1)
 
     xs = lo + np.arange(grid) * step
-    allowed = (xs >= region.left) & (xs <= region.right)
-    eps = np.full(grid, np.nan)
-    delta = np.full(grid, np.nan)
-    eps[allowed] = epsilon_parameter(state.potential, level.energy,
-                                     xs[allowed], region)
-    delta[allowed] = delta_functional(state.potential, level.energy,
-                                      xs[allowed], region)
+    # delta refuses (NaN) every point outside the region: no room to step
+    eps = epsilon_parameter(state.potential, level.energy, xs, region)
+    delta = delta_functional(state.potential, level.energy, xs, region)
     # a point refused by either diagnostic leaves both cells blank
     blank = ~(np.isfinite(eps) & np.isfinite(delta))
     cols = state.sample(xs)

@@ -126,7 +126,7 @@ class PotentialModel:
         self._df = df
 
     def _set_domain(self, lo, hi):
-        """Check and store the domain and its ``ends``; forget the floor."""
+        """Check and store the domain and its ``ends``; forget the cache."""
         lo, hi = float(lo), float(hi)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"invalid domain [{lo}, {hi}]")
@@ -134,7 +134,7 @@ class PotentialModel:
         off = (hi - lo) * 1e-12
         self.ends = (lo + off if self.lo_open else lo,
                      hi - off if self.hi_open else hi)
-        self._min_cache = None
+        self._min_cache = self._v_ends = None
 
     # -- construction -----------------------------------------------------
 
@@ -325,12 +325,11 @@ class PotentialModel:
                    knots=xs.tolist(), floor_at=xs.tolist())
 
     @classmethod
-    def from_callable(cls, f, domain, df=None, constants=None, kind="custom",
-                      params=None, soft_edges=(False, False), lo_open=False,
-                      hi_open=False):
-        """Wrap an arbitrary vectorized callable as a potential model."""
+    def from_callable(cls, f, domain, df=None, constants=None,
+                      soft_edges=(False, False), lo_open=False, hi_open=False):
+        """Wrap an arbitrary vectorized callable as a "custom" model."""
         c = constants or PhysicalConstants()
-        return cls(kind, params or {}, f, df, c, domain,
+        return cls("custom", {}, f, df, c, domain,
                    soft_edges=soft_edges, lo_open=lo_open, hi_open=hi_open)
 
     # -- JSON description -------------------------------------------------
@@ -516,10 +515,18 @@ class PotentialModel:
             self._min_cache = (float(x), float(v))
         return self._min_cache
 
+    def leans(self, energy: float) -> tuple[bool, bool]:
+        """Whether 2m(E - V) > 0 at each of ``ends``, where V is evaluated
+        once per domain: the allowed region at E leans on that end."""
+        if self._v_ends is None:
+            self._v_ends = self.evaluate(self.ends)
+        q = 2.0 * self.constants.mass * (float(energy) - self._v_ends)
+        return bool(q[0] > 0.0), bool(q[1] > 0.0)
+
     def with_domain(self, lo: float, hi: float) -> "PotentialModel":
         """This model on another working domain: a shallow copy whose
-        ``domain``, ``ends`` and cached floor alone differ.  Moving an edge
-        outward is only allowed where the edge is soft.
+        ``domain``, ``ends``, cached floor and V at the ends alone differ.
+        Moving an edge outward is only allowed where the edge is soft.
         """
         cur_lo, cur_hi = self.domain
         if lo < cur_lo and not self.soft_edges[0]:

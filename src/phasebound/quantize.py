@@ -23,7 +23,7 @@ from .classical import (ClassicalRegion, TurningPointReport,
                         find_turning_points)
 from .classical import action_integral
 from .errors import LevelUnbound, PhaseboundError, SolverError, UsageError
-from .potentials import MomentumField, PotentialModel
+from .potentials import PotentialModel
 from .rootfind import bisect_then_brent
 
 _RESIDUAL_LIMIT = 1e-10
@@ -70,8 +70,8 @@ class _Quantizer:
         """W and turning-point report at one energy, a function of the
         energy alone.
 
-        Each soft edge where q = 2m(E - V) > 0 at its end of ``pot.ends``
-        (the test by which the region leans on it) moves out by a domain
+        Each soft edge on which the region leans (``pot.leans``: q =
+        2m(E - V) > 0 at its end of ``pot.ends``) moves out by a domain
         width; one still leaning after _MAX_DOMAIN_GROWTH moves means the
         motion escapes: LevelUnbound, before any scan.  One scan on the
         domain reached finds the region.  That domain is not kept; every
@@ -83,9 +83,9 @@ class _Quantizer:
         self.evals += 1
         pot = self.pot
         for growths in range(_MAX_DOMAIN_GROWTH + 1):
-            q = MomentumField(pot, energy).q(pot.ends)
-            grow_lo = pot.soft_edges[0] and q[0] > 0.0
-            grow_hi = pot.soft_edges[1] and q[1] > 0.0
+            lean_lo, lean_hi = pot.leans(energy)
+            grow_lo = pot.soft_edges[0] and lean_lo
+            grow_hi = pot.soft_edges[1] and lean_hi
             if not (grow_lo or grow_hi):
                 break
             if growths == _MAX_DOMAIN_GROWTH:

@@ -20,6 +20,7 @@ and the connection checks that verify branch continuity at the anchors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,17 +67,20 @@ class StateFunction:
     """
 
     def __init__(self, potential: PotentialModel, level: EnergyLevel,
-                 accumulator: PhaseAccumulator, normalization: float,
-                 wavenumber: float | None):
+                 accumulator: PhaseAccumulator, normalization: float):
         n = level.n
         self.potential = potential
         self.level = level
         self.anchors = (-0.5 * math.pi * (n + 0.5),
                         0.5 * math.pi * (n + 0.5))
         self.normalization_numeric = normalization
-        self.wavenumber = wavenumber
         self._acc = accumulator
         self._sign = -1.0 if n % 2 else 1.0
+
+    @functools.cached_property
+    def wavenumber(self) -> float | None:
+        """Constant p/hbar of a flat-momentum region, else None (lazy)."""
+        return _detect_wavenumber(self.potential, self.level)
 
     def _branches(self, x: np.ndarray):
         """(phi, psi, left mask, right mask) at an array of positions."""
@@ -219,8 +223,7 @@ def build_state(potential: PotentialModel, level: EnergyLevel
     if not (np.isfinite(total) and total > 0.0):
         raise NormalizationError("norm integral came out non-positive")
     norm = 1.0 / math.sqrt(total)
-    return StateFunction(pot, level, acc, norm,
-                         _detect_wavenumber(pot, level))
+    return StateFunction(pot, level, acc, norm)
 
 
 def paper_normalization(state: StateFunction) -> PaperNormalization:

@@ -12,7 +12,8 @@ from phasebound.classical import (
     find_turning_points,
 )
 from phasebound.errors import (DomainError, MultiRegionError,
-                               NoClassicalMotion, PhaseboundError)
+                               NoClassicalMotion, PhaseboundError,
+                               SolverError)
 from phasebound.potentials import (
     SCAN_POINTS,
     PhysicalConstants,
@@ -20,6 +21,7 @@ from phasebound.potentials import (
     effective_radial,
     local_momentum,
 )
+from phasebound.quantize import _Quantizer
 from phasebound.radial import _polar_potential
 from phasebound.states import epsilon_parameter
 
@@ -164,6 +166,35 @@ def test_stated_turning_points_match_the_scan(case):
         assert abs(a - b) <= rtol * max(abs(a), abs(b))
     assert got.left_is_edge == want.left_is_edge
     assert got.right_is_edge == want.right_is_edge
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(model=st.sampled_from(_STATED), reach=st.tuples(
+    st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+    end=st.sampled_from((0, 1)), step=st.sampled_from((-1, 0, 1)))
+def test_every_stated_edge_flag_is_the_survey_rule(model, reach, end, step):
+    # a sub-domain around the floor, and E at V of one of its ends or a
+    # double either side, where the stated roots fall on the end to
+    # within a rounding
+    x0 = model.minimum()[0]
+    lo, hi = model.domain
+    sub = model.with_domain(x0 - reach[0] * (x0 - lo),
+                            x0 + reach[1] * (hi - x0))
+    energy = sub.evaluate(sub.ends[end])
+    if step:
+        energy = np.nextafter(energy, step * np.inf)
+    outcome = _outcome(sub, energy)
+    if not isinstance(outcome, type) and not outcome.degenerate:
+        region = outcome.require_single()
+        assert (region.left_is_edge, region.right_is_edge) == sub.leans(
+            energy)
+    if sub.soft_edges == (True, True):
+        try:
+            _Quantizer(sub).survey(energy)
+        except SolverError as exc:
+            assert "hard domain edge" not in str(exc)
+        except PhaseboundError:
+            pass
 
 
 def test_square_well_at_zero_energy():

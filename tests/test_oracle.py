@@ -200,8 +200,9 @@ def _refuse_everywhere(monkeypatch, names):
 
 def test_oracle_shares_no_code_with_the_quantizer(monkeypatch):
     # the audit compares two solvers, so neither may lean on the other:
-    # the reference runs with the phase-integral code switched off, and
-    # the quantizer with the decay walk that the oracle uses switched off
+    # the reference runs with the phase-integral code and the survey's
+    # edge rule switched off, and the quantizer with the decay walk that
+    # the oracle uses switched off
     want_ref = reference_levels(PotentialModel.harmonic(1.0), 4)
     want_levels = spectrum(PotentialModel.harmonic(1.0), 5).energies
     with monkeypatch.context() as patch:
@@ -211,6 +212,7 @@ def test_oracle_shares_no_code_with_the_quantizer(monkeypatch):
         for name, member in vars(PhaseAccumulator).items():
             if callable(member):
                 patch.setattr(PhaseAccumulator, name, refuse)
+        patch.setattr(PotentialModel, "leans", refuse)
         got_ref = reference_levels(PotentialModel.harmonic(1.0), 4)
     assert got_ref.tobytes() == want_ref.tobytes()
     with monkeypatch.context() as patch:

@@ -37,6 +37,8 @@ def test_adaptive_inverse_sqrt_endpoint():
         integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert exc.value.estimate == pytest.approx(2.0, abs=1e-7)
     assert 0.0 < exc.value.error_bound < 1e-7
+    # the bound given up with covers the true error
+    assert exc.value.error_bound >= abs(exc.value.estimate - 2.0)
 
 
 def test_zero_width_interval():

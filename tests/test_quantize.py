@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import phasebound.classical as classical_mod
 import phasebound.oracle as oracle_mod
+import phasebound.quadrature as quadrature
 import phasebound.quantize as quantize
 from phasebound.errors import (LevelUnbound, MultiRegionError, OracleError,
                                SolverError, UsageError)
@@ -426,3 +429,41 @@ def test_a_survey_is_a_function_of_its_energy():
     for n in range(4):
         energy = -6.25 / (2.0 * (n + 6.0) ** 2)
         assert q.survey(energy) == quantize._Quantizer(pot).survey(energy)
+
+
+def test_a_survey_at_v_of_a_soft_end_solves():
+    # 2m(E - V) = 0 at the upper end, yet sqrt(E / k) rounds past it: the
+    # edge flag follows the survey's own test, so the soft edge holds
+    lo = PotentialModel.harmonic(1.3).domain[0]
+    pot = PotentialModel.harmonic(1.3).with_domain(lo, 6.252939632682815)
+    energy = pot.evaluate(pot.ends[1])
+    assert energy == 33.0388696722293
+    below = math.nextafter(energy, -math.inf)
+    w, _ = quantize._Quantizer(pot).survey(energy)
+    assert w == quantize._Quantizer(pot).survey(below)[0] == 79.8420540347586
+
+
+@pytest.mark.parametrize("family, args, n_max, v_calls, panels", [
+    ("harmonic", (1.0,), 20, 185, 183), ("morse", (10.0, 1.0), 9, 480, 304),
+    ("square_well", (8.0, 2.0), 5, 225, 43)])
+def test_the_roadmap_probes_stay_within_the_recorded_counts(
+        monkeypatch, family, args, n_max, v_calls, panels):
+    # counted as the benchmark's probes count them: every evaluate call
+    # reaches the model's own V once, and every panel is a kronrod_panel
+    pot = getattr(PotentialModel, family)(*args)
+    counts = {"v": 0, "panels": 0}
+    f, panel = pot._f, quadrature.kronrod_panel
+
+    def counted_f(x):
+        counts["v"] += 1
+        return f(x)
+
+    def counted_panel(*a):
+        counts["panels"] += 1
+        return panel(*a)
+
+    pot._f = counted_f
+    monkeypatch.setattr(quadrature, "kronrod_panel", counted_panel)
+    spectrum(pot, n_max)
+    assert counts["v"] <= v_calls
+    assert counts["panels"] == panels

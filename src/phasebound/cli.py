@@ -1,12 +1,15 @@
 """Command-line front end: spectra, wavefunction tables, audits, radial runs.
 
-Potentials come in as JSON files; results go out as CSV or JSON with a
-run manifest for reproducibility (embedded in JSON output, on stderr for
-CSV).  Floats are serialized with 17 significant digits so a re-parse
-reproduces the in-memory doubles bit for bit.
+Potentials come in as JSON files.  Each command lays out its result once,
+as a header and rows, and one writer emits it: as CSV with the run manifest
+on stderr (``wavefunction`` always, ``spectrum`` by default), or as one JSON
+document that embeds the manifest and keys each row by the header
+(``radial`` always, ``audit`` by default).  Floats are serialized with 17
+significant digits so a re-parse reproduces the in-memory doubles bit for
+bit.
 
-Exit codes: 0 success, 1 hard error (bad input, solver failure),
-2 partial result (bound spectrum ran out of levels).
+Exit codes: 0 success, 1 hard error (bad input, an unwritable ``--out``,
+solver failure), 2 partial result (bound spectrum ran out of levels).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import math
@@ -92,57 +96,63 @@ def to_json(obj, indent: int = 0) -> str:
     raise UsageError(f"cannot serialize {type(obj).__name__}")
 
 
-def _manifest(command: str, potential: PotentialModel, config: dict) -> dict:
+def _write(args, potential: PotentialModel, config: dict, header: list[str],
+           key: str, fields: dict, note: str | None = None) -> int:
+    """Write one result and return its exit code.
+
+    ``fields`` are the JSON document's keys after the manifest, in order;
+    ``fields[key]`` holds the rows, each a list in ``header``'s order with
+    None for an empty cell.  JSON keys each row by the header; CSV writes
+    the header and the rows, with None as "", and the manifest on stderr.
+    A ``note`` says why the result is partial (exit code 2).
+    """
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return {"command": command, "potential": potential.to_dict(),
-            "config": config, "version": __version__, "timestamp": stamp}
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    manifest = {"command": args.command, "potential": potential.to_dict(),
+                "config": config, "version": __version__, "timestamp": stamp}
+    if args.format == "json":
+        records = [dict(zip(header, row)) for row in fields[key]]
+        text = to_json({"manifest": manifest, **fields, key: records}) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_float(c) if isinstance(c, float) else c
+                          for c in row] for row in fields[key])
+        text = buf.getvalue()
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_float(c) if isinstance(c, float) else c
-                         for c in row])
-    return buf.getvalue()
+    if args.format == "csv":
+        print(to_json(manifest), file=sys.stderr)
+    if note:
+        print(f"truncated: {note}", file=sys.stderr)
+        return EXIT_PARTIAL
+    return EXIT_OK
 
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
+def _levels(args) -> int:
     levels = _positive_int(args.levels, "--levels")
     if levels < 1:
         raise UsageError("--levels must be at least 1")
+    return levels
+
+
+def _cmd_spectrum(args) -> int:
+    levels = _levels(args)
     potential = PotentialModel.from_json_file(args.potential)
     result = spectrum(potential, levels - 1)
-    manifest = _manifest("spectrum", potential,
-                         {"levels": levels, "format": args.format})
-    if args.format == "json":
-        doc = {"manifest": manifest,
-               "levels": [{"n": lv.n, "energy": lv.energy,
-                           "action": lv.action, "residual": lv.residual}
-                          for lv in result.levels],
-               "truncated": result.truncated, "reason": result.reason}
-        _emit(to_json(doc) + "\n", args.out)
-    else:
-        rows = [[lv.n, lv.energy, lv.action, lv.residual]
-                for lv in result.levels]
-        _emit(_csv_text(["n", "energy", "action", "residual"], rows),
-              args.out)
-        print(to_json(manifest), file=sys.stderr)
-    if result.truncated:
-        print(f"truncated: {result.reason}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    rows = [[lv.n, lv.energy, lv.action, lv.residual] for lv in result.levels]
+    return _write(args, potential, {"levels": levels, "format": args.format},
+                  ["n", "energy", "action", "residual"], "levels",
+                  {"levels": rows, "truncated": result.truncated,
+                   "reason": result.reason}, result.reason)
 
 
 def _cmd_wavefunction(args) -> int:
@@ -168,51 +178,30 @@ def _cmd_wavefunction(args) -> int:
     # a point refused by either diagnostic leaves both cells blank
     blank = ~(np.isfinite(eps) & np.isfinite(delta))
     cols = state.sample(xs)
-    rows = [[x, phi, psi, tag,
-             "" if skip else format_float(e), "" if skip else format_float(d)]
+    rows = [[x, phi, psi, tag, None if skip else e, None if skip else d]
             for x, phi, psi, tag, e, d, skip in zip(
                 xs.tolist(), cols.phi.tolist(), cols.psi.tolist(),
                 cols.region.tolist(), eps.tolist(), delta.tolist(),
                 blank.tolist())]
-    _emit(_csv_text(["x", "phi", "psi", "region", "epsilon", "delta"], rows),
-          args.out)
-    manifest = _manifest("wavefunction", potential,
-                         {"n": n, "grid": grid})
-    print(to_json(manifest), file=sys.stderr)
-    return EXIT_OK
+    return _write(args, potential, {"n": n, "grid": grid},
+                  ["x", "phi", "psi", "region", "epsilon", "delta"], "rows",
+                  {"rows": rows})
 
 
 def _cmd_audit(args) -> int:
-    levels = _positive_int(args.levels, "--levels")
-    if levels < 1:
-        raise UsageError("--levels must be at least 1")
+    levels = _levels(args)
     potential = PotentialModel.from_json_file(args.potential)
-    rows = claim_audit(potential, levels - 1)
-    truncated = len(rows) < levels
-    deviations = [r.deviation for r in rows if r.deviation is not None]
-    max_dev = max(deviations) if deviations else None
-    manifest = _manifest("audit", potential,
-                         {"levels": levels, "format": args.format})
-    if args.format == "json":
-        doc = {"manifest": manifest,
-               "rows": [{"n": r.n, "quantized": r.quantized,
-                         "reference": r.reference, "deviation": r.deviation,
-                         "note": r.note} for r in rows],
-               "max_deviation": max_dev,
-               "truncated": truncated}
-        _emit(to_json(doc) + "\n", args.out)
-    else:
-        table = [[r.n, r.quantized,
-                  r.reference if r.reference is not None else "",
-                  r.deviation if r.deviation is not None else "",
-                  r.note or ""] for r in rows]
-        _emit(_csv_text(["n", "quantized", "reference", "deviation", "note"],
-                        table), args.out)
-        print(to_json(manifest), file=sys.stderr)
-    if truncated:
-        print(f"truncated: only {len(rows)} bound levels", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    audit = claim_audit(potential, levels - 1)
+    rows = [[r.n, r.quantized, r.reference, r.deviation, r.note]
+            for r in audit]
+    deviations = [r.deviation for r in audit if r.deviation is not None]
+    truncated = len(audit) < levels
+    return _write(args, potential, {"levels": levels, "format": args.format},
+                  ["n", "quantized", "reference", "deviation", "note"], "rows",
+                  {"rows": rows,
+                   "max_deviation": max(deviations) if deviations else None,
+                   "truncated": truncated},
+                  f"only {len(audit)} bound levels" if truncated else None)
 
 
 def _cmd_radial(args) -> int:
@@ -221,24 +210,18 @@ def _cmd_radial(args) -> int:
     n_r_max = _positive_int(args.nrmax, "--nrmax")
     potential = PotentialModel.from_json_file(args.potential)
     result = radial_spectrum(potential, n_r_max, n_theta, m_z)
-    manifest = _manifest("radial", potential,
-                         {"ntheta": n_theta, "mz": m_z, "nrmax": n_r_max})
-    doc = {"manifest": manifest,
-           "angular": {"m_z": result.angular.m_z,
-                       "n_theta": result.angular.n_theta,
-                       "M": result.angular.M},
-           "levels": [{"n_r": lv.n, "E": lv.energy,
-                       "residual": lv.residual}
-                      for lv in result.levels],
-           "truncated": result.truncated,
-           "reason": result.reason}
-    _emit(to_json(doc) + "\n", args.out)
-    if result.truncated:
-        print(f"truncated: {result.reason}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    ang = result.angular
+    rows = [[lv.n, lv.energy, lv.residual] for lv in result.levels]
+    return _write(args, potential,
+                  {"ntheta": n_theta, "mz": m_z, "nrmax": n_r_max},
+                  ["n_r", "E", "residual"], "levels",
+                  {"angular": {"m_z": ang.m_z, "n_theta": ang.n_theta,
+                               "M": ang.M},
+                   "levels": rows, "truncated": result.truncated,
+                   "reason": result.reason}, result.reason)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phasebound",
                      description="Bound-state spectra and wavefunctions "
@@ -257,7 +240,7 @@ def _build_parser() -> _Parser:
     wf.add_argument("--n", required=True, help="level index")
     wf.add_argument("--grid", required=True, help="number of sample points")
     wf.add_argument("--out", default=None)
-    wf.set_defaults(func=_cmd_wavefunction)
+    wf.set_defaults(func=_cmd_wavefunction, format="csv")
 
     au = sub.add_parser("audit",
                         help="compare quantized energies against the "
@@ -274,7 +257,7 @@ def _build_parser() -> _Parser:
     ra.add_argument("--mz", required=True, help="azimuthal integer")
     ra.add_argument("--nrmax", required=True, help="highest radial index")
     ra.add_argument("--out", default=None)
-    ra.set_defaults(func=_cmd_radial)
+    ra.set_defaults(func=_cmd_radial, format="json")
     return parser
 
 

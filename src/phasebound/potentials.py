@@ -6,8 +6,9 @@ finite working domain.  Domains that stand in for infinite or half-infinite
 extents carry soft edges: consumers (the quantizer, and :func:`decay_march`
 for normalization and the oracle's box) may push a soft edge outward with
 :meth:`PotentialModel.with_domain`, while hard edges (tabulated data, the
-r = 0 axis) cannot be crossed.  A model's ``ends``, the domain nudged 1e-12
-of its width off each open (singular) edge, are where its consumers stop.
+r = 0 axis) cannot be crossed.  An open (singular) edge is always hard.  A
+model's ``ends``, the domain nudged 1e-12 of its width off each open edge,
+are where its consumers stop.
 
 Built-in families:
 
@@ -108,6 +109,9 @@ class PotentialModel:
         self.soft_edges = (bool(soft_edges[0]), bool(soft_edges[1]))
         self.lo_open = bool(lo_open)
         self.hi_open = bool(hi_open)
+        if (self.lo_open and self.soft_edges[0]) or \
+                (self.hi_open and self.soft_edges[1]):
+            raise UsageError("an open (singular) edge cannot be soft")
         self._set_domain(domain[0], domain[1])
         # abscissae where V is only piecewise smooth (interpolation knots)
         self.knots = tuple(knots)
@@ -547,8 +551,10 @@ def effective_radial(potential: PotentialModel,
                      m_squared: float) -> PotentialModel:
     """Radial potential plus the centrifugal term M^2 / (2 m r^2).
 
-    The input must live on a radial domain starting at r = 0.  The result
-    is again a full model, consumable by every one-dimensional operation.
+    The input must live on a radial domain starting at r = 0, which the
+    result keeps as an open, hard edge whatever the input's lower edge.
+    The result is again a full model, consumable by every one-dimensional
+    operation.
     With ``m_squared`` = 0 the potential is returned unchanged; a Coulomb
     model comes back as a Coulomb model with ``m_squared`` added to its
     centrifugal term, so it keeps a closed-form floor.
@@ -578,7 +584,8 @@ def effective_radial(potential: PotentialModel,
               "m_squared": float(m_squared)}
     return PotentialModel("effective_radial", params, f, df,
                           potential.constants, potential.domain,
-                          soft_edges=potential.soft_edges, lo_open=True,
+                          soft_edges=(False, potential.soft_edges[1]),
+                          lo_open=True,
                           hi_open=potential.hi_open, knots=potential.knots)
 
 

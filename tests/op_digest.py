@@ -7,7 +7,11 @@ Generates the seed-1 and seed-2 ops of the ``ladder``, ``wavefunction`` and
 ``audit`` workloads of ``perfbench/workloads.py`` (imported, not edited),
 runs each through ``phasebound.cli.main`` in this process, and prints one
 line per op: workload, seed, op index and the SHA-256 of its exit code,
-stdout, stderr and ``--out`` file.  The manifest's ``"timestamp"`` and the
+stdout, stderr and ``--out`` file.  Three more sets follow, so that every
+report path is covered: each seed-1 ``spectrum`` op of ``ladder`` with
+``--format json`` (``ladder-json``), each seed-1 ``audit`` op with
+``--format csv`` (``audit-csv``), and the first seed-1 ``wavefunction`` op
+printed to stdout instead of ``--out`` (``wavefunction-stdout``).  The manifest's ``"timestamp"`` and the
 temporary input directory are masked first, as they differ from run to
 run.  Run it in two checkouts and ``diff`` the outputs; the last line
 counts the ops.  Inputs and ``--out`` files go to a temporary directory.
@@ -25,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.dont_write_bytecode = True   # leave no cache under perfbench/
 
 import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import re  # noqa: E402
@@ -65,16 +70,40 @@ def op_digest(op, in_dir: str) -> str:
     return digest.hexdigest()
 
 
+def _variants(workload: str, ops: list) -> tuple[str, list]:
+    """The seed-1 ops again, on the report path the workload leaves out."""
+    if workload == "ladder":
+        return "ladder-json", [
+            dataclasses.replace(op, argv=op.argv + ["--format", "json"])
+            for op in ops if op.kind == "spectrum"]
+    if workload == "audit":
+        return "audit-csv", [
+            dataclasses.replace(op, argv=op.argv + ["--format", "csv"])
+            for op in ops]
+    # drop "--out <file>" from the first op
+    return "wavefunction-stdout", [
+        dataclasses.replace(ops[0], argv=ops[0].argv[:-2], out=None)]
+
+
 def main_digest() -> int:
     count = 0
+    extra = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads.WORKLOADS:
             for seed in SEEDS:
                 in_dir = os.path.join(tmp, f"{workload}{seed}")
-                for op in workloads.generate(workload, seed, in_dir):
+                ops = workloads.generate(workload, seed, in_dir)
+                for op in ops:
                     print(workload, seed, op.index, op_digest(op, in_dir),
                           flush=True)
                     count += 1
+                if seed == SEEDS[0]:
+                    extra.append((*_variants(workload, ops), seed, in_dir))
+        for name, ops, seed, in_dir in extra:
+            for op in ops:
+                print(name, seed, op.index, op_digest(op, in_dir),
+                      flush=True)
+                count += 1
     print(f"{count} ops")
     return 0
 

@@ -229,6 +229,15 @@ def test_out_flag_writes_file(capsys, tmp_path, harmonic2_file):
     assert len(rows) == 2
 
 
+def test_unwritable_out_is_a_clean_error(capsys, tmp_path, harmonic2_file):
+    target = tmp_path / "missing" / "result.csv"
+    code, out, err = _run(capsys, ["spectrum", harmonic2_file,
+                                   "--levels", "2", "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 def test_wavefunction_table_structure(capsys, tmp_path):
     path = _write_potential(tmp_path, {"type": "harmonic",
                                        "params": {"omega": 1.0}})

@@ -48,6 +48,14 @@ CASES = [
     ("wavefunction_morse",
      {"type": "morse", "params": {"depth": 50.0, "range": 0.5}},
      ["wavefunction", "--n", "2", "--grid", "201"], 0),
+    ("spectrum_harmonic_json", {"type": "harmonic", "params": {"omega": 1.3}},
+     ["spectrum", "--levels", "3", "--format", "json"], 0),
+    ("radial_coulomb_1_1_2", {"type": "coulomb", "params": {"charge": 2.5}},
+     ["radial", "--ntheta", "1", "--mz", "1", "--nrmax", "2"], 0),
+    # the window stops short of the open edge r = 0
+    ("wavefunction_coulomb",
+     {"type": "coulomb", "params": {"charge": 2.0, "centrifugal": 0.25}},
+     ["wavefunction", "--n", "0", "--grid", "41"], 0),
 ]
 
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')

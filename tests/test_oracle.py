@@ -14,7 +14,7 @@ from phasebound.oracle import (
     discretize,
     reference_levels,
 )
-from phasebound.potentials import PotentialModel
+from phasebound.potentials import PotentialModel, effective_radial
 from phasebound.quantize import spectrum
 
 
@@ -152,6 +152,16 @@ def test_discretize_grows_a_soft_domain_to_the_box(harmonic):
     op = discretize(harmonic, (-20.0, 20.0), 2001)
     assert op.size == 1999
     assert abs(op.lowest(1)[0] - 0.5) < 2e-5
+
+
+def test_an_open_edge_bounds_the_box():
+    # r = 0 is open: a box past it held the well's mirror image at r < 0,
+    # which split each level into a doublet
+    pot = effective_radial(PotentialModel.harmonic(1.0, domain=(0.0, 12.0)),
+                           0.25)
+    ell = (np.sqrt(2.0) - 1.0) / 2.0          # l (l + 1) = 0.25
+    assert reference_levels(pot, 2) == pytest.approx(
+        [ell + 1.5, ell + 3.5], rel=1e-5)
 
 
 def test_morse_reference_matches_closed_form(morse10):

@@ -276,6 +276,15 @@ def test_open_upper_edge_is_refused():
         pot.evaluate(1.0)
 
 
+@pytest.mark.parametrize("edges", [
+    {"soft_edges": (True, False), "lo_open": True},
+    {"soft_edges": (False, True), "hi_open": True},
+], ids=["lower", "upper"])
+def test_a_soft_open_edge_is_refused(edges):
+    with pytest.raises(UsageError, match="open"):
+        PotentialModel.from_callable(lambda x: 1.0 / x, (0.0, 1.0), **edges)
+
+
 def test_minimum_unbounded_below():
     pot = PotentialModel.from_callable(
         lambda r: -1.0 / r**2, domain=(0.0, 10.0), lo_open=True)

@@ -8,7 +8,7 @@ from phasebound.errors import (
     UsageError,
 )
 from phasebound.classical import find_turning_points
-from phasebound.potentials import PotentialModel
+from phasebound.potentials import PotentialModel, effective_radial
 from phasebound.quantize import solve_level, spectrum
 from phasebound.states import (
     _simpson,
@@ -303,6 +303,18 @@ def test_tail_that_stops_decaying_is_refused():
     pot = _falling_well()
     with pytest.raises(NormalizationError, match="stopped decaying"):
         build_state(pot, solve_level(pot, 3))
+
+
+def test_a_state_on_an_open_edge_stops_at_it():
+    # r = 0 is open, so the left tail ends there; moving the edge out put
+    # the well's mirror image at r < 0 in the tail's way
+    pot = effective_radial(PotentialModel.harmonic(1.0, domain=(0.0, 12.0)),
+                           0.25)
+    state = build_state(pot, solve_level(pot, 0))
+    assert state.potential.domain == (0.0, 12.0)
+    xs = np.linspace(pot.ends[0], 8.0, 20001)
+    psi = state.sample(xs).psi
+    assert np.trapezoid(psi * psi, xs) == pytest.approx(1.0, abs=1e-5)
 
 
 def _simpson_grids():

@@ -34,16 +34,14 @@ _EXTRA_KNOTS = np.concatenate((
 
 @dataclass(frozen=True)
 class ClassicalRegion:
-    """One classically allowed interval.
+    """One classically allowed interval, from ``left`` to ``right``.
 
-    An edge flag marks a side that stops at the working domain boundary
-    (a wall) rather than at a genuine turning point.
+    A side ends at a turning point or at one of the model's ``ends``;
+    :meth:`PotentialModel.leans` tells which at the region's energy.
     """
 
     left: float
     right: float
-    left_is_edge: bool = False
-    right_is_edge: bool = False
 
     @property
     def width(self) -> float:
@@ -81,8 +79,7 @@ def find_turning_points(potential: PotentialModel,
     A named family with a closed-form well (harmonic, linear, Morse,
     square well, Coulomb with M^2 > 0, the polar barrier) states its two
     turning points (:attr:`PotentialModel.turns`).  They are clipped to
-    the model's ``ends``, flagged where :meth:`PotentialModel.leans` (the
-    survey's test) says so, and no scan or root refinement runs.
+    the model's ``ends``, and no scan or root refinement runs.
     Any other model (a table, a custom callable, a radial potential that
     is not Coulomb, Coulomb with M^2 = 0) is scanned: sign changes of
     2m(E - V) over SCAN_POINTS uniform points from end to end, each
@@ -133,20 +130,18 @@ def find_turning_points(potential: PotentialModel,
 def _stated_regions(potential: PotentialModel,
                     energy: float) -> list[ClassicalRegion]:
     """The region between the model's stated turning points, clipped to
-    its ``ends``, with the edge flags of :meth:`PotentialModel.leans`;
-    none at or below the floor, where they are not stated."""
+    its ``ends``; none at or below the floor, where they are not stated."""
     if not energy > potential.minimum()[1]:
         return []
     left, right = potential.turns(energy)
     lo, hi = potential.ends
-    return [ClassicalRegion(max(left, lo), min(right, hi),
-                            *potential.leans(energy))]
+    return [ClassicalRegion(max(left, lo), min(right, hi))]
 
 
 def _allowed_regions(field: MomentumField, xs: np.ndarray,
                      q: np.ndarray) -> list[ClassicalRegion]:
     """The intervals where q > 0 on the scan grid, with every sign change
-    refined to a turning point."""
+    refined to a turning point and an allowed grid end as a region end."""
     mask = q > 0.0
     crossings = []
     # relative to the end nearer 0: a floor cell can reach far past the root
@@ -160,18 +155,9 @@ def _allowed_regions(field: MomentumField, xs: np.ndarray,
             crossings.append(bisect_then_brent(
                 field.q, xs[i], xs[i + 1], fa=q[i], fb=q[i + 1], xtol=xtol))
 
-    regions = []
-    cursor = xs[0] if mask[0] else None
-    cursor_is_edge = bool(mask[0])
-    for c in crossings:
-        if cursor is None:
-            cursor, cursor_is_edge = c, False
-        else:
-            regions.append(ClassicalRegion(cursor, c, cursor_is_edge, False))
-            cursor = None
-    if cursor is not None:
-        regions.append(ClassicalRegion(cursor, xs[-1], cursor_is_edge, True))
-    return regions
+    bounds = ([xs[0]] if mask[0] else []) + crossings + (
+        [xs[-1]] if mask[-1] else [])
+    return [ClassicalRegion(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
 
 
 def _edge_of_allowed(q, inside: float, outside: float,
@@ -221,10 +207,13 @@ def _over_region(region: ClassicalRegion, integrand,
 def _confined_region(potential: PotentialModel,
                      energy: float) -> ClassicalRegion:
     """The lone allowed region; DomainError when it leans on a soft edge,
-    past which the true region, and any integral over it, goes on."""
-    region = find_turning_points(potential, energy).require_single()
-    if ((region.left_is_edge and potential.soft_edges[0])
-            or (region.right_is_edge and potential.soft_edges[1])):
+    past which the true region, and any integral over it, goes on.  A
+    zero-width region at the floor leans on no edge."""
+    report = find_turning_points(potential, energy)
+    region = report.require_single()
+    if not report.degenerate and any(
+            lean and kind == "soft"
+            for lean, kind in zip(potential.leans(energy), potential.edges)):
         raise DomainError(f"allowed region at E = {energy} reaches a soft "
                           "domain edge; widen the domain")
     return region

@@ -82,9 +82,14 @@ class TridiagonalOperator:
         return count
 
     def lowest(self, count: int) -> np.ndarray:
-        """Lowest ``count`` eigenvalues in ascending order."""
+        """Lowest ``count`` eigenvalues in ascending order; OracleError
+        when the operator has over- or underflowed."""
         if not 1 <= count <= self.size:
             raise UsageError("level count must be between 1 and the grid size")
+        if not (self.off != 0.0 and np.isfinite(self.diag).all()
+                and math.isfinite(self.off)):
+            raise OracleError("the finite-difference operator is out of "
+                              f"double range (off-diagonal {self.off!r})")
         from scipy.linalg import eigh_tridiagonal
 
         # stebz stops converging far from unit scale (|off| ~ 1e156 for
@@ -124,9 +129,9 @@ def _extend_edge(potential: PotentialModel, e_top: float, side: int,
     e_top + margin (margin rule) and the decay exponent reaches 14, or
     until the exponent alone reaches 16 (for wells whose tails flatten
     out below the margin bar).  OracleError when neither happens within
-    64 widths.  A hard domain edge is simply the wall.
+    64 widths.  A hard or open domain edge is simply the wall.
     """
-    if not potential.soft_edges[side > 0]:
+    if potential.edges[side > 0] != "soft":
         return potential.domain[side > 0]
     span = potential.domain[1] - potential.domain[0]
     xs = potential.grid(2001)

@@ -2,13 +2,13 @@
 
 A :class:`PotentialModel` bundles the potential function V(x), its analytic
 derivative when one is available, the physical constants (hbar, mass) and a
-finite working domain.  Domains that stand in for infinite or half-infinite
-extents carry soft edges: consumers (the quantizer, and :func:`decay_march`
-for normalization and the oracle's box) may push a soft edge outward with
-:meth:`PotentialModel.with_domain`, while hard edges (tabulated data, the
-r = 0 axis) cannot be crossed.  An open (singular) edge is always hard.  A
-model's ``ends``, the domain nudged 1e-12 of its width off each open edge,
-are where its consumers stop.
+finite working domain, each side of which has one kind (``edges``).  A
+"soft" side stands in for an infinite extent: consumers (the quantizer, and
+:func:`decay_march` for normalization and the oracle's box) may push it
+outward with :meth:`PotentialModel.with_domain`.  A "hard" side (a wall,
+the end of tabulated data) is never crossed, nor is an "open" one, where V
+is singular, as at r = 0 of a radial model.  A model's ``ends``, the domain
+nudged 1e-12 of its width off each open side, are where its consumers stop.
 
 Built-in families:
 
@@ -101,17 +101,16 @@ class PotentialModel:
     """
 
     def __init__(self, kind, params, f, df, constants, domain, *,
-                 soft_edges=(False, False), lo_open=False, hi_open=False,
-                 knots=(), floor_at=(), length=None, turns=None):
+                 edges=("hard", "hard"), knots=(), floor_at=(), length=None,
+                 turns=None):
         self.kind = kind
         self.params = dict(params)
         self.constants = constants
-        self.soft_edges = (bool(soft_edges[0]), bool(soft_edges[1]))
-        self.lo_open = bool(lo_open)
-        self.hi_open = bool(hi_open)
-        if (self.lo_open and self.soft_edges[0]) or \
-                (self.hi_open and self.soft_edges[1]):
-            raise UsageError("an open (singular) edge cannot be soft")
+        self.edges = tuple(edges)   # the lower and the upper side's kind
+        if len(self.edges) != 2 or not all(
+                k in ("hard", "soft", "open") for k in self.edges):
+            raise UsageError(
+                f"edges must be two of 'hard', 'soft', 'open'; got {edges}")
         self._set_domain(domain[0], domain[1])
         # abscissae where V is only piecewise smooth (interpolation knots)
         self.knots = tuple(knots)
@@ -136,8 +135,8 @@ class PotentialModel:
             raise UsageError(f"invalid domain [{lo}, {hi}]")
         self.domain = (lo, hi)
         off = (hi - lo) * 1e-12
-        self.ends = (lo + off if self.lo_open else lo,
-                     hi - off if self.hi_open else hi)
+        self.ends = (lo + off if self.edges[0] == "open" else lo,
+                     hi - off if self.edges[1] == "open" else hi)
         self._min_cache = self._v_ends = None
 
     # -- construction -----------------------------------------------------
@@ -163,7 +162,7 @@ class PotentialModel:
 
         return cls("harmonic", {"omega": float(omega)},
                    lambda x: k * x ** 2, lambda x: 2.0 * k * x,
-                   c, domain, soft_edges=(True, True), floor_at=(0.0,),
+                   c, domain, edges=("soft", "soft"), floor_at=(0.0,),
                    length=length, turns=turns)
 
     @classmethod
@@ -184,7 +183,7 @@ class PotentialModel:
 
         return cls("linear", {"slope": s},
                    lambda x: s * np.abs(x), lambda x: s * np.sign(x),
-                   c, domain, soft_edges=(True, True), floor_at=(0.0,),
+                   c, domain, edges=("soft", "soft"), floor_at=(0.0,),
                    length=length, turns=turns)
 
     @classmethod
@@ -218,7 +217,7 @@ class PotentialModel:
             return left, math.log((1.0 + r) * d / -e) / al
 
         return cls("morse", {"depth": d, "range": al}, f, df, c, domain,
-                   soft_edges=(True, True), floor_at=(0.0,), length=1.0 / al,
+                   edges=("soft", "soft"), floor_at=(0.0,), length=1.0 / al,
                    turns=turns)
 
     @classmethod
@@ -258,7 +257,7 @@ class PotentialModel:
             return -half_m2 / big, (big / e if e < 0.0 else math.inf)
 
         return cls("coulomb", {"charge": z, "centrifugal": m2}, f, df, c,
-                   domain, soft_edges=(False, True), lo_open=True,
+                   domain, edges=("open", "soft"),
                    floor_at=(m2 / (c.mass * z),) if m2 > 0.0 else (),
                    length=bohr, turns=turns if m2 > 0.0 else None)
 
@@ -283,7 +282,7 @@ class PotentialModel:
 
         return cls("square_well", {"depth": d, "width": float(width)},
                    f, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   c, domain, soft_edges=(True, True), floor_at=(0.0,),
+                   c, domain, edges=("soft", "soft"), floor_at=(0.0,),
                    length=width, turns=turns)
 
     @classmethod
@@ -330,11 +329,13 @@ class PotentialModel:
 
     @classmethod
     def from_callable(cls, f, domain, df=None, constants=None,
-                      soft_edges=(False, False), lo_open=False, hi_open=False):
-        """Wrap an arbitrary vectorized callable as a "custom" model."""
+                      edges=("hard", "hard")):
+        """Wrap an arbitrary vectorized callable as a "custom" model whose
+        lower and upper side are each of the kind in ``edges``: "hard" (V
+        is known up to it), "soft" (consumers may move it out) or "open"
+        (V is singular there)."""
         c = constants or PhysicalConstants()
-        return cls("custom", {}, f, df, c, domain,
-                   soft_edges=soft_edges, lo_open=lo_open, hi_open=hi_open)
+        return cls("custom", {}, f, df, c, domain, edges=edges)
 
     # -- JSON description -------------------------------------------------
 
@@ -448,10 +449,11 @@ class PotentialModel:
         if (x < lo - slack).any() or (x > hi + slack).any():
             raise DomainError(
                 f"coordinate outside domain [{lo}, {hi}]")
-        if self.lo_open and (x <= lo).any():
+        lo_kind, hi_kind = self.edges
+        if lo_kind == "open" and (x <= lo).any():
             raise DomainError(
                 f"potential is singular at the open edge x = {lo}")
-        if self.hi_open and (x >= hi).any():
+        if hi_kind == "open" and (x >= hi).any():
             raise DomainError(
                 f"potential is singular at the open edge x = {hi}")
 
@@ -506,7 +508,7 @@ class PotentialModel:
             x, v = xs[i], vs[i]
             if not self.floor_at:
                 last = len(xs) - 1
-                if (i == 0 and self.lo_open) or (i == last and self.hi_open):
+                if i in (0, last) and self.edges[i > 0] == "open":
                     edge = self.domain[i > 0]
                     if self.evaluate(edge + 1e-2 * (x - edge)) < v:
                         raise SolverError(
@@ -533,9 +535,9 @@ class PotentialModel:
         Moving an edge outward is only allowed where the edge is soft.
         """
         cur_lo, cur_hi = self.domain
-        if lo < cur_lo and not self.soft_edges[0]:
+        if lo < cur_lo and self.edges[0] != "soft":
             raise UsageError("cannot extend past a hard lower edge")
-        if hi > cur_hi and not self.soft_edges[1]:
+        if hi > cur_hi and self.edges[1] != "soft":
             raise UsageError("cannot extend past a hard upper edge")
         model = copy.copy(self)
         model._set_domain(lo, hi)
@@ -551,8 +553,9 @@ def effective_radial(potential: PotentialModel,
                      m_squared: float) -> PotentialModel:
     """Radial potential plus the centrifugal term M^2 / (2 m r^2).
 
-    The input must live on a radial domain starting at r = 0, which the
-    result keeps as an open, hard edge whatever the input's lower edge.
+    The input must live on a radial domain starting at r = 0, which is an
+    open edge of the result whatever the input's lower edge; the upper
+    edge keeps the input's kind.
     The result is again a full model, consumable by every one-dimensional
     operation.
     With ``m_squared`` = 0 the potential is returned unchanged; a Coulomb
@@ -584,9 +587,8 @@ def effective_radial(potential: PotentialModel,
               "m_squared": float(m_squared)}
     return PotentialModel("effective_radial", params, f, df,
                           potential.constants, potential.domain,
-                          soft_edges=(False, potential.soft_edges[1]),
-                          lo_open=True,
-                          hi_open=potential.hi_open, knots=potential.knots)
+                          edges=("open", potential.edges[1]),
+                          knots=potential.knots)
 
 
 class MomentumField:
@@ -626,7 +628,7 @@ def decay_march(potential: PotentialModel, energy: float, start: float,
     the exponent being the trapezoid sum of sqrt(2m(V - E))/hbar from
     ``start``.  Positions and sums accumulate as in a one-step-at-a-time
     loop, to the bit.  A soft edge in the way moves out by the original
-    width; a hard one ends the walk.  Else the caller stops it.
+    width; a hard or open one ends the walk.  Else the caller stops it.
     """
     pot = potential
     width = pot.domain[1] - pot.domain[0]
@@ -649,7 +651,7 @@ def decay_march(potential: PotentialModel, energy: float, start: float,
             yield pot, xs, v, expos
             expo, k_prev, x = expos[-1], k[-1], xs[-1]
         if outside.size:
-            if not pot.soft_edges[side > 0]:
+            if pot.edges[side > 0] != "soft":
                 return
             pot = pot.with_domain(lo - width if side < 0 else lo,
                                   hi + width if side > 0 else hi)

@@ -102,8 +102,9 @@ def kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
 
 
 def _sharpened(diff: float) -> float:
-    # QUADPACK's estimate: once K15 and G7 agree, the error shrinks faster
-    return min(diff, (200.0 * diff) ** 1.5)
+    # QUADPACK's estimate: once K15 and G7 agree, the error shrinks faster.
+    # From 200 diff = 1 up the power is at least diff, and may overflow.
+    return diff if 200.0 * diff >= 1.0 else min(diff, (200.0 * diff) ** 1.5)
 
 
 def integrate_adaptive(f, a: float, b: float,
@@ -199,9 +200,10 @@ def _panel_pass(f, a: np.ndarray, b: np.ndarray
                 + np.abs(y[:, -1] - yk @ _XK_EDGES[1]))
         miss = np.maximum(miss - _ROUNDING * np.abs(y).max(axis=1), 0.0)
         kron[lo:lo + _BLOCK] = k
-        # sharpened estimate, as in integrate_adaptive
-        err[lo:lo + _BLOCK] = np.maximum(
-            np.minimum(diff, (200.0 * diff) ** 1.5), half * miss)
+        # sharpened as in integrate_adaptive; a power that overflows is inf
+        with np.errstate(over="ignore"):
+            sharp = np.minimum(diff, (200.0 * diff) ** 1.5)
+        err[lo:lo + _BLOCK] = np.maximum(sharp, half * miss)
     return kron, err
 
 

@@ -74,8 +74,9 @@ class _Quantizer:
         2m(E - V) > 0 at its end of ``pot.ends``) moves out by a domain
         width; one still leaning after _MAX_DOMAIN_GROWTH moves means the
         motion escapes: LevelUnbound, before any scan.  One scan on the
-        domain reached finds the region.  That domain is not kept; every
-        success is, so an energy asked again costs no survey.
+        domain reached finds the region; one leaning on a hard or open
+        edge is a SolverError, unless it has zero width.  That domain is
+        not kept; every success is, so an energy asked again costs none.
         """
         hit = self._surveys.get(energy)
         if hit is not None:
@@ -84,8 +85,8 @@ class _Quantizer:
         pot = self.pot
         for growths in range(_MAX_DOMAIN_GROWTH + 1):
             lean_lo, lean_hi = pot.leans(energy)
-            grow_lo = pot.soft_edges[0] and lean_lo
-            grow_hi = pot.soft_edges[1] and lean_hi
+            grow_lo = lean_lo and pot.edges[0] == "soft"
+            grow_hi = lean_hi and pot.edges[1] == "soft"
             if not (grow_lo or grow_hi):
                 break
             if growths == _MAX_DOMAIN_GROWTH:
@@ -98,7 +99,7 @@ class _Quantizer:
                                   hi + span if grow_hi else hi)
         report = find_turning_points(pot, energy)
         region = report.require_single()
-        if region.left_is_edge or region.right_is_edge:
+        if (lean_lo or lean_hi) and not report.degenerate:
             raise SolverError("allowed region reaches a hard domain edge; "
                               "cannot quantize against a data boundary")
         w = action_integral(pot, energy, region)

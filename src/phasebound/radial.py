@@ -87,7 +87,7 @@ def _polar_potential(m_z_momentum: float,
     return PotentialModel(
         "polar_barrier", {"m_z_momentum": m_z_momentum}, f, None,
         PhysicalConstants(constants.hbar, 0.5), (0.0, math.pi),
-        lo_open=True, hi_open=True, floor_at=(0.5 * math.pi,), turns=turns)
+        edges=("open", "open"), floor_at=(0.5 * math.pi,), turns=turns)
 
 
 def angular_eigenvalue(n_theta: int, m_z_momentum: float,
@@ -109,7 +109,7 @@ def angular_eigenvalue(n_theta: int, m_z_momentum: float,
         pot = PotentialModel.from_callable(
             lambda th: np.zeros_like(np.asarray(th, dtype=float)),
             (0.0, math.pi), constants=PhysicalConstants(c.hbar, 0.5))
-        region = ClassicalRegion(0.0, math.pi, True, True)
+        region = ClassicalRegion(0.0, math.pi)
         w = action_integral(pot, closed * closed, region)
         numeric = w / math.pi
     else:

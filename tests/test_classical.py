@@ -36,7 +36,7 @@ def test_harmonic_turning_points_refined(harmonic):
     root = np.sqrt(5.0)
     assert region.left == pytest.approx(-root, abs=1e-10)
     assert region.right == pytest.approx(root, abs=1e-10)
-    assert not region.left_is_edge and not region.right_is_edge
+    assert harmonic.leans(2.5) == (False, False)
     assert not report.degenerate
 
 
@@ -45,9 +45,8 @@ def _scan_twin(model: PotentialModel) -> PotentialModel:
     so that find_turning_points scans it."""
     return PotentialModel(
         model.kind, model.params, model._f, model._df, model.constants,
-        model.domain, soft_edges=model.soft_edges, lo_open=model.lo_open,
-        hi_open=model.hi_open, knots=model.knots, floor_at=model.floor_at,
-        length=model.length)
+        model.domain, edges=model.edges, knots=model.knots,
+        floor_at=model.floor_at, length=model.length)
 
 
 def test_turning_point_bracket_ends_match_the_refined_function(
@@ -164,8 +163,6 @@ def test_stated_turning_points_match_the_scan(case):
     got, want = stated.regions[0], scanned.regions[0]
     for a, b in ((got.left, want.left), (got.right, want.right)):
         assert abs(a - b) <= rtol * max(abs(a), abs(b))
-    assert got.left_is_edge == want.left_is_edge
-    assert got.right_is_edge == want.right_is_edge
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -183,12 +180,7 @@ def test_every_stated_edge_flag_is_the_survey_rule(model, reach, end, step):
     energy = sub.evaluate(sub.ends[end])
     if step:
         energy = np.nextafter(energy, step * np.inf)
-    outcome = _outcome(sub, energy)
-    if not isinstance(outcome, type) and not outcome.degenerate:
-        region = outcome.require_single()
-        assert (region.left_is_edge, region.right_is_edge) == sub.leans(
-            energy)
-    if sub.soft_edges == (True, True):
+    if sub.edges == ("soft", "soft"):
         try:
             _Quantizer(sub).survey(energy)
         except SolverError as exc:
@@ -211,7 +203,7 @@ def test_the_scan_stops_where_a_plateau_at_the_energy_starts():
     region = find_turning_points(twin, 0.0).require_single()
     assert region.left == pytest.approx(-1.0, abs=1e-12)
     assert region.right == pytest.approx(1.0, abs=1e-12)
-    assert not (region.left_is_edge or region.right_is_edge)
+    assert twin.leans(0.0) == (False, False)
 
 
 @pytest.mark.parametrize("family, energy", [
@@ -236,7 +228,7 @@ def test_well_narrower_than_the_scan_grid(family, energy):
     region = report.require_single()
     assert region.left == pytest.approx(left, rel=1e-12)
     assert region.right == pytest.approx(right, rel=1e-12)
-    assert not region.left_is_edge and not region.right_is_edge
+    assert pot.leans(energy) == (False, False)
     assert action_integral(pot, energy) == pytest.approx(want, rel=1e-12)
 
 
@@ -253,7 +245,19 @@ def test_free_particle_box_keeps_edge_flags():
     report = find_turning_points(box, 1.0)
     region = report.require_single()
     assert region.left == -1.0 and region.right == 1.0
-    assert region.left_is_edge and region.right_is_edge
+    assert box.leans(1.0) == (True, True)
+
+
+def test_a_zero_width_region_leans_on_no_end():
+    # E a double above a floor on an end of the domain: the region is the
+    # floor alone, of zero width and W = 0, and reaches no edge, hard or
+    # soft, though 2m(E - V) > 0 at that end
+    polar = _polar_potential(2.0, PhysicalConstants()).with_domain(0.3, 1.2)
+    energy = np.nextafter(polar.minimum()[1], np.inf)
+    w, report = _Quantizer(polar).survey(energy)
+    assert report.degenerate and w == 0.0
+    half = PotentialModel.harmonic(1.0, domain=(0.0, 12.0))
+    assert action_integral(half, 1e-12) == 0.0
 
 
 def test_double_well_two_regions():

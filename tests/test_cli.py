@@ -298,6 +298,20 @@ def test_wavefunction_rejects_negative_index(capsys, harmonic2_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("hbar", [1e-170, 1e160, 1e250, 1e300])
+@pytest.mark.parametrize("command, levels", [("spectrum", "3"),
+                                             ("audit", "2")])
+def test_harmonic_at_an_extreme_hbar_exits_cleanly(capsys, tmp_path, hbar,
+                                                   command, levels):
+    # an action near 1e300 and a finite-difference operator that over- or
+    # underflows: levels come out, and an audit notes its reference failed
+    path = _write_potential(tmp_path, {"type": "harmonic", "hbar": hbar})
+    code, out, err = _run(capsys, [command, path, "--levels", levels])
+    assert code == 0
+    if command == "audit":
+        assert "reference solver failed" in out
+
+
 def test_audit_close_agreement_on_smooth_well(capsys, tmp_path):
     path = _write_potential(tmp_path, {"type": "harmonic",
                                        "params": {"omega": 1.0}})

@@ -29,6 +29,17 @@ def test_toy_eigenvalues():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("diag, off", [
+    ([2.0, 2.0, 2.0], -0.0), ([2.0, 2.0, 2.0], -np.inf),
+    ([2.0, np.inf, 2.0], -1.0), ([2.0, np.nan, 2.0], -1.0)],
+    ids=["underflow", "overflow", "infinite-diagonal", "nan-diagonal"])
+def test_an_operator_out_of_double_range_is_an_oracle_error(diag, off):
+    # -hbar^2 / (2 m h^2) underflows to -0 at hbar = 1e-170 on harmonic,
+    # and overflows to -inf at hbar = 1e160
+    with pytest.raises(OracleError, match="double"):
+        TridiagonalOperator(np.array(diag), off).lowest(1)
+
+
 def test_sturm_count_brackets_spectrum():
     counts = _toy_operator().counts([0.0, 1.0, 2.5, 10.0])
     assert counts.tolist() == [0, 1, 2, 3]
@@ -107,7 +118,7 @@ def test_auto_box_refuses_unconfined_request():
         return -0.05 * np.exp(-np.asarray(x, dtype=float) ** 2)
 
     shallow = PotentialModel.from_callable(
-        gaussian, domain=(-25.0, 25.0), soft_edges=(True, True))
+        gaussian, domain=(-25.0, 25.0), edges=("soft", "soft"))
     with pytest.raises(OracleError):
         reference_levels(shallow, 2)
     assert calls[0] < 2000
@@ -181,7 +192,7 @@ def test_half_depth_sets_the_margin_when_the_top_spacing_vanishes():
 
     pot = PotentialModel.from_callable(
         well, (-8.0, 8.0), df=lambda x: 4.0 * x * (x * x - 9.0),
-        soft_edges=(True, True))
+        edges=("soft", "soft"))
     e_top, spacing = oracle._estimate_top_level(pot, 3)
     assert spacing == 0.0
     for wall in oracle._auto_box(pot, 3):

@@ -55,7 +55,7 @@ def test_coulomb_domain_is_half_open():
     pot = PotentialModel.coulomb(1.0)
     lo, hi = pot.domain
     assert lo == 0.0
-    assert pot.lo_open
+    assert pot.edges[0] == "open"
     with pytest.raises(DomainError):
         pot.evaluate(0.0)
     with pytest.raises(DomainError):
@@ -174,8 +174,8 @@ def test_energy_scale_is_the_familys_own(model, want):
     # moving the domain keeps it
     assert model.energy_scale == pytest.approx(want, rel=1e-14)
     lo, hi = model.domain
-    wider = model.with_domain(lo - 10.0 * model.soft_edges[0],
-                              hi + 10.0 * model.soft_edges[1])
+    wider = model.with_domain(lo - 10.0 * (model.edges[0] == "soft"),
+                              hi + 10.0 * (model.edges[1] == "soft"))
     assert wider.energy_scale == model.energy_scale
 
 
@@ -214,8 +214,8 @@ def test_ends_are_the_grid_ends(model):
     for m in (model, model.with_domain(lo, 0.5 * (lo + hi))):
         lo, hi = m.domain
         off = 1e-12 * (hi - lo)
-        assert m.ends == (lo + off if m.lo_open else lo,
-                          hi - off if m.hi_open else hi)
+        assert m.ends == (lo + off if m.edges[0] == "open" else lo,
+                          hi - off if m.edges[1] == "open" else hi)
         assert m.grid(2).tobytes() == np.array(m.ends).tobytes()
 
 
@@ -228,9 +228,9 @@ def test_a_floor_clipped_onto_an_open_edge_stays_inside():
     assert v_min == pot.evaluate(x_min) == pytest.approx(4.0 / np.sin(1.2)
                                                          ** 2)
     region = find_turning_points(pot, 5.0).require_single()
-    assert region.right == pot.ends[1] and region.right_is_edge
+    assert region.right == pot.ends[1]
     assert region.left == pytest.approx(np.arcsin(2.0 / np.sqrt(5.0)))
-    assert not region.left_is_edge
+    assert pot.leans(5.0) == (False, True)
     with pytest.raises(SolverError, match="hard domain edge"):
         spectrum(pot, 0)
 
@@ -270,28 +270,29 @@ def test_callable_without_derivative_has_no_derivative_or_json():
 
 def test_open_upper_edge_is_refused():
     pot = PotentialModel.from_callable(lambda x: 1.0 / (1.0 - x), (0.0, 1.0),
-                                       hi_open=True)
+                                       edges=("hard", "open"))
     assert pot.evaluate(0.5) == 2.0
     with pytest.raises(DomainError, match="open edge"):
         pot.evaluate(1.0)
 
 
-@pytest.mark.parametrize("edges", [
-    {"soft_edges": (True, False), "lo_open": True},
-    {"soft_edges": (False, True), "hi_open": True},
-], ids=["lower", "upper"])
+@pytest.mark.parametrize("edges", [(True, False), ("hard", "soft open")],
+                         ids=["lower", "upper"])
 def test_a_soft_open_edge_is_refused(edges):
-    with pytest.raises(UsageError, match="open"):
-        PotentialModel.from_callable(lambda x: 1.0 / x, (0.0, 1.0), **edges)
+    # each side has one kind of three, so soft and open cannot both be
+    # asked of it; anything else, such as a pair of flags, is refused
+    with pytest.raises(UsageError, match="edges must be two of"):
+        PotentialModel.from_callable(lambda x: 1.0 / x, (0.0, 1.0),
+                                     edges=edges)
 
 
 def test_minimum_unbounded_below():
     pot = PotentialModel.from_callable(
-        lambda r: -1.0 / r**2, domain=(0.0, 10.0), lo_open=True)
+        lambda r: -1.0 / r**2, domain=(0.0, 10.0), edges=("open", "hard"))
     with pytest.raises(SolverError, match="lower domain edge"):
         pot.minimum()
     pot = PotentialModel.from_callable(
-        lambda r: -1.0 / (5.0 - r), domain=(0.0, 5.0), hi_open=True)
+        lambda r: -1.0 / (5.0 - r), domain=(0.0, 5.0), edges=("hard", "open"))
     with pytest.raises(SolverError, match="upper domain edge"):
         pot.minimum()
     with pytest.raises(SolverError, match="upper domain edge"):
@@ -398,7 +399,7 @@ def test_effective_radial_adds_centrifugal_term():
     eff = effective_radial(coul, 0.25)
     r = 2.0
     assert eff.evaluate(r) == pytest.approx(-1.0 / r + 0.25 / (2.0 * r * r))
-    assert eff.domain[0] == 0.0 and eff.lo_open
+    assert eff.domain[0] == 0.0 and eff.edges[0] == "open"
     harm = PotentialModel.harmonic(1.0)
     with pytest.raises(UsageError):
         effective_radial(harm, 0.25)  # not a half-line potential

@@ -21,13 +21,13 @@ _PROPERTIES = settings(derandomize=True, database=None, deadline=None,
 _LOG_UNIFORM = st.floats(-12.0, 12.0).map(lambda u: 10.0 ** u)
 
 
-def _gaussian_well(depth, soft=True):
+def _gaussian_well(depth):
     return PotentialModel.from_callable(
         lambda x: -depth * np.exp(-np.asarray(x, dtype=float) ** 2),
         domain=(-25.0, 25.0),
         df=lambda x: 2.0 * depth * np.asarray(x, dtype=float)
         * np.exp(-np.asarray(x, dtype=float) ** 2),
-        soft_edges=(soft, soft))
+        edges=("soft", "soft"))
 
 
 def test_harmonic_levels_exact(harmonic_spectrum):
@@ -233,6 +233,15 @@ def test_harmonic_far_from_unit_scale(omega):
         [omega * (n + 0.5) for n in range(4)], rel=1e-10, abs=0.0)
 
 
+def test_harmonic_with_an_action_near_the_largest_double():
+    # W ~ 1e300: 200 |K15 - G7| is far above 1, where the sharpened error
+    # estimate is |K15 - G7| itself, and its power would overflow
+    energies = spectrum(PotentialModel.harmonic(
+        1.0, PhysicalConstants(1e300, 1.0)), 2).energies
+    assert energies == pytest.approx(
+        [1e300 * (n + 0.5) for n in range(3)], rel=1e-15, abs=0.0)
+
+
 def test_harmonic_near_the_smallest_normal_stiffness():
     # m omega^2 / 2 = 5e-301 is still a normal double
     energies = spectrum(PotentialModel.harmonic(1e-150), 2).energies
@@ -391,7 +400,7 @@ def _plateau_well(half_width):
             a < 5.0, 8.0, 2.0 + 0.5 * np.maximum(a - 20.0, 0.0) ** 2))
 
     return PotentialModel.from_callable(f, (-half_width, half_width),
-                                        soft_edges=(True, True))
+                                        edges=("soft", "soft"))
 
 
 @pytest.mark.parametrize("half_width", [6.0, 60.0])

@@ -91,7 +91,7 @@ def test_isotropic_quadratic_ladder():
     osc = PotentialModel.from_callable(
         lambda r: 0.5 * np.asarray(r, dtype=float) ** 2, (0.0, 40.0),
         df=lambda r: np.asarray(r, dtype=float),
-        lo_open=True, soft_edges=(False, True))
+        edges=("open", "soft"))
     res = radial_spectrum(osc, 1, 0, 0)
     assert not res.truncated
     assert res.m_squared == pytest.approx(0.25, rel=1e-12)
@@ -123,7 +123,7 @@ def test_truncation_reported_for_shallow_radial_well():
         lambda r: -3.0 * np.exp(-0.5 * np.asarray(r, dtype=float)),
         (0.0, 60.0),
         df=lambda r: 1.5 * np.exp(-0.5 * np.asarray(r, dtype=float)),
-        lo_open=True, soft_edges=(False, True))
+        edges=("open", "soft"))
     res = radial_spectrum(well, 8, 0, 0)
     assert res.truncated
     assert "unbound" in res.reason
@@ -137,7 +137,7 @@ def _zero_radial_model():
     return PotentialModel.from_callable(
         lambda r: np.zeros_like(np.asarray(r, dtype=float)), (0.0, 50.0),
         df=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        lo_open=True, soft_edges=(False, True))
+        edges=("open", "soft"))
 
 
 def test_free_product_satisfies_3d_equation():

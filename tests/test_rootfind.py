@@ -88,8 +88,9 @@ def _rise(f, x, h):
 def test_numeric_minimum_matches_scipy_on_each_family_bracket(
         family, monkeypatch):
     named = _FAMILIES[family]()
+    lower = "open" if named.edges[0] == "open" else "hard"
     pot = PotentialModel.from_callable(
-        named.evaluate, named.domain, lo_open=named.lo_open)
+        named.evaluate, named.domain, edges=(lower, "hard"))
     calls = []
 
     def spy(f, a, b, rtol):

@@ -225,7 +225,7 @@ def test_build_state_makes_no_per_point_integrals():
 
     pot = PotentialModel.from_callable(well, (-12.0, 12.0),
                                        df=lambda x: np.asarray(x, dtype=float),
-                                       soft_edges=(True, True))
+                                       edges=("soft", "soft"))
     level = spectrum(pot, 10).levels[10]
     calls[0] = 0
     state = build_state(pot, level)
@@ -269,11 +269,11 @@ def test_unbound_tail_refused():
         return np.where(np.abs(x) < 0.5, -1.0, 0.0)
 
     pot = PotentialModel.from_callable(square_well, (-40.5, 40.5),
-                                       soft_edges=(True, True))
+                                       edges=("soft", "soft"))
     from phasebound.classical import ClassicalRegion
     from phasebound.quantize import EnergyLevel
     fake = EnergyLevel(n=0, energy=0.5,
-                       region=ClassicalRegion(-0.5, 0.5, False, False),
+                       region=ClassicalRegion(-0.5, 0.5),
                        action=1.0, residual=0.0, iterations=1)
     with pytest.raises((NormalizationError, UsageError)):
         build_state(pot, fake)
@@ -285,7 +285,7 @@ def _falling_well():
     # |x| = 648^(1/4) ~ 5.05, just past the soft edges, and falls back to 0
     return PotentialModel.from_callable(
         lambda x: x ** 2 * np.exp(-(x / 6.0) ** 4), (-5.0, 5.0),
-        soft_edges=(True, True))
+        edges=("soft", "soft"))
 
 
 def test_tail_reach_on_a_falling_well():

@@ -15,10 +15,14 @@ scan grid and domain moves) and :func:`~phasebound.potentials.decay_march`,
 which the quantizer never calls.
 
 The reference follows one fixed policy: a box sized for the requested
-levels, 4001 grid points, Richardson-combined with 8001 points on the same
-box.  Both box edges must clear the highest requested level by a margin
+levels and three grids on it, of 1001, 2001 and 4001 points (steps h, h/2
+and h/4).  On a smooth well the central-difference eigenvalues expand in
+even powers of h (Paine, de Hoog & Anderssen, Computing 26, 1981), so
+E = (64 E_{h/4} - 20 E_{h/2} + E_h) / 45 cancels the h^2 and h^4 terms.
+Finer grids would not help: the eigensolver's rounding error grows like
+1/h^2.  Both box edges must clear the highest requested level by a margin
 and accumulate a decay exponent of at least 14 across the forbidden zone,
-which keeps the truncation error below the h^2 discretization error.  A
+which keeps the truncation error below the discretization error.  A
 coarse solve for one level more than asked sets the margin: 5*hbar*omega,
 with hbar*omega the spacing just above the top requested level, or half
 the top level's height above the floor when that spacing is under 1e-9 of
@@ -42,7 +46,7 @@ from .potentials import PotentialModel, decay_march
 
 _DECAY_REQUIRED = 14.0
 _DECAY_ENOUGH = 16.0
-_GRID_POINTS = 4001     # the coarse grid; the fine one has 2 * 4001 - 1
+_GRID_POINTS = 1001     # the coarsest grid; the others halve its step twice
 
 
 @dataclass(frozen=True)
@@ -199,13 +203,15 @@ def discretize(potential: PotentialModel, box, points: int
 def reference_levels(potential: PotentialModel, count: int) -> np.ndarray:
     """Lowest ``count`` reference energies for a potential.
 
-    Eigenvalues on the coarse grid and on a doubled grid over the same box
-    are Richardson-combined, trading one extra solve for two orders of
-    grid accuracy.
+    Eigenvalues on the coarsest grid and on two grids of half and a
+    quarter its step over the same box are Richardson-combined, which
+    cancels the h^2 and h^4 terms of the discretization error.
     """
     if count < 1:
         raise UsageError("level count must be at least 1")
     box = _auto_box(potential, count)
-    coarse = discretize(potential, box, _GRID_POINTS).lowest(count)
-    fine = discretize(potential, box, 2 * _GRID_POINTS - 1).lowest(count)
-    return (4.0 * fine - coarse) / 3.0
+    # steps h, h/2 and h/4 on one box
+    e_h, e_h2, e_h4 = (
+        discretize(potential, box, (_GRID_POINTS - 1) * k + 1).lowest(count)
+        for k in (1, 2, 4))
+    return (64.0 * e_h4 - 20.0 * e_h2 + e_h) / 45.0

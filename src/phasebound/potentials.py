@@ -7,7 +7,8 @@ finite working domain, each side of which has one kind (``edges``).  A
 :func:`decay_march` for normalization and the oracle's box) may push it
 outward with :meth:`PotentialModel.with_domain`.  A "hard" side (a wall,
 the end of tabulated data) is never crossed, nor is an "open" one, where V
-is singular, as at r = 0 of a radial model.  A model's ``ends``, the domain
+is singular, as at r = 0 of a radial model; a domain moved inward off an
+open side is hard there.  A model's ``ends``, the domain
 nudged 1e-12 of its width off each open side, are where its consumers stop.
 
 Built-in families:
@@ -243,11 +244,19 @@ class PotentialModel:
         z, m2 = float(charge), float(centrifugal)
         half_m2 = _finite(lambda: m2 / (2.0 * c.mass))
 
-        def f(r):
-            return -z / r + half_m2 / r ** 2
+        if m2 > 0.0:
+            def f(r):
+                return -z / r + half_m2 / r ** 2
 
-        def df(r):
-            return z / r ** 2 - 2.0 * half_m2 / r ** 3
+            def df(r):
+                return z / r ** 2 - 2.0 * half_m2 / r ** 3
+        else:
+            # no centrifugal term: no r^2 to overflow on a domain past 1e154
+            def f(r):
+                return -z / r
+
+            def df(r):
+                return z / r ** 2
 
         def turns(e):
             # roots of E r^2 + Z r - M^2/(2m) = 0 without cancellation
@@ -525,14 +534,19 @@ class PotentialModel:
         """Whether 2m(E - V) > 0 at each of ``ends``, where V is evaluated
         once per domain: the allowed region at E leans on that end."""
         if self._v_ends is None:
-            self._v_ends = self.evaluate(self.ends)
+            # a soft edge moved far out can take V past the doubles, which
+            # evaluate turns into a DomainError
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._v_ends = self.evaluate(self.ends)
         q = 2.0 * self.constants.mass * (float(energy) - self._v_ends)
         return bool(q[0] > 0.0), bool(q[1] > 0.0)
 
     def with_domain(self, lo: float, hi: float) -> "PotentialModel":
         """This model on another working domain: a shallow copy whose
-        ``domain``, ``ends``, cached floor and V at the ends alone differ.
-        Moving an edge outward is only allowed where the edge is soft.
+        ``domain``, ``ends``, cached floor and V at the ends alone differ,
+        and its ``edges`` where an open side moved inward: V is finite
+        there, so that side becomes hard.  Moving an edge outward is only
+        allowed where the edge is soft.
         """
         cur_lo, cur_hi = self.domain
         if lo < cur_lo and self.edges[0] != "soft":
@@ -540,6 +554,13 @@ class PotentialModel:
         if hi > cur_hi and self.edges[1] != "soft":
             raise UsageError("cannot extend past a hard upper edge")
         model = copy.copy(self)
+        lo_kind, hi_kind = self.edges
+        if lo_kind == "open" and lo > cur_lo:
+            lo_kind = "hard"
+        if hi_kind == "open" and hi < cur_hi:
+            hi_kind = "hard"
+        if (lo_kind, hi_kind) != self.edges:
+            model.edges = (lo_kind, hi_kind)
         model._set_domain(lo, hi)
         return model
 

@@ -288,8 +288,12 @@ def _epsilon(potential, energy, x, region, strict):
     ok = ~np.isnan(p)
     eps = np.full(x.shape, np.nan)
     dv = _potential_slope(potential, x[ok], region)
-    eps[ok] = -potential.constants.hbar * potential.constants.mass * dv \
-        / p[ok] ** 3
+    # at an extreme hbar both hbar m V' and p^3 leave the doubles (near
+    # 1e375 at hbar = 1e250, 1e-450 at 1e-300), so eps is inf/inf or 0/0:
+    # NaN, a blank cell as for any refused point
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps[ok] = -potential.constants.hbar * potential.constants.mass * dv \
+            / p[ok] ** 3
     return eps
 
 

@@ -312,6 +312,25 @@ def test_harmonic_at_an_extreme_hbar_exits_cleanly(capsys, tmp_path, hbar,
         assert "reference solver failed" in out
 
 
+@pytest.mark.parametrize("doc, argv, code", [
+    ({"type": "morse", "hbar": 1e100}, ["audit", "--levels", "2"], 1),
+    ({"type": "harmonic", "hbar": 1e250},
+     ["wavefunction", "--n", "0", "--grid", "11"], 0),
+    ({"type": "harmonic", "hbar": 1e-300},
+     ["wavefunction", "--n", "0", "--grid", "11"], 0),
+    ({"type": "coulomb", "hbar": 1e100}, ["spectrum", "--levels", "2"], 1)],
+    ids=["morse-audit", "harmonic-1e250", "harmonic-1e-300", "coulomb"])
+def test_an_extreme_hbar_raises_no_numpy_warning(capsys, tmp_path, doc, argv,
+                                                 code):
+    # every warning is an error here, so a V past the doubles on a grown
+    # domain, Coulomb's r^2 on a 1e202-wide domain or an epsilon column
+    # out of range would raise instead of exiting with the code
+    path = _write_potential(tmp_path, doc)
+    got, out, err = _run(capsys, [argv[0], path, *argv[1:]])
+    assert got == code
+    assert "Warning" not in err
+
+
 def test_audit_close_agreement_on_smooth_well(capsys, tmp_path):
     path = _write_potential(tmp_path, {"type": "harmonic",
                                        "params": {"omega": 1.0}})

@@ -196,14 +196,20 @@ _KIND_IDS = ["harmonic", "linear", "morse", "square_well", "coulomb",
 
 @pytest.mark.parametrize("model", _EVERY_KIND, ids=_KIND_IDS)
 def test_a_domain_move_shares_everything_but_the_domain(model):
+    # and the edges, where an open side moved inward and so became hard
     model.minimum()
     lo, hi = model.domain
-    for moved in (model.with_domain(lo + 0.1 * (hi - lo), hi),
-                  model.with_domain(lo, 0.5 * (lo + hi))):
+    for side, moved in enumerate((model.with_domain(lo + 0.1 * (hi - lo), hi),
+                                  model.with_domain(lo, 0.5 * (lo + hi)))):
         own, new = vars(model), vars(moved)
         assert own.keys() == new.keys()
-        assert {k for k in own if new[k] is not own[k]} == {
-            "domain", "ends", "_min_cache"}
+        was_open = model.edges[side] == "open"
+        differ = {"domain", "ends", "_min_cache"}
+        assert {k for k in own if new[k] is not own[k]} == (
+            differ | {"edges"} if was_open else differ)
+        assert moved.edges[side] == ("hard" if was_open
+                                     else model.edges[side])
+        assert moved.edges[1 - side] == model.edges[1 - side]
         assert new["_min_cache"] is None
 
 
@@ -221,10 +227,12 @@ def test_ends_are_the_grid_ends(model):
 
 def test_a_floor_clipped_onto_an_open_edge_stays_inside():
     # the polar barrier is lowest at pi/2, beyond this domain, and
-    # singular at both of its edges
+    # singular at both of its edges, which this domain moved off: so both
+    # of its sides are hard, and the floor is at the upper one
     pot = _polar_potential(2.0, PhysicalConstants()).with_domain(0.3, 1.2)
+    assert pot.edges == ("hard", "hard")
     x_min, v_min = pot.minimum()
-    assert x_min == pot.ends[1] < 1.2
+    assert x_min == pot.ends[1] == 1.2
     assert v_min == pot.evaluate(x_min) == pytest.approx(4.0 / np.sin(1.2)
                                                          ** 2)
     region = find_turning_points(pot, 5.0).require_single()
@@ -233,6 +241,18 @@ def test_a_floor_clipped_onto_an_open_edge_stays_inside():
     assert pot.leans(5.0) == (False, True)
     with pytest.raises(SolverError, match="hard domain edge"):
         spectrum(pot, 0)
+
+
+def test_an_open_edge_moved_inward_is_hard():
+    # r = 2 is no singular point, so the floor there is reached
+    pot = PotentialModel.from_callable(
+        lambda r: -1 / r + 0.5 / r ** 2, (0, 50), edges=("open", "hard"))
+    moved = pot.with_domain(2, 50)
+    assert moved.edges == ("hard", "hard")
+    assert moved.ends == (2.0, 50.0)
+    assert moved.minimum() == (2.0, -0.375)
+    # an open side left where it is stays open
+    assert pot.with_domain(0, 40).edges == ("open", "hard")
 
 
 def test_a_non_finite_energy_scale_is_refused():

@@ -54,27 +54,24 @@ class ClassicalRegion:
 
 @dataclass(frozen=True)
 class TurningPointReport:
-    """Scan outcome at one energy."""
+    """Scan outcome at one energy: its allowed regions, at least one."""
 
     energy: float
     regions: tuple[ClassicalRegion, ...]
-    degenerate: bool
 
     def require_single(self) -> ClassicalRegion:
         """The lone allowed region, or a refusal when there are several."""
-        if len(self.regions) == 1:
-            return self.regions[0]
-        if not self.regions:
-            raise NoClassicalMotion(
-                f"no classically allowed region at E = {self.energy}")
-        raise MultiRegionError(
-            f"{len(self.regions)} allowed regions at E = {self.energy}; "
-            "tunnelling-coupled wells are not supported")
+        if len(self.regions) > 1:
+            raise MultiRegionError(
+                f"{len(self.regions)} allowed regions at E = {self.energy}; "
+                "tunnelling-coupled wells are not supported")
+        return self.regions[0]
 
 
 def find_turning_points(potential: PotentialModel,
                         energy: float) -> TurningPointReport:
-    """Locate the classically allowed regions at the given energy.
+    """Locate the classically allowed regions, where 2m(E - V) > 0, at
+    the given energy.
 
     A named family with a closed-form well (harmonic, linear, Morse,
     square well, Coulomb with M^2 > 0, the polar barrier) states its two
@@ -90,41 +87,34 @@ def find_turning_points(potential: PotentialModel,
     region, leaves every scan point forbidden; then the floor x_min of
     :meth:`PotentialModel.minimum` joins the grid, and its two
     neighbours bracket the turning points.
-    When no region, or one narrower than 1e-6 of the ends' span, is found, an
-    energy within 1e-8 of max(|E|, |V_min|, the model's energy_scale)
-    of the floor yields a degenerate zero-width region; one below the
-    floor, or on a potential with no floor, raises NoClassicalMotion.
+    An energy at or below the floor raises NoClassicalMotion, as does
+    one at which a potential with no floor allows no scan point.  Just
+    above the floor the region is as narrow as its roots, down to a
+    single point where they round together.
     """
     energy = float(energy)
-    lo, hi = potential.ends
     if potential.turns is None:
         field = MomentumField(potential, energy)
         xs = potential.grid(SCAN_POINTS)
         q = field.q(xs)
         regions = _allowed_regions(field, xs, q)
+        if not regions:
+            try:
+                x_min, v_min = potential.minimum()
+            except (SolverError, DomainError):
+                # V unbounded below, or not finite: no floor to insert
+                x_min, v_min = None, math.inf
+            if energy > v_min:
+                k = int(np.searchsorted(xs, x_min))
+                xs = np.insert(xs, k, x_min)
+                q = np.insert(q, k, field.q(x_min))
+                regions = _allowed_regions(field, xs, q)
     else:
         regions = _stated_regions(potential, energy)
-    if not regions or (len(regions) == 1
-                       and regions[0].width < 1e-6 * (hi - lo)):
-        try:
-            x_min, v_min = potential.minimum()
-        except (SolverError, DomainError):   # V unbounded below, or not finite
-            x_min = v_min = None
-        if v_min is not None and abs(energy - v_min) <= 1e-8 * max(
-                abs(energy), abs(v_min), potential.energy_scale):
-            region = ClassicalRegion(x_min, x_min)
-            return TurningPointReport(energy, (region,), True)
-        if not regions:
-            if v_min is None or energy < v_min:
-                raise NoClassicalMotion(
-                    f"no classically allowed region at E = {energy}")
-            # E is above the floor, so q(x_min) > 0; stated turning
-            # points always enclose x_min, so only a scan gets here
-            k = int(np.searchsorted(xs, x_min))
-            xs = np.insert(xs, k, x_min)
-            q = np.insert(q, k, field.q(x_min))
-            regions = _allowed_regions(field, xs, q)
-    return TurningPointReport(energy, tuple(regions), False)
+    if not regions:
+        raise NoClassicalMotion(
+            f"no classically allowed region at E = {energy}")
+    return TurningPointReport(energy, tuple(regions))
 
 
 def _stated_regions(potential: PotentialModel,
@@ -207,13 +197,10 @@ def _over_region(region: ClassicalRegion, integrand,
 def _confined_region(potential: PotentialModel,
                      energy: float) -> ClassicalRegion:
     """The lone allowed region; DomainError when it leans on a soft edge,
-    past which the true region, and any integral over it, goes on.  A
-    zero-width region at the floor leans on no edge."""
-    report = find_turning_points(potential, energy)
-    region = report.require_single()
-    if not report.degenerate and any(
-            lean and kind == "soft"
-            for lean, kind in zip(potential.leans(energy), potential.edges)):
+    past which the true region, and any integral over it, goes on."""
+    region = find_turning_points(potential, energy).require_single()
+    if any(lean and kind == "soft"
+           for lean, kind in zip(potential.leans(energy), potential.edges)):
         raise DomainError(f"allowed region at E = {energy} reaches a soft "
                           "domain edge; widen the domain")
     return region

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import (ClassicalRegion, TurningPointReport,
-                        find_turning_points)
+from .classical import ClassicalRegion, find_turning_points
 from .classical import action_integral
 from .errors import LevelUnbound, PhaseboundError, SolverError, UsageError
 from .potentials import PotentialModel
@@ -58,16 +57,16 @@ class SpectrumResult:
 
 class _Quantizer:
     """Solver state for one potential: survey counter and every
-    successful survey, keyed by energy."""
+    successful survey, (W, region) keyed by energy."""
 
     def __init__(self, potential: PotentialModel):
         self.pot = potential
         self.evals = 0
-        self._surveys: dict[float, tuple[float, TurningPointReport]] = {}
+        self._surveys: dict[float, tuple[float, ClassicalRegion]] = {}
         self.v_min = potential.minimum()[1]
 
-    def survey(self, energy: float) -> tuple[float, TurningPointReport]:
-        """W and turning-point report at one energy, a function of the
+    def survey(self, energy: float) -> tuple[float, ClassicalRegion]:
+        """W and the allowed region at one energy, a function of the
         energy alone.
 
         Each soft edge on which the region leans (``pot.leans``: q =
@@ -75,8 +74,8 @@ class _Quantizer:
         width; one still leaning after _MAX_DOMAIN_GROWTH moves means the
         motion escapes: LevelUnbound, before any scan.  One scan on the
         domain reached finds the region; one leaning on a hard or open
-        edge is a SolverError, unless it has zero width.  That domain is
-        not kept; every success is, so an energy asked again costs none.
+        edge is a SolverError.  That domain is not kept; every success
+        is, so an energy asked again costs none.
         """
         hit = self._surveys.get(energy)
         if hit is not None:
@@ -97,14 +96,13 @@ class _Quantizer:
             span = hi - lo
             pot = pot.with_domain(lo - span if grow_lo else lo,
                                   hi + span if grow_hi else hi)
-        report = find_turning_points(pot, energy)
-        region = report.require_single()
-        if (lean_lo or lean_hi) and not report.degenerate:
+        region = find_turning_points(pot, energy).require_single()
+        if lean_lo or lean_hi:
             raise SolverError("allowed region reaches a hard domain edge; "
                               "cannot quantize against a data boundary")
         w = action_integral(pot, energy, region)
-        self._surveys[energy] = (w, report)
-        return w, report
+        self._surveys[energy] = (w, region)
+        return w, region
 
     def condition(self, energy: float, target: float) -> float:
         w, _ = self.survey(energy)
@@ -166,7 +164,7 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
     # F is continuous and monotone on a single well: no bisection warm-up
     energy = bisect_then_brent(lambda e: q.condition(e, target), a, b,
                                fa=fa, fb=fb, xtol=xtol, pre_bisect=0)
-    w, report = q.survey(energy)
+    w, region = q.survey(energy)
     residual = abs(w / hbar - target)
     if residual > limit:
         # a level far nearer its floor than E = 0 can be finer than doubles
@@ -175,8 +173,8 @@ def _solve(q: _Quantizer, n: int, seed, step_hint) -> EnergyLevel:
             f"level {n}: residual {residual:.3e} is beyond the limit "
             f"{limit:.3e}; W/hbar moves {jump:.3e} from E = {energy:.17g} "
             "to the next double")
-    return EnergyLevel(int(n), energy, w, report.require_single(),
-                       residual, q.evals - evals_before)
+    return EnergyLevel(int(n), energy, w, region, residual,
+                       q.evals - evals_before)
 
 
 def spectrum(potential: PotentialModel, n_max: int) -> SpectrumResult:

@@ -209,7 +209,7 @@ def build_state(potential: PotentialModel, level: EnergyLevel
     """Construct and normalize the piecewise state for a solved level."""
     region = level.region
     if region.width <= 0.0:
-        raise UsageError("cannot build a state on a degenerate region")
+        raise UsageError("cannot build a state on a zero-width region")
     pot, reach_left = _tail_reach(potential, level.energy, region.left, -1)
     pot, reach_right = _tail_reach(pot, level.energy, region.right, +1)
     acc = PhaseAccumulator(pot, level.energy, region)

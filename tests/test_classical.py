@@ -26,18 +26,17 @@ from phasebound.radial import _polar_potential
 from phasebound.states import epsilon_parameter
 
 # V = -2.5/r + 0.125/r^2: floor -12.5 at r = 0.1 on a domain [0, 240] whose
-# 512-point scan steps by 0.47, so no scan point is allowed below E = -4.76
+# 512-point scan (in its scan twin) steps by 0.47, so no scan point is
+# allowed below E = -4.76
 NARROW_COULOMB = effective_radial(PotentialModel.coulomb(2.5), 0.25)
 
 
 def test_harmonic_turning_points_refined(harmonic):
-    report = find_turning_points(harmonic, 2.5)
-    region = report.require_single()
+    region = find_turning_points(harmonic, 2.5).require_single()
     root = np.sqrt(5.0)
     assert region.left == pytest.approx(-root, abs=1e-10)
     assert region.right == pytest.approx(root, abs=1e-10)
     assert harmonic.leans(2.5) == (False, False)
-    assert not report.degenerate
 
 
 def _scan_twin(model: PotentialModel) -> PotentialModel:
@@ -79,16 +78,48 @@ def test_no_motion_below_floor(harmonic):
         find_turning_points(PotentialModel.coulomb(2.5), -1e11)
 
 
-def test_floor_energy_is_degenerate(harmonic):
-    report = find_turning_points(harmonic, 0.0)
-    assert report.degenerate
-    region = report.regions[0]
-    assert region.width == pytest.approx(0.0, abs=1e-6)
-    report = find_turning_points(NARROW_COULOMB, -12.5 + 1e-9)
-    assert report.degenerate
-    region = report.require_single()
-    assert region.width == 0.0
-    assert region.left == pytest.approx(0.1, rel=1e-6)
+_FLOORED = [PotentialModel.harmonic(1.0), PotentialModel.linear(1.0),
+            PotentialModel.morse(10.0, 1.0), NARROW_COULOMB]
+
+
+@pytest.mark.parametrize("model", _FLOORED + [
+    _scan_twin(model) for model in _FLOORED], ids=[
+        "harmonic", "linear", "morse", "narrow_coulomb", "harmonic_scan",
+        "linear_scan", "morse_scan", "narrow_coulomb_scan"])
+def test_no_region_at_the_floor(model):
+    with pytest.raises(NoClassicalMotion):
+        find_turning_points(model, model.minimum()[1])
+
+
+def _narrow_well(family, energy):
+    """The model, its turning points and W at ``energy``, in closed form."""
+    if family == "harmonic":
+        pot = PotentialModel.harmonic(1.0)
+        left, right = -np.sqrt(2.0 * energy), np.sqrt(2.0 * energy)
+        return pot, left, right, np.pi * energy
+    if family == "linear":
+        pot = PotentialModel.linear(1.0)
+        return pot, -energy, energy, 4.0 * np.sqrt(2.0) / 3.0 * energy ** 1.5
+    # roots of E r^2 + 2.5 r - 0.125, in the form that keeps both exact
+    q = -0.5 * (2.5 + np.sqrt(2.5 ** 2 + 4.0 * energy * 0.125))
+    left, right = sorted((q / energy, -0.125 / q))
+    # pi (Z sqrt(m / 2|E|) - M) with M = 1/2
+    want = np.pi * (2.5 * np.sqrt(0.5 / -energy) - 0.5)
+    return NARROW_COULOMB, left, right, want
+
+
+@pytest.mark.parametrize("family, energy", [
+    ("harmonic", 1e-11), ("linear", 1e-10), ("coulomb", -12.5 + 1e-9)],
+    ids=["harmonic", "linear", "coulomb"])
+def test_the_true_narrow_region_just_above_the_floor(family, energy):
+    pot, left, right, want = _narrow_well(family, energy)
+    region = find_turning_points(pot, energy).require_single()
+    assert region.left == pytest.approx(left, rel=1e-12)
+    assert region.right == pytest.approx(right, rel=1e-12)
+    # W is as small as the region, and the quadrature's tolerance is
+    # 1e-12 absolute
+    w = action_integral(pot, energy)
+    assert w > 0.0 and abs(w - want) <= 1e-12
 
 
 _MORSE_50 = PotentialModel.morse(50.0, 0.5)
@@ -105,20 +136,19 @@ _STATED += [model.with_domain(lo, hi) for model, lo, hi in zip(
 
 
 def _energies(model):
-    """At and below the floor, near it (down to 1e-3 of the well's span),
-    in the well, and for a well that opens at E = 0, at E -> 0- and above.
-
-    None lies just above the floor, within the 1e-8 where a scan that
-    sees no allowed grid point reports a degenerate region: the stated
-    roots give the region there unless it is narrower than 1e-6 of the
-    grid.  On the square well E = 0 is drawn too, where V = E on a whole
-    side (see test_square_well_at_zero_energy)."""
+    """At and below the floor, just above it (down to 1e-14 of
+    max(|V_min|, energy_scale)), near it (down to 1e-3 of the well's
+    span), in the well, and for a well that opens at E = 0, at E -> 0-
+    and above.  On the square well E = 0 is drawn too, where V = E on a
+    whole side (see test_square_well_at_zero_energy)."""
     v_min = model.minimum()[1]
     opens = model.kind in ("morse", "square_well", "coulomb")
     top = 0.0 if opens else v_min + 30.0 * model.energy_scale
     span = max(top - v_min, model.energy_scale)
+    band = 1e-8 * max(abs(v_min), model.energy_scale)
     parts = [st.just(v_min),
              st.floats(1e-6, 1.0).map(lambda u: v_min - u * span),
+             st.floats(1e-6, 1.0).map(lambda u: v_min + u * band),
              st.floats(0.1, 3.0).map(lambda t: v_min + span * 10.0 ** -t),
              st.floats(1e-3, 0.999).map(lambda u: v_min + u * (top - v_min))]
     if opens:
@@ -150,11 +180,7 @@ def test_stated_turning_points_match_the_scan(case):
         assert stated is scanned
         return
     assert not isinstance(stated, type)
-    assert stated.degenerate == scanned.degenerate
     assert len(stated.regions) == len(scanned.regions) == 1
-    if stated.degenerate:   # both at the floor of minimum()
-        assert stated.regions == scanned.regions
-        return
     # the rounding of E - V moves a turning point by ~eps |E| / |V'|, and
     # |V'| falls with E - V_min toward a floor, so there the bound grows
     # by |E| / (E - V_min)
@@ -208,24 +234,18 @@ def test_the_scan_stops_where_a_plateau_at_the_energy_starts():
 
 @pytest.mark.parametrize("family, energy", [
     ("coulomb", -10.0), ("coulomb", -12.0), ("coulomb", -12.4),
-    ("linear", 1e-2), ("linear", 1e-4)])
+    ("linear", 1e-2), ("linear", 1e-4),
+    ("coulomb_scan", -10.0), ("coulomb_scan", -12.0),
+    ("coulomb_scan", -12.4), ("linear_scan", 1e-2), ("linear_scan", 1e-4)])
 def test_well_narrower_than_the_scan_grid(family, energy):
-    if family == "coulomb":
-        pot = NARROW_COULOMB
-        # roots of E r^2 + 2.5 r - 0.125, in the form that keeps both exact
-        q = -0.5 * (2.5 + np.sqrt(2.5 ** 2 + 4.0 * energy * 0.125))
-        left, right = sorted((q / energy, -0.125 / q))
-        # pi (Z sqrt(m / 2|E|) - M) with M = 1/2
-        want = np.pi * (2.5 * np.sqrt(0.5 / -energy) - 0.5)
-    else:
-        pot = PotentialModel.linear(1.0)
-        left, right = -energy, energy
-        want = 4.0 * np.sqrt(2.0) / 3.0 * energy ** 1.5
+    # the scan twins see no allowed scan point, so the floor joins the grid
+    pot, left, right, want = _narrow_well(family.removesuffix("_scan"),
+                                          energy)
+    if family.endswith("_scan"):
+        pot = _scan_twin(pot)
     scan = pot.grid(SCAN_POINTS)
     assert np.all(pot.evaluate(scan) > energy)
-    report = find_turning_points(pot, energy)
-    assert not report.degenerate
-    region = report.require_single()
+    region = find_turning_points(pot, energy).require_single()
     assert region.left == pytest.approx(left, rel=1e-12)
     assert region.right == pytest.approx(right, rel=1e-12)
     assert pot.leans(energy) == (False, False)
@@ -248,16 +268,16 @@ def test_free_particle_box_keeps_edge_flags():
     assert box.leans(1.0) == (True, True)
 
 
-def test_a_zero_width_region_leans_on_no_end():
-    # E a double above a floor on an end of the domain: the region is the
-    # floor alone, of zero width and W = 0, and reaches no edge, hard or
-    # soft, though 2m(E - V) > 0 at that end
+def test_a_region_just_above_a_floor_on_an_end_leans_on_it():
+    # E a double above a floor on an end of the domain: 2m(E - V) > 0 at
+    # that end, so the region reaches it however narrow it is
     polar = _polar_potential(2.0, PhysicalConstants()).with_domain(0.3, 1.2)
     energy = np.nextafter(polar.minimum()[1], np.inf)
-    w, report = _Quantizer(polar).survey(energy)
-    assert report.degenerate and w == 0.0
+    with pytest.raises(SolverError, match="hard domain edge"):
+        _Quantizer(polar).survey(energy)
     half = PotentialModel.harmonic(1.0, domain=(0.0, 12.0))
-    assert action_integral(half, 1e-12) == 0.0
+    with pytest.raises(DomainError, match="soft domain edge"):
+        action_integral(half, 1e-12)
 
 
 def test_double_well_two_regions():

@@ -280,6 +280,15 @@ def test_unbound_tail_refused():
     assert calls[0] < 2000
 
 
+def test_build_state_refuses_a_zero_width_region(harmonic):
+    from phasebound.classical import ClassicalRegion
+    from phasebound.quantize import EnergyLevel
+    fake = EnergyLevel(n=0, energy=0.5, region=ClassicalRegion(0.0, 0.0),
+                       action=0.0, residual=0.0, iterations=1)
+    with pytest.raises(UsageError, match="zero-width region"):
+        build_state(harmonic, fake)
+
+
 def _falling_well():
     # x^2 exp(-(x/6)^4) rises to a rim of 36/sqrt(e) ~ 15.4 at
     # |x| = 648^(1/4) ~ 5.05, just past the soft edges, and falls back to 0

@@ -2,9 +2,11 @@
 
 Everything here works on a single (potential, energy) pair.  The named
 families with a closed-form well (harmonic, linear, Morse, square well,
-Coulomb with M^2 > 0, the polar barrier) state their turning points;
-tables, custom callables and the other radial potentials have theirs
-located by a sign scan over the squared momentum plus root refinement.
+Coulomb with M^2 > 0, the polar barrier) and tables (one cubic root per
+cell that V crosses) state their turning points; custom callables, the
+non-Coulomb ``effective_radial`` potentials and Coulomb with M^2 = 0 have
+theirs located by a sign scan over the squared momentum plus root
+refinement.
 Action-type integrals are then taken over the classically allowed region
 with a sine substitution that absorbs the square-root behaviour at the
 interval ends.
@@ -75,10 +77,13 @@ def find_turning_points(potential: PotentialModel,
 
     A named family with a closed-form well (harmonic, linear, Morse,
     square well, Coulomb with M^2 > 0, the polar barrier) states its two
-    turning points (:attr:`PotentialModel.turns`).  They are clipped to
-    the model's ``ends``, and no scan or root refinement runs.
-    Any other model (a table, a custom callable, a radial potential that
-    is not Coulomb, Coulomb with M^2 = 0) is scanned: sign changes of
+    turning points (:attr:`PotentialModel.turns`), and a table states
+    those of every region, from the cubics of the cells that V crosses.
+    They pair into regions, each clipped to the model's ``ends``; a pair
+    outside them, as on a sub-range of a table with two wells, gives
+    none.  No scan runs, and no root is refined on V.
+    Any other model (a custom callable, a radial potential that is not
+    Coulomb, Coulomb with M^2 = 0) is scanned: sign changes of
     2m(E - V) over SCAN_POINTS uniform points from end to end, each
     refined to root precision; where the scan meets V = E exactly, as on
     a plateau, the edge of 2m(E - V) > 0 is found by bisection on the
@@ -117,15 +122,24 @@ def find_turning_points(potential: PotentialModel,
     return TurningPointReport(energy, tuple(regions))
 
 
+def _paired(bounds, lo: float, hi: float) -> list[ClassicalRegion]:
+    """Regions between the sorted ``bounds`` taken in pairs, each clipped
+    to [lo, hi]; a pair that lies outside it gives none."""
+    regions = []
+    for left, right in zip(bounds[::2], bounds[1::2]):
+        left, right = max(left, lo), min(right, hi)
+        if left <= right:
+            regions.append(ClassicalRegion(left, right))
+    return regions
+
+
 def _stated_regions(potential: PotentialModel,
                     energy: float) -> list[ClassicalRegion]:
-    """The region between the model's stated turning points, clipped to
+    """The regions between the model's stated turning points, clipped to
     its ``ends``; none at or below the floor, where they are not stated."""
     if not energy > potential.minimum()[1]:
         return []
-    left, right = potential.turns(energy)
-    lo, hi = potential.ends
-    return [ClassicalRegion(max(left, lo), min(right, hi))]
+    return _paired(potential.turns(energy), *potential.ends)
 
 
 def _allowed_regions(field: MomentumField, xs: np.ndarray,
@@ -147,7 +161,7 @@ def _allowed_regions(field: MomentumField, xs: np.ndarray,
 
     bounds = ([xs[0]] if mask[0] else []) + crossings + (
         [xs[-1]] if mask[-1] else [])
-    return [ClassicalRegion(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+    return _paired(bounds, xs[0], xs[-1])
 
 
 def _edge_of_allowed(q, inside: float, outside: float,

@@ -118,8 +118,9 @@ class PotentialModel:
         # abscissae among which V is lowest on any sub-domain, once each is
         # clipped into it; empty when only a numeric search can tell
         self.floor_at = tuple(floor_at)
-        # E above the floor -> the unclipped (left, right) turning points,
-        # +-inf where the well opens; None when only a scan can tell
+        # E above the floor -> the unclipped turning points, a sorted
+        # tuple that pairs into allowed regions, +-inf where the well
+        # opens; None when only a scan can tell
         self.turns = turns
         # the family's own length, else the domain width (see energy_scale)
         lo, hi = self.domain
@@ -299,13 +300,19 @@ class PotentialModel:
         """Monotone cubic Hermite interpolant through (x, V) samples.
 
         Needs at least 4 samples with strictly increasing x.  The shape-
-        preserving interpolant cannot overshoot between samples, so no
-        spurious turning points appear, and V on any sub-range is lowest at
-        a sample inside it or at one of its ends.  The sample range is a
-        hard domain.  The interpolant is scipy's PchipInterpolator, so the
-        first tabulated model a process builds loads scipy.interpolate.  It
-        is only C1 at the samples, so their x are the model's ``knots``,
-        where the action quadrature splits its panels.
+        preserving interpolant is monotone on every cell (Fritsch &
+        Carlson, SIAM J. Numer. Anal. 17, 1980), so no spurious turning
+        points appear, and V on any sub-range is lowest at a sample inside
+        it or at one of its ends.  So the model states its turning points
+        (``turns``): the cells whose two samples lie on either side of E,
+        by V as :meth:`evaluate` computes it there, hold one each, found
+        on the cell's cubic with no call of V; a sample below E at an end
+        of the table opens the region there (+-inf).  The sample range is
+        a hard domain.  The interpolant is scipy's PchipInterpolator, so
+        the first tabulated model a process builds loads
+        scipy.interpolate.  It is only C1 at the samples, so their x are
+        the model's ``knots``, where the action quadrature splits its
+        panels.
         """
         from scipy.interpolate import PchipInterpolator
 
@@ -332,9 +339,25 @@ class PotentialModel:
         else:
             if domain[0] < xs[0] or domain[1] > xs[-1]:
                 raise UsageError("domain exceeds the tabulated sample range")
+        # V at the samples as evaluate computes it (the last one on the
+        # last cell's cubic), and each cell's cubic in x - x_i
+        v_at = interp(xs)
+        cells = interp.c.T.tolist()
+        knots = xs.tolist()
+
+        def turns(e):
+            inside = v_at < e
+            bounds = [-math.inf] if inside[0] else []
+            for i in np.flatnonzero(inside[:-1] != inside[1:]).tolist():
+                bounds.append(_cell_turning_point(
+                    cells[i], knots[i], knots[i + 1], e, bool(inside[i])))
+            if inside[-1]:
+                bounds.append(math.inf)
+            return tuple(bounds)
+
         return cls("tabulated", {"samples": pts.tolist()},
                    lambda x: interp(x), lambda x: dinterp(x), c, domain,
-                   knots=xs.tolist(), floor_at=xs.tolist())
+                   knots=knots, floor_at=knots, turns=turns)
 
     @classmethod
     def from_callable(cls, f, domain, df=None, constants=None,
@@ -568,6 +591,41 @@ class PotentialModel:
         lo, hi = self.domain
         return (f"PotentialModel({self.kind}, params={self.params}, "
                 f"domain=[{lo:g}, {hi:g}])")
+
+
+def _cell_turning_point(cubic, x0: float, x1: float, e: float,
+                        left_inside: bool) -> float:
+    """Where V = E in one PCHIP cell [x0, x1] that V crosses.
+
+    ``cubic`` holds the cell's coefficients, highest power first, in
+    t = x - x0; V is monotone on the cell, so the crossing is unique.
+    ``left_inside`` says which end has V < E.  Newton steps on the cubic
+    run until one moves t by at most 4 doubles.  A step that leaves the
+    bracket or does not halve the step before it bisects instead (rtsafe:
+    Press et al., Numerical Recipes, 9.4); where V meets E flat, as where
+    a plateau starts, the bracket may close to two adjacent doubles
+    first, and the end with V >= E is the turning point.
+    """
+    c0, c1, c2, c3 = cubic
+    inner, outer = (0.0, x1 - x0) if left_inside else (x1 - x0, 0.0)
+    t, step = 0.5 * (x1 - x0), x1 - x0
+    while True:
+        v = ((c0 * t + c1) * t + c2) * t + c3
+        if v < e:
+            inner = t
+        else:
+            outer = t
+        lo, hi = min(inner, outer), max(inner, outer)
+        slope = (3.0 * c0 * t + 2.0 * c1) * t + c2
+        nxt = t - (v - e) / slope if slope != 0.0 else math.nan
+        if lo <= nxt <= hi and abs(nxt - t) <= 4.0 * math.ulp(t):
+            return x0 + nxt
+        if not (lo < nxt < hi and abs(nxt - t) <= 0.5 * step):
+            nxt = 0.5 * (lo + hi)
+            if nxt == lo or nxt == hi:
+                return x0 + outer
+        step = abs(nxt - t)
+        t = nxt
 
 
 def effective_radial(potential: PotentialModel,

@@ -4,8 +4,9 @@ Small self-contained engine: one embedded G7/K15 evaluation per panel, the
 panel with the worst error estimate is split until the combined estimate
 is at most max(1e-12, 1e-12 * |integral|), a fixed tolerance, within a
 fixed budget of 400 splits.  Known breakpoints of the integrand start the
-panels split there, as in QUADPACK's QAGP.  Integrands are called with a
-numpy array of nodes and must return an array of the same shape.
+panels split there, as in QUADPACK's QAGP, and those start panels share
+one call of the integrand.  Integrands are called with a numpy array of
+nodes and must return an array of the same shape.
 
 ``integrate_cells`` applies the same rule to many adjacent cells at once,
 for cumulative integrals tabulated on a grid: each refinement round
@@ -88,15 +89,45 @@ class QuadratureResult:
     panels: int
 
 
-def kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
-    """One G7/K15 pass over [a, b]; returns (K15 value, |K15 - G7|)."""
-    mid = 0.5 * (a + b)
+def kronrod_panel(f, a, b):
+    """One G7/K15 pass over [a, b]; returns (K15 value, |K15 - G7|).
+
+    Arrays of ends ask for one pass over each panel [a[i], b[i]], in one
+    call of ``f`` on the nodes of all of them, and give arrays of values
+    and estimates.  Each panel's sums are taken on its own row of values,
+    so a panel gets the same bits whether it is passed alone or with
+    others.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        half = 0.5 * (b - a)
+        return _rules(half, _checked(f(0.5 * (a + b) + half * _XK),
+                                     _XK.size))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    y = np.asarray(f(mid + half * _XK), dtype=float)
-    if y.shape != _XK.shape:
+    nodes = (0.5 * (a + b))[..., None] + half[..., None] * _XK
+    y = _checked(f(nodes.ravel()), nodes.size).reshape(-1, _XK.size)
+    # a matrix product would sum in another order than the row dot
+    sums = np.array([_rules(h, row) for h, row in zip(half.ravel().tolist(),
+                                                      y)])
+    if a.ndim == 0:
+        return float(sums[0, 0]), float(sums[0, 1])
+    return sums[:, 0].reshape(a.shape), sums[:, 1].reshape(a.shape)
+
+
+def _checked(y, size: int) -> np.ndarray:
+    """The integrand's values as floats; refused unless there are
+    ``size`` of them, all finite."""
+    y = np.asarray(y, dtype=float)
+    if y.size != size:
         raise UsageError("integrand must return one value per node")
     if not np.isfinite(y).all():
         raise QuadratureError("integrand returned a non-finite value")
+    return y
+
+
+def _rules(half: float, y: np.ndarray) -> tuple[float, float]:
+    """(K15, |K15 - G7|) of one panel of half width ``half`` from the
+    integrand's values ``y`` at its Kronrod nodes."""
     kron = half * float(_WK @ y)
     return kron, abs(kron - half * float(_WG @ y[1::2]))
 
@@ -113,8 +144,10 @@ def integrate_adaptive(f, a: float, b: float,
 
     ``points`` are breakpoints where ``f`` is not smooth, such as the
     knots of a spline.  Those strictly inside (a, b) split the starting
-    panel; the rest, and repeats, are ignored.  The split budget and the
-    tolerance are the same with or without them.
+    panel; the rest, and repeats, are ignored.  The start panels take one
+    :func:`kronrod_panel` call, so ``f`` runs once on all their nodes;
+    each split half then takes a call of its own.  The split budget and
+    the tolerance are the same with or without points.
 
     Raises QuadratureError when the tolerance is not reached within
     _MAX_SUBDIVISIONS splits, with the best estimate and, as its error
@@ -128,11 +161,16 @@ def integrate_adaptive(f, a: float, b: float,
         raise UsageError("quadrature limits must satisfy a <= b")
 
     ends = [a, *sorted({p for p in points if a < p < b}), b]
+    if len(ends) == 2:     # the float path costs less than an array call
+        starts = [kronrod_panel(f, a, b)]
+    else:
+        vals, diffs = kronrod_panel(f, ends[:-1], ends[1:])
+        starts = zip(vals.tolist(), diffs.tolist())
     # heap of (-error, tiebreak, a, b, value, |K15 - G7|): worst panel first
     heap = []
     total = total_err = 0.0
-    for counter, (pa, pb) in enumerate(zip(ends[:-1], ends[1:])):
-        val, diff = kronrod_panel(f, pa, pb)
+    for counter, (pa, pb, (val, diff)) in enumerate(zip(
+            ends[:-1], ends[1:], starts)):
         err = _sharpened(diff)
         heap.append((-err, counter, pa, pb, val, diff))
         total += val

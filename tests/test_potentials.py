@@ -488,6 +488,25 @@ def _samples(draw):
     return [[x, v] for x, v in zip(np.cumsum(steps).tolist(), values)]
 
 
+@_PROPERTIES
+@given(samples=_samples(), flat=st.integers(0, 10))
+def test_every_pchip_cell_is_monotone(samples, flat):
+    # a table's stated turning points take one root per cell that V
+    # crosses, which needs V monotone on every cell; a repeated value
+    # makes a flat cell (a plateau)
+    if flat < len(samples) - 1:
+        samples[flat + 1][1] = samples[flat][1]
+    tab = PotentialModel.tabulated(samples)
+    xs = np.array(tab.knots)
+    ends = tab.evaluate(xs)
+    rounding = 16.0 * np.finfo(float).eps * np.abs(ends).max()
+    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], ends[:-1], ends[1:]):
+        v = tab.evaluate(np.linspace(x0, x1, 257))
+        assert (np.sign(v1 - v0) * np.diff(v)).min() >= -rounding
+        assert np.abs(v - np.clip(v, min(v0, v1), max(v0, v1))).max() \
+            <= rounding
+
+
 _FAMILY_ARGS = {
     "harmonic": st.tuples(_in_range(0.1, 10.0)),
     "linear": st.tuples(_in_range(0.1, 10.0)),

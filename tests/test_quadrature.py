@@ -142,7 +142,8 @@ def test_points_outside_at_the_ends_or_repeated_are_ignored():
 
 
 def test_a_kink_at_a_point_is_exact_in_two_panels():
-    # each side of the kink is linear, which a single G7/K15 pass nails
+    # each side of the kink is linear, which a single G7/K15 pass nails;
+    # both start panels share one call of f
     calls = []
 
     def f(x):
@@ -150,7 +151,7 @@ def test_a_kink_at_a_point_is_exact_in_two_panels():
         return np.abs(x - 0.3)
 
     res = integrate_adaptive(f, 0.0, 1.0, [0.3])
-    assert res.panels == 2 and calls == [15, 15]
+    assert res.panels == 2 and calls == [30]
     assert res.value == pytest.approx(0.5 * (0.3 ** 2 + 0.7 ** 2),
                                       abs=1e-15)
     # without the point the heap bisects toward the kink
@@ -158,12 +159,13 @@ def test_a_kink_at_a_point_is_exact_in_two_panels():
 
 
 def test_panels_count_the_kronrod_passes(monkeypatch):
+    # one kronrod_panel call may carry several panels: count its panels
     passes = []
     panel = quadrature.kronrod_panel
 
-    def counted(*args):
-        passes.append(args)
-        return panel(*args)
+    def counted(f, a, b):
+        passes.append(np.size(a))
+        return panel(f, a, b)
 
     monkeypatch.setattr(quadrature, "kronrod_panel", counted)
     for f, points in ((np.sin, ()), (lambda x: np.abs(x - 0.3), ()),
@@ -171,7 +173,28 @@ def test_panels_count_the_kronrod_passes(monkeypatch):
                       (lambda x: np.sqrt(np.abs(x - 0.61)), [0.2, 0.9])):
         passes.clear()
         res = integrate_adaptive(f, 0.0, 1.0, points)
-        assert res.panels == len(passes)
+        assert res.panels == sum(passes)
+
+
+def test_panels_passed_together_get_the_bits_of_panels_passed_alone():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 7, 40):
+        ends = np.sort(rng.uniform(-5.0, 5.0, size + 1))
+        a, b = ends[:-1], ends[1:]
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(np.sin(3.0 * x)) * np.sqrt(np.abs(x))
+
+        vals, diffs = kronrod_panel(f, a, b)
+        assert calls == [15 * size]
+        assert vals.shape == diffs.shape == (size,)
+        alone = [kronrod_panel(f, pa, pb) for pa, pb in zip(a.tolist(),
+                                                            b.tolist())]
+        assert vals.tolist() == [val for val, _ in alone]
+        assert diffs.tolist() == [diff for _, diff in alone]
+        assert all(type(val) is float for val, _ in alone)
 
 
 def test_action_on_the_golden_quartic_is_within_its_bound(monkeypatch):

@@ -355,14 +355,32 @@ def test_stated_turns_keep_surveys_and_scans_within_the_recorded_counts(
     lambda: spectrum(PotentialModel.morse(10.0, 1.0), 9),
     lambda: spectrum(PotentialModel.square_well(8.0, 2.0), 5),
     lambda: spectrum(PotentialModel.coulomb(2.5, 6.25), 4),
-    lambda: angular_eigenvalue(2, 1.0)],
-    ids=["harmonic", "linear", "morse", "square_well", "coulomb", "polar"])
+    lambda: angular_eigenvalue(2, 1.0),
+    lambda: spectrum(PotentialModel.tabulated(_QUARTIC), 7)],
+    ids=["harmonic", "linear", "morse", "square_well", "coulomb", "polar",
+         "tabulated"])
 def test_stated_turning_points_need_no_root_refinement(monkeypatch, solve):
     def refuse(*args, **kwargs):
         raise AssertionError("a turning point was refined")
 
     monkeypatch.setattr(classical_mod, "bisect_then_brent", refuse)
     solve()
+
+
+_W_TABLE = [[x, (x * x - 2.0) ** 2]
+            for x in (-3.0 + 6.0 * k / 40 for k in range(41))]
+
+
+def test_a_double_well_table_is_refused_as_two_regions():
+    with pytest.raises(MultiRegionError, match="2 allowed regions"):
+        spectrum(PotentialModel.tabulated(_W_TABLE), 2)
+
+
+def test_a_table_whose_well_reaches_its_end_is_refused():
+    # -x + 0.1 x^2 falls all the way to x = 3: every region leans there
+    slope = [[x, -x + 0.1 * x * x] for x, _ in _W_TABLE]
+    with pytest.raises(SolverError, match="hard domain edge"):
+        spectrum(PotentialModel.tabulated(slope), 1)
 
 
 def _plateau_well(half_width):

@@ -180,21 +180,23 @@ def _edge_of_allowed(q, inside: float, outside: float,
     return outside
 
 
-def _sine_integrand(region: ClassicalRegion, integrand):
-    """f(x) dx over the region in the variable t of x = mid + half * sin(t),
-    t in [-pi/2, pi/2]; the cosine factor absorbs the square-root
-    behaviour at the interval ends."""
+def _sine_integrand(region: ClassicalRegion, integrand, hbar: float = 1.0):
+    """f(x) dx / hbar over the region in the variable t of
+    x = mid + half * sin(t), t in [-pi/2, pi/2]; the cosine factor absorbs
+    the square-root behaviour at the interval ends.  The 1/hbar joins the
+    constant factor, so that no call divides."""
     mid, half = region.midpoint, 0.5 * region.width
+    scale = half / hbar
 
     def g(t):
-        return half * np.cos(t) * integrand(mid + half * np.sin(t))
+        return scale * np.cos(t) * integrand(mid + half * np.sin(t))
 
     return g
 
 
 def _over_region(region: ClassicalRegion, integrand,
-                 knots: tuple[float, ...]) -> float:
-    """Integrate f(x) over the region via x = mid + half * sin(t).
+                 knots: tuple[float, ...], hbar: float = 1.0) -> float:
+    """Integrate f(x) / hbar over the region via x = mid + half * sin(t).
 
     The potential's ``knots`` inside the region, where f is only as
     smooth as an interpolant there, split the quadrature at their t.
@@ -204,7 +206,7 @@ def _over_region(region: ClassicalRegion, integrand,
     mid, half = region.midpoint, 0.5 * region.width
     points = [math.asin(min(max((x - mid) / half, -1.0), 1.0))
               for x in knots if region.left < x < region.right]
-    return integrate_adaptive(_sine_integrand(region, integrand),
+    return integrate_adaptive(_sine_integrand(region, integrand, hbar),
                               -_HALF_PI, _HALF_PI, points).value
 
 
@@ -224,14 +226,18 @@ def action_integral(potential: PotentialModel, energy: float,
                     region: ClassicalRegion | None = None) -> float:
     """W(E) = integral of sqrt(2m(E - V)) over the allowed region.
 
+    The quadrature takes the phase W/hbar, the integrand of
+    :meth:`PhaseAccumulator.interior`, so that its tolerance is in units
+    of hbar whatever hbar is; the result is multiplied back by hbar.
     Without ``region`` the turning-point scan finds it, and one that
     reaches a soft domain edge raises DomainError.
     """
     if region is None:
         region = _confined_region(potential, energy)
-    return _over_region(region,
-                        MomentumField(potential, energy).allowed_magnitude,
-                        potential.knots)
+    hbar = potential.constants.hbar
+    return hbar * _over_region(
+        region, MomentumField(potential, energy).allowed_magnitude,
+        potential.knots, hbar)
 
 
 def action_energy_derivative(potential: PotentialModel, energy: float,
@@ -302,8 +308,8 @@ class PhaseAccumulator:
         region = self.region
         if (x < region.left).any() or (x > region.right).any():
             raise UsageError("point lies outside the allowed region")
-        g = _sine_integrand(
-            region, lambda s: self._field.allowed_magnitude(s) / self._hbar)
+        g = _sine_integrand(region, self._field.allowed_magnitude,
+                            self._hbar)
         if region.width == 0.0:
             # every cell of a zero-width region is empty: no V call
             return self._cumulative(g, 0.0, np.zeros_like(x))

@@ -220,12 +220,7 @@ def _panel_pass(f, a: np.ndarray, b: np.ndarray
         mid = 0.5 * (pa + pb)
         half = 0.5 * (pb - pa)
         nodes = np.column_stack((pa, mid[:, None] + half[:, None] * _XK, pb))
-        y = np.asarray(f(nodes.ravel()), dtype=float)
-        if y.size != nodes.size:
-            raise UsageError("integrand must return one value per node")
-        y = y.reshape(nodes.shape)
-        if not np.isfinite(y).all():
-            raise QuadratureError("integrand returned a non-finite value")
+        y = _checked(f(nodes.ravel()), nodes.size).reshape(nodes.shape)
         yk = y[:, 1:-1]
         k = half * (yk @ _WK)
         diff = np.abs(k - half * (yk[:, 1::2] @ _WG))

@@ -1,10 +1,11 @@
 """Scalar root refinement and bounded minimization.
 
-The root finder is a bisection warm-up followed by Brent's method; its loop
+The root finder is Brent's method on the bracket it is given; its loop
 follows the classic zeroin structure (inverse quadratic interpolation with
-secant and bisection safeguards).  The minimizer is a golden-section search
-(Kiefer, Proc. AMS 4, 1953), which refines the floor of a potential that
-does not state it in closed form.
+secant and bisection safeguards; Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 4).  The minimizer is a golden-section
+search (Kiefer, Proc. AMS 4, 1953), which refines the floor of a potential
+that does not state it in closed form.
 """
 
 from __future__ import annotations
@@ -18,46 +19,35 @@ _BRENT_STEPS = 200      # Brent steps before a bracket counts as unsolved
 
 
 def bisect_then_brent(f, a: float, b: float, fa: float | None = None,
-                      fb: float | None = None, xtol: float = 1e-12,
-                      pre_bisect: int = 8) -> float:
-    """Root of f in [a, b] given a sign change; xtol is absolute in x.
+                      fb: float | None = None, xtol: float = 1e-12) -> float:
+    """Root of f in [a, b], a < b, given a sign change; xtol is absolute
+    in x.
 
-    ``pre_bisect`` plain bisection steps shrink the bracket first, which
-    keeps the interpolation steps honest on awkward (kinked,
-    discontinuous) functions; Brent finishes.  A root not reached to xtol
-    within _BRENT_STEPS Brent steps raises SolverError naming the bracket
-    Brent was given, rather than returning an unconverged point.
+    Brent's method runs on [a, b] as given: each interpolation step that
+    does not shrink the bracket fast enough is replaced by a bisection,
+    which keeps it honest on kinked or discontinuous functions.  Signs are
+    compared, never multiplied, so values as small as 1e-170 still
+    bracket.  A root not reached to xtol within _BRENT_STEPS steps raises
+    SolverError naming the bracket, rather than returning an unconverged
+    point.  The name predates the method: ``perfbench/tracer.py`` patches
+    it by name until the tracer finds patched names itself (ROADMAP
+    direction 1).
     """
-    if a > b:
-        a, b = b, a
-        fa, fb = fb, fa
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0.0:
+    if (fa < 0.0) == (fb < 0.0):
         raise UsageError("root bracket does not straddle a sign change")
 
-    for _ in range(pre_bisect):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            return m
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-
-    # Brent proper. (xpre, fpre) and (xcur, fcur) bracket with xblk.
+    # (xpre, fpre) and (xcur, fcur) bracket the root with xblk.
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = 0.0
     spre = scur = 0.0
     for _ in range(_BRENT_STEPS):
-        if fpre * fcur < 0.0:
+        if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):

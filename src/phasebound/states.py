@@ -288,13 +288,28 @@ def _epsilon(potential, energy, x, region, strict):
     ok = ~np.isnan(p)
     eps = np.full(x.shape, np.nan)
     dv = _potential_slope(potential, x[ok], region)
-    # at an extreme hbar both hbar m V' and p^3 leave the doubles (near
-    # 1e375 at hbar = 1e250, 1e-450 at 1e-300), so eps is inf/inf or 0/0:
-    # NaN, a blank cell as for any refused point
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps[ok] = -potential.constants.hbar * potential.constants.mass * dv \
-            / p[ok] ** 3
+    hbar, mass, p = potential.constants.hbar, potential.constants.mass, p[ok]
+    # at an extreme hbar both hbar m V' and p^3 leave the normal doubles
+    # (near 1e375 at hbar = 1e250, 1e-450 at 1e-300), though eps is
+    # scale-free: there it is taken from mantissas and exponents apart
+    with np.errstate(all="ignore"):
+        num, den = hbar * mass * dv, p ** 3
+        e = -num / den
+        lost = ~((_normal(num) | (dv == 0.0)) & _normal(den))
+        if lost.any():
+            (mh, eh), (mm, em) = np.frexp(hbar), np.frexp(mass)
+            md, ed = np.frexp(dv[lost])
+            mp, ep = np.frexp(p[lost])
+            e[lost] = np.ldexp(-(mh * mm * md) / mp ** 3,
+                               eh + em + ed - 3 * ep)
+    eps[ok] = e
     return eps
+
+
+def _normal(y: np.ndarray) -> np.ndarray:
+    """Where y is a finite normal double, not 0, subnormal, inf or NaN."""
+    a = np.abs(y)
+    return (a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)
 
 
 def epsilon_parameter(potential: PotentialModel, energy: float, x,

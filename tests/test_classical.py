@@ -67,6 +67,23 @@ def test_turning_point_bracket_ends_match_the_refined_function(
         assert f_a == fa and f_b == fb
 
 
+@pytest.mark.parametrize("hbar", [1.0, 1e-150])
+def test_scanned_radial_turning_points_at_a_tiny_hbar(hbar):
+    # r^2/2 + hbar^2/(8 r^2) = 3 hbar/2 at r = (1 -+ 1/sqrt 2) sqrt(hbar);
+    # at 1e-150 the values of 2m(E - V) are ~1e-150 and the product of
+    # two underflows to 0: a sign test by product puts the left root off
+    # in its 8th digit
+    root = np.sqrt(hbar)
+    pot = effective_radial(PotentialModel.harmonic(
+        1.0, PhysicalConstants(hbar=hbar), domain=(0.0, 12.0 * root)),
+        (0.5 * hbar) ** 2)
+    assert pot.turns is None
+    region = find_turning_points(pot, 1.5 * hbar).require_single()
+    assert [region.left, region.right] == pytest.approx(
+        [(1.0 - 0.5 ** 0.5) * root, (1.0 + 0.5 ** 0.5) * root],
+        rel=1e-14, abs=0.0)
+
+
 def test_no_motion_below_floor(harmonic):
     with pytest.raises(NoClassicalMotion):
         find_turning_points(harmonic, -0.5)

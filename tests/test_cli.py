@@ -331,6 +331,30 @@ def test_an_extreme_hbar_raises_no_numpy_warning(capsys, tmp_path, doc, argv,
     assert "Warning" not in err
 
 
+def _diagnostic_cells(capsys, path):
+    code, out, err = _run(capsys, ["wavefunction", path, "--n", "0",
+                                   "--grid", "11"])
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    return ([r["epsilon"] for r in rows], [r["delta"] for r in rows])
+
+
+@pytest.mark.parametrize("hbar", [1e250, 1e-300])
+def test_diagnostics_at_an_extreme_hbar_are_those_at_unit_hbar(
+        capsys, tmp_path, hbar):
+    # epsilon and delta are scale-free, though hbar m V' and p^3 leave
+    # the doubles here; every warning is an error in this suite
+    unit = _diagnostic_cells(capsys, _write_potential(
+        tmp_path, {"type": "harmonic"}, "unit.json"))
+    far = _diagnostic_cells(capsys, _write_potential(
+        tmp_path, {"type": "harmonic", "hbar": hbar}))
+    for want, got, rel in zip(unit, far, (1e-12, 1e-8)):
+        assert [cell == "" for cell in got] == [cell == "" for cell in want]
+        assert sum(cell != "" for cell in want) == 3
+        assert [float(c) for c in got if c] == pytest.approx(
+            [float(c) for c in want if c], rel=rel, abs=0.0)
+
+
 def test_audit_close_agreement_on_smooth_well(capsys, tmp_path):
     path = _write_potential(tmp_path, {"type": "harmonic",
                                        "params": {"omega": 1.0}})

@@ -249,6 +249,18 @@ def test_harmonic_near_the_smallest_normal_stiffness():
         [1e-150 * (n + 0.5) for n in range(3)], rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("hbar", [1e-12, 1e-100, 1e-150])
+def test_linear_levels_at_a_tiny_hbar_match_the_closed_form(hbar):
+    # W = (4 sqrt(2m) / 3F) E^(3/2) on F|x|; the action quadrature stops
+    # in units of hbar, since a tolerance in units of action would accept
+    # W almost unrefined, E_0 4.5e-3 off, at every hbar <= 1e-12
+    pot = PotentialModel.linear(1.7, PhysicalConstants(hbar=hbar))
+    closed = [(3.0 * math.pi * hbar * (n + 0.5) * 1.7
+               / (4.0 * math.sqrt(2.0))) ** (2.0 / 3.0) for n in range(4)]
+    assert spectrum(pot, 3).energies == pytest.approx(closed, rel=1e-12,
+                                                      abs=0.0)
+
+
 def test_a_subnormal_harmonic_stiffness_is_refused():
     # m omega^2 / 2 = 5e-321 is subnormal, so V would keep a few bits
     with pytest.raises(UsageError, match=r"below the smallest normal "

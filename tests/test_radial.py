@@ -99,6 +99,19 @@ def test_isotropic_quadratic_ladder():
     assert energies == pytest.approx([1.5, 3.5], rel=1e-8)
 
 
+@pytest.mark.parametrize("hbar", [1.0, 1e-12, 1e-100, 1e-150])
+def test_radial_harmonic_ladder_at_a_tiny_hbar(hbar):
+    # M = 5 hbar / 2 for n_theta = m_z = 1, so E = hbar (2 n_r + 7/2); a
+    # quadrature tolerance in units of action would leave 4e-11 of it at
+    # hbar = 1e-12
+    pot = PotentialModel.harmonic(1.0, PhysicalConstants(hbar=hbar),
+                                  domain=(0.0, 12.0 * math.sqrt(hbar)))
+    res = radial_spectrum(pot, 2, 1, 1)
+    assert not res.truncated
+    assert [lv.energy / hbar for lv in res.levels] == pytest.approx(
+        [3.5, 5.5, 7.5], rel=1e-14)
+
+
 def test_independent_route_confirms_radial_levels():
     # The grid route solves the conventional radial equation, whose
     # inverse-square strength for l = 1 is l (l + 1) = 2; the phase-space

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from phasebound import potentials, rootfind
+from phasebound import classical, potentials, rootfind
 from phasebound.errors import SolverError, UsageError
 from phasebound.potentials import PotentialModel
+from phasebound.quantize import spectrum
 from phasebound.rootfind import bisect_then_brent, golden_minimum
 
 
@@ -23,7 +24,8 @@ def test_exact_zero_at_endpoint_returned():
 
 
 def test_flat_then_steep():
-    # pre-bisection keeps the secant steps from stalling on a plateau
+    # Brent's own bisection safeguard keeps the secant steps from
+    # stalling on the plateaus either side of the step
     f = lambda x: np.tanh(50.0 * (x - 0.737)) + x * 1e-6
     root = bisect_then_brent(f, -4.0, 5.0)
     assert abs(f(root)) < 1e-10
@@ -38,7 +40,7 @@ def test_interpolation_far_from_unit_scale(x_scale, f_scale):
         return np.float64(f_scale) * (1.0 - (x / x_scale) ** 2)
 
     a, b = np.float64(0.9 * x_scale), np.float64(1.7 * x_scale)
-    root = bisect_then_brent(f, a, b, xtol=1e-15 * float(a), pre_bisect=0)
+    root = bisect_then_brent(f, a, b, xtol=1e-15 * float(a))
     assert root == pytest.approx(x_scale, rel=1e-14)
 
 
@@ -46,12 +48,64 @@ def test_running_out_of_brent_steps_is_an_error(monkeypatch):
     # an unconverged point is not returned as a root
     monkeypatch.setattr(rootfind, "_BRENT_STEPS", 2)
     with pytest.raises(SolverError, match=r"2 steps on \[0\.0, 2\.0\]"):
-        bisect_then_brent(lambda x: x**3 - 2.0, 0.0, 2.0, pre_bisect=0)
+        bisect_then_brent(lambda x: x**3 - 2.0, 0.0, 2.0)
 
 
 def test_unbracketed_rejected():
     with pytest.raises((SolverError, UsageError, ValueError)):
         bisect_then_brent(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_values_whose_product_underflows_still_bracket():
+    # f(0) * f(1) = -2.1e-341 rounds to -0.0: the signs must be compared
+    assert bisect_then_brent(lambda x: 1e-170 * (x - 0.3), 0.0, 1.0) \
+        == pytest.approx(0.3, abs=1e-12)
+
+
+def test_a_root_on_a_flat_floor_is_found_to_xtol():
+    # f(0) = -1e-300 times any f below ~2e-8 underflows, so a sign test
+    # by product moves the bracket the wrong way; the root is
+    # sqrt(2e-300 / 3) = 8.2e-151
+    def f(x):
+        return -x ** 3 + 1.5 * x * x - 1e-300
+
+    root = bisect_then_brent(f, 0.0, 0.5, xtol=1e-12)
+    assert abs(root - math.sqrt(2e-300 / 3.0)) <= 1e-12
+
+
+# Scanned wells: a step, a kink and a cusp, each with soft edges
+_SCANNED = {
+    "square_well": (lambda x: np.where(np.abs(x) < 1.0, -8.0, 0.0),
+                    (-40.0, 40.0)),
+    "abs": (np.abs, (-10.0, 10.0)),
+    "cusp": (lambda x: np.sqrt(np.abs(x - 0.3)), (-10.0, 10.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCANNED))
+def test_every_scanned_root_costs_far_fewer_calls_than_the_cap(
+        name, monkeypatch):
+    # Brent's bisection safeguard alone bounds the steps on a jump or a
+    # kink: the square well takes ~74 calls of f at most, |x| 2, the cusp 6
+    f, domain = _SCANNED[name]
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        count = [0]
+
+        def h(x):
+            count[0] += 1
+            return g(x)
+
+        try:
+            return bisect_then_brent(h, *args, **kwargs)
+        finally:
+            calls.append(count[0])
+
+    monkeypatch.setattr(classical, "bisect_then_brent", counted)
+    pot = PotentialModel.from_callable(f, domain, edges=("soft", "soft"))
+    assert spectrum(pot, 3).levels
+    assert calls and max(calls) <= 100
 
 
 # -- golden_minimum: the numeric floor search, against scipy ---------------

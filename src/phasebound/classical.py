@@ -5,8 +5,8 @@ families with a closed-form well (harmonic, linear, Morse, square well,
 Coulomb with M^2 > 0, the polar barrier) and tables (one cubic root per
 cell that V crosses) state their turning points; custom callables, the
 non-Coulomb ``effective_radial`` potentials and Coulomb with M^2 = 0 have
-theirs located by a sign scan over the squared momentum plus root
-refinement.
+theirs located by a sign scan over the squared momentum, each sign
+change refined by Brent's method.
 Action-type integrals are then taken over the classically allowed region
 with a sine substitution that absorbs the square-root behaviour at the
 interval ends.
@@ -85,13 +85,14 @@ def find_turning_points(potential: PotentialModel,
     Any other model (a custom callable, a radial potential that is not
     Coulomb, Coulomb with M^2 = 0) is scanned: sign changes of
     2m(E - V) over SCAN_POINTS uniform points from end to end, each
-    refined to root precision; where the scan meets V = E exactly, as on
-    a plateau, the edge of 2m(E - V) > 0 is found by bisection on the
-    sign.  A well narrower than the grid spacing, such as a Coulomb
-    well on a domain many orders of magnitude wider than its classical
-    region, leaves every scan point forbidden; then the floor x_min of
-    :meth:`PotentialModel.minimum` joins the grid, and its two
-    neighbours bracket the turning points.
+    refined by Brent's method; a scan point where V = E exactly, as on
+    a plateau, counts as forbidden, so that the refinement finds where
+    2m(E - V) > 0 ends.  A well narrower than the grid spacing, such as
+    a Coulomb well on a domain many orders of magnitude wider than its
+    classical region, leaves every scan point forbidden; then the floor
+    x_min of :meth:`PotentialModel.minimum` joins the grid before the
+    regions are read off it, and its two neighbours bracket the turning
+    points.
     An energy at or below the floor raises NoClassicalMotion, as does
     one at which a potential with no floor allows no scan point.  Just
     above the floor the region is as narrow as its roots, down to a
@@ -102,8 +103,7 @@ def find_turning_points(potential: PotentialModel,
         field = MomentumField(potential, energy)
         xs = potential.grid(SCAN_POINTS)
         q = field.q(xs)
-        regions = _allowed_regions(field, xs, q)
-        if not regions:
+        if not (q > 0.0).any():
             try:
                 x_min, v_min = potential.minimum()
             except (SolverError, DomainError):
@@ -113,7 +113,7 @@ def find_turning_points(potential: PotentialModel,
                 k = int(np.searchsorted(xs, x_min))
                 xs = np.insert(xs, k, x_min)
                 q = np.insert(q, k, field.q(x_min))
-                regions = _allowed_regions(field, xs, q)
+        regions = _allowed_regions(field, xs, q)
     else:
         regions = _stated_regions(potential, energy)
     if not regions:
@@ -145,48 +145,42 @@ def _stated_regions(potential: PotentialModel,
 def _allowed_regions(field: MomentumField, xs: np.ndarray,
                      q: np.ndarray) -> list[ClassicalRegion]:
     """The intervals where q > 0 on the scan grid, with every sign change
-    refined to a turning point and an allowed grid end as a region end."""
+    refined by Brent to a turning point and an allowed grid end as a
+    region end.
+
+    A grid value q = 0, where V meets E exactly as on a plateau, counts
+    as forbidden: in its cell Brent refines q with each zero replaced by
+    -|q| at the cell's allowed end, so that it finds where q > 0 ends
+    rather than stopping at the zero.
+    """
     mask = q > 0.0
     crossings = []
     # relative to the end nearer 0: a floor cell can reach far past the root
     for i in np.nonzero(mask[:-1] != mask[1:])[0]:
         xtol = 1e-15 * min(abs(xs[i]), abs(xs[i + 1]))
-        if q[i] == 0.0 or q[i + 1] == 0.0:
-            inside, outside = (xs[i], xs[i + 1]) if mask[i] else (
-                xs[i + 1], xs[i])
-            crossings.append(_edge_of_allowed(field.q, inside, outside, xtol))
-        else:
-            crossings.append(bisect_then_brent(
-                field.q, xs[i], xs[i + 1], fa=q[i], fb=q[i + 1], xtol=xtol))
+        f, fa, fb = field.q, q[i], q[i + 1]
+        if fa == 0.0 or fb == 0.0:
+            neg = -max(fa, fb)
+
+            def f(x):
+                return field.q(x) or neg
+
+            fa, fb = fa or neg, fb or neg
+        crossings.append(bisect_then_brent(f, xs[i], xs[i + 1], fa=fa,
+                                           fb=fb, xtol=xtol))
 
     bounds = ([xs[0]] if mask[0] else []) + crossings + (
         [xs[-1]] if mask[-1] else [])
     return _paired(bounds, xs[0], xs[-1])
 
 
-def _edge_of_allowed(q, inside: float, outside: float,
-                     xtol: float) -> float:
-    """Where q > 0 ends between ``inside`` (q > 0) and ``outside``
-    (q = 0), by bisection on the sign: V may equal E on a whole plateau
-    up to ``outside``, where a root finder would stop at once."""
-    while abs(outside - inside) > xtol:
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
-            break
-        if q(mid) > 0.0:
-            inside = mid
-        else:
-            outside = mid
-    return outside
-
-
-def _sine_integrand(region: ClassicalRegion, integrand, hbar: float = 1.0):
-    """f(x) dx / hbar over the region in the variable t of
+def _sine_integrand(region: ClassicalRegion, integrand, unit: float):
+    """f(x) dx / unit over the region in the variable t of
     x = mid + half * sin(t), t in [-pi/2, pi/2]; the cosine factor absorbs
-    the square-root behaviour at the interval ends.  The 1/hbar joins the
+    the square-root behaviour at the interval ends.  The 1/unit joins the
     constant factor, so that no call divides."""
     mid, half = region.midpoint, 0.5 * region.width
-    scale = half / hbar
+    scale = half / unit
 
     def g(t):
         return scale * np.cos(t) * integrand(mid + half * np.sin(t))
@@ -195,18 +189,20 @@ def _sine_integrand(region: ClassicalRegion, integrand, hbar: float = 1.0):
 
 
 def _over_region(region: ClassicalRegion, integrand,
-                 knots: tuple[float, ...], hbar: float = 1.0) -> float:
-    """Integrate f(x) / hbar over the region via x = mid + half * sin(t).
+                 knots: tuple[float, ...], unit: float) -> float:
+    """Integrate f(x) / unit over the region via x = mid + half * sin(t).
 
-    The potential's ``knots`` inside the region, where f is only as
-    smooth as an interpolant there, split the quadrature at their t.
+    Taking the integral in ``unit``s of its result keeps the quadrature's
+    tolerance relative to it whatever its scale.  The potential's
+    ``knots`` inside the region, where f is only as smooth as an
+    interpolant there, split the quadrature at their t.
     """
     if region.width == 0.0:
         return 0.0
     mid, half = region.midpoint, 0.5 * region.width
     points = [math.asin(min(max((x - mid) / half, -1.0), 1.0))
               for x in knots if region.left < x < region.right]
-    return integrate_adaptive(_sine_integrand(region, integrand, hbar),
+    return integrate_adaptive(_sine_integrand(region, integrand, unit),
                               -_HALF_PI, _HALF_PI, points).value
 
 
@@ -247,20 +243,24 @@ def action_energy_derivative(potential: PotentialModel, energy: float,
     The 1/sqrt endpoint behaviour is tamed by the sine substitution; the
     few points that land outside the refined region (where the clamped
     momentum is zero) lie outside the true interval too, so their
-    contribution is dropped rather than divided by zero.  Without
-    ``region``, one that reaches a soft edge raises DomainError, as in
-    :func:`action_integral`.
+    contribution is dropped rather than divided by zero.  As W is taken
+    in units of hbar, dW/dE is taken in units of hbar / |E - V| at the
+    region's midpoint, rounded down to a power of two so that the scaling
+    is exact, and multiplied back.  Without ``region``, one that reaches a
+    soft edge raises DomainError, as in :func:`action_integral`.
     """
     if region is None:
         region = _confined_region(potential, energy)
     field = MomentumField(potential, energy)
     m = potential.constants.mass
+    gap = energy - float(potential.evaluate(region.midpoint))
+    unit = math.ldexp(1.0, -math.frexp(gap / potential.constants.hbar)[1])
 
     def integrand(x):
         p = field.allowed_magnitude(x)
         return np.where(p > 0.0, m / np.where(p > 0.0, p, 1.0), 0.0)
 
-    return _over_region(region, integrand, potential.knots)
+    return unit * _over_region(region, integrand, potential.knots, unit)
 
 
 class PhaseAccumulator:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classical import ClassicalRegion, action_integral, find_turning_points
+from .classical import action_integral, find_turning_points
 from .errors import SingularPointError, SolverError, UsageError
 from .potentials import PhysicalConstants, PotentialModel, effective_radial
 from .quantize import EnergyLevel, solve_level, spectrum
@@ -96,25 +96,20 @@ def angular_eigenvalue(n_theta: int, m_z_momentum: float,
 
     Returns the closed form hbar (n_theta + 1/2) + |M_z|, which follows
     from the exact polar phase integral.  Every call checks it against
-    the generic machinery: the full quantizer on the polar barrier when
-    M_z is nonzero, or the flat-region phase integral when M_z = 0 (no
-    turning points exist then); a disagreement beyond 1e-8 relative is
-    an error.
+    the generic machinery on the polar model: the full quantizer when
+    M_z is nonzero, or, when M_z = 0 and V vanishes, the phase integral
+    W(M^2) / pi between its stated ends 0 and pi; a disagreement beyond
+    1e-8 relative is an error.
     """
     if n_theta < 0 or n_theta != int(n_theta):
         raise UsageError("n_theta must be a non-negative integer")
     c = constants or PhysicalConstants()
     closed = c.hbar * (n_theta + 0.5) + abs(m_z_momentum)
+    polar = _polar_potential(m_z_momentum, c)
     if m_z_momentum == 0.0:
-        pot = PotentialModel.from_callable(
-            lambda th: np.zeros_like(np.asarray(th, dtype=float)),
-            (0.0, math.pi), constants=PhysicalConstants(c.hbar, 0.5))
-        region = ClassicalRegion(0.0, math.pi)
-        w = action_integral(pot, closed * closed, region)
-        numeric = w / math.pi
+        numeric = action_integral(polar, closed * closed) / math.pi
     else:
-        level = solve_level(_polar_potential(m_z_momentum, c), int(n_theta))
-        numeric = math.sqrt(level.energy)
+        numeric = math.sqrt(solve_level(polar, int(n_theta)).energy)
     if abs(numeric - closed) > _CROSS_CHECK_RTOL * closed:
         raise SolverError(
             f"polar quantization disagrees with the closed form: "

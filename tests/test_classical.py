@@ -316,19 +316,36 @@ def test_every_stated_edge_flag_is_the_survey_rule(model, reach, end, step):
 
 
 def test_square_well_at_zero_energy():
-    # q = 0 outside |x| < 1, so only the well is allowed; the scan's
-    # refinement stops at the first grid point where q = 0 instead
+    # q = 0 outside |x| < 1, so only the well is allowed; the family
+    # states its walls as the turning points (its scan twin is below)
     report = find_turning_points(PotentialModel.square_well(8.0, 2.0), 0.0)
     assert report.require_single() == ClassicalRegion(-1.0, 1.0)
 
 
-def test_the_scan_stops_where_a_plateau_at_the_energy_starts():
+@pytest.mark.parametrize("model, edge, v_calls", [
+    (PotentialModel.square_well(8.0, 2.0), 1.0, 99),
+    (PotentialModel.square_well(8.0, 2.0).with_domain(-7.3, 11.1), 1.0, 92),
+    (PotentialModel.square_well(3.0, 1.3), 0.65, 99)],
+    ids=["default", "shifted", "narrow"])
+def test_the_scan_stops_where_a_plateau_at_the_energy_starts(
+        model, edge, v_calls):
     # V = E = 0 on the whole outside: the scan meets q = 0 exactly on the
-    # first grid point past each wall and bisects back to the wall
-    twin = _scan_twin(PotentialModel.square_well(8.0, 2.0))
+    # first grid point past each wall, which counts as forbidden, so
+    # Brent refines back to the wall; v_calls, the recorded V calls of
+    # each scan, may fall, never rise
+    twin = _scan_twin(model)
+    calls = []
+    f = twin._f
+
+    def counted(x):
+        calls.append(1)
+        return f(x)
+
+    twin._f = counted
     region = find_turning_points(twin, 0.0).require_single()
-    assert region.left == pytest.approx(-1.0, abs=1e-12)
-    assert region.right == pytest.approx(1.0, abs=1e-12)
+    assert region.left == pytest.approx(-edge, abs=1e-12)
+    assert region.right == pytest.approx(edge, abs=1e-12)
+    assert len(calls) <= v_calls
     assert twin.leans(0.0) == (False, False)
 
 
@@ -461,6 +478,18 @@ def test_action_derivative_closed_form(harmonic):
     for energy in (0.3, 1.0, 7.7):
         assert action_energy_derivative(harmonic, energy) == pytest.approx(
             np.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1e-12, 1e-60, 1e-150])
+def test_action_derivative_at_a_tiny_hbar(hbar):
+    # dW/dE = 2 sqrt(2mE) / F for V = F|x|, at E_0 where W = pi hbar / 2;
+    # dW/dE ~ 1e-20 at hbar = 1e-60, far below an absolute tolerance
+    slope = 1.7
+    pot = PotentialModel.linear(slope, PhysicalConstants(hbar=hbar))
+    energy = (3.0 * np.pi * hbar * slope / (8.0 * np.sqrt(2.0))) ** (
+        2.0 / 3.0)
+    assert action_energy_derivative(pot, energy) == pytest.approx(
+        2.0 * np.sqrt(2.0 * energy) / slope, rel=1e-12, abs=0.0)
 
 
 def test_action_derivative_matches_finite_difference(morse10):

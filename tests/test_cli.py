@@ -379,6 +379,17 @@ def test_audit_reference_is_the_library_reference(capsys, tmp_path):
     assert got == reference_levels(PotentialModel.from_dict(doc), 3).tolist()
 
 
+def test_audit_of_a_well_with_no_bound_level(capsys, tmp_path):
+    path = _write_potential(tmp_path, {"type": "morse", "params": {
+        "depth": 0.05, "range": 1.0}})
+    code, out, err = _run(capsys, ["audit", path, "--levels", "2"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["rows"] == [] and doc["max_deviation"] is None
+    assert doc["truncated"] is True
+    assert "truncated: only 0 bound levels" in err
+
+
 def test_audit_csv_format(capsys, tmp_path):
     path = _write_potential(tmp_path, {"type": "harmonic",
                                        "params": {"omega": 1.0}})

@@ -35,6 +35,16 @@ def test_harmonic_evaluate_and_derivative():
     assert pot.derivative(xs) == pytest.approx([-4.0, 0.0, 2.0])
 
 
+def test_effective_radial_derivative_matches_a_central_difference():
+    # V' - M^2 / (m r^3), from the base model's own derivative
+    pot = effective_radial(
+        PotentialModel.harmonic(1.0, domain=(0.0, 12.0)), 2.5 ** 2)
+    h = 1e-5
+    for r in (0.3, 1.0, 2.5, 7.0):
+        fd = (pot.evaluate(r + h) - pot.evaluate(r - h)) / (2.0 * h)
+        assert pot.derivative(r) == pytest.approx(fd, rel=1e-8)
+
+
 def test_linear_kink():
     pot = PotentialModel.linear(3.0)
     assert pot.evaluate(-2.0) == pytest.approx(6.0)

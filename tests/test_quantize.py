@@ -174,6 +174,11 @@ def test_claim_audit_rows(harmonic):
         assert row.reference == pytest.approx(row.quantized, rel=1e-5)
 
 
+def test_claim_audit_of_a_well_with_no_bound_level_is_empty():
+    # depth 0.05 binds no level: there is nothing to hand the reference
+    assert claim_audit(PotentialModel.morse(0.05, 1.0), 2) == []
+
+
 def test_claim_audit_marks_reference_failure(monkeypatch, harmonic):
     def boom(*args, **kwargs):
         raise OracleError("forced reference failure")

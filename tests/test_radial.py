@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from scipy.special import hyperu
 
+from phasebound.classical import action_integral
 from phasebound.errors import SingularPointError, UsageError
 from phasebound.oracle import reference_levels
 from phasebound.potentials import PhysicalConstants, PotentialModel
+from phasebound.quantize import solve_level
 from phasebound.radial import (
     SeparableState,
+    _polar_potential,
     angular_eigenvalue,
     angular_numbers,
     assemble_state,
@@ -45,8 +48,9 @@ def test_angular_closed_form():
 
 
 def test_angular_cross_check_routes():
-    # m_z = 0 goes through the flat phase integral, m_z != 0 through the
-    # full quantizer on the polar barrier; both must land on the closed form.
+    # m_z = 0 goes through the phase integral on the flat polar model,
+    # m_z != 0 through the full quantizer on the polar barrier; both must
+    # land on the closed form.
     assert angular_eigenvalue(2, 0.0) == pytest.approx(2.5, rel=1e-8)
     ang = angular_numbers(0, 1)
     assert ang.M == pytest.approx(1.5, rel=1e-8)
@@ -54,6 +58,24 @@ def test_angular_cross_check_routes():
     ang = angular_numbers(2, -2)
     assert ang.M == pytest.approx(4.5, rel=1e-8)
     assert ang.l_equivalent == 4
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m_z", range(6))
+@pytest.mark.parametrize("n_theta", range(6))
+def test_the_quantizer_gives_the_closed_form_angular_momentum(
+        n_theta, m_z, hbar):
+    # M from the generic machinery on the polar model, as the quantizer
+    # would take it, against hbar (n_theta + 1/2) + |M_z|
+    c = PhysicalConstants(hbar=hbar)
+    closed = angular_eigenvalue(n_theta, m_z * hbar, c)
+    polar = _polar_potential(m_z * hbar, c)
+    if m_z == 0:
+        # no barrier: the phase integral over (0, pi) is pi M
+        numeric = action_integral(polar, closed * closed) / math.pi
+    else:
+        numeric = math.sqrt(solve_level(polar, n_theta).energy)
+    assert numeric == pytest.approx(closed, rel=1e-8)
 
 
 def test_angular_rejects_bad_n_theta():
@@ -201,6 +223,20 @@ def test_residual_guard_refuses_turning_point_radius():
         canonical_3d_residual(coul, state, (r_tp, 0.9, 0.4))
     with pytest.raises(UsageError):
         canonical_3d_residual(coul, state, (5e-5, 0.9, 0.4))
+
+
+def test_residual_guard_refuses_polar_turning_point_angle():
+    # M = 2.5, M_z = 1: the polar turning points sit at sin(theta) = 0.4
+    ang = angular_numbers(1, 1)
+    state = SeparableState(radial=lambda r: 1.0, polar=lambda th: 1.0,
+                           azimuthal=lambda ph: 1.0, energy=-0.05,
+                           angular=ang)
+    coul = PotentialModel.coulomb(1.0)
+    theta_tp = math.asin(ang.M_z / ang.M)
+    for theta in (theta_tp, math.pi - theta_tp):
+        with pytest.raises(SingularPointError, match="polar turning point"):
+            canonical_3d_residual(coul, state, (1.3, theta, 0.4))
+    assert canonical_3d_residual(coul, state, (1.3, 0.9, 0.4)) >= 0.0
 
 
 def test_assemble_state_requires_zero_mz():

@@ -6,7 +6,9 @@ on stderr (``wavefunction`` always, ``spectrum`` by default), or as one JSON
 document that embeds the manifest and keys each row by the header
 (``radial`` always, ``audit`` by default).  Floats are serialized with 17
 significant digits so a re-parse reproduces the in-memory doubles bit for
-bit.
+bit.  The CSV table is written column by column, with the same bytes as
+``csv.writer``: a column of floats and blanks takes one finiteness check
+and one ``%.17g`` map.
 
 Exit codes: 0 success, 1 hard error (bad input, an unwritable ``--out``,
 solver failure), 2 partial result (bound spectrum ran out of levels).
@@ -96,6 +98,52 @@ def to_json(obj, indent: int = 0) -> str:
     raise UsageError(f"cannot serialize {type(obj).__name__}")
 
 
+_FLOAT = "%.17g".__mod__   # the bytes of format(x, ".17g") for a float x
+
+
+def _csv_cell(cell) -> str:
+    """One cell as ``csv.writer`` writes it in a row of several: None as
+    "", a float through :func:`format_float`, anything else as its
+    ``str``, quoted where ``csv.writer`` quotes it."""
+    if cell is None:
+        return ""
+    if isinstance(cell, float):
+        return format_float(cell)
+    buf = io.StringIO()
+    # a second field keeps an empty cell from being quoted as a lone field
+    csv.writer(buf, lineterminator="\n").writerow([cell, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_column(cells: tuple) -> list[str]:
+    """One column's cells as text.  A column of floats and blanks takes one
+    finiteness check and one ``%.17g`` map; any other column one
+    :func:`_csv_cell` per cell, and per distinct string."""
+    kinds = set(map(type, cells))
+    blank = type(None) in kinds
+    if kinds - {type(None)} == {float}:
+        values = [c for c in cells if c is not None] if blank else cells
+        if not np.isfinite(values).all():
+            raise UsageError("refusing to serialize a non-finite number")
+        if not blank:
+            return list(map(_FLOAT, cells))
+        return ["" if c is None else _FLOAT(c) for c in cells]
+    text = {c: _csv_cell(c) for c in {c for c in cells if type(c) is str}}
+    return [text[c] if type(c) is str else _csv_cell(c) for c in cells]
+
+
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    """The table as ``csv.writer(lineterminator="\\n")`` writes the header
+    and then ``rows`` with each float through :func:`format_float`, built
+    one column at a time.  Each row holds one cell per header name."""
+    lines = [",".join(map(_csv_cell, header))]
+    lines += map(",".join, zip(*map(_csv_column, zip(*rows))))
+    if len(header) == 1:
+        # csv.writer quotes the empty field of a one-field row
+        lines = ['""' if line == "" else line for line in lines]
+    return "\n".join(lines) + "\n"
+
+
 def _write(args, potential: PotentialModel, config: dict, header: list[str],
            key: str, fields: dict, note: str | None = None) -> int:
     """Write one result and return its exit code.
@@ -103,7 +151,8 @@ def _write(args, potential: PotentialModel, config: dict, header: list[str],
     ``fields`` are the JSON document's keys after the manifest, in order;
     ``fields[key]`` holds the rows, each a list in ``header``'s order with
     None for an empty cell.  JSON keys each row by the header; CSV writes
-    the header and the rows, with None as "", and the manifest on stderr.
+    the header and the rows, with None as "", column by column with the
+    bytes of ``csv.writer`` (:func:`_csv_text`), and the manifest on stderr.
     A ``note`` says why the result is partial (exit code 2).
     """
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -113,12 +162,7 @@ def _write(args, potential: PotentialModel, config: dict, header: list[str],
         records = [dict(zip(header, row)) for row in fields[key]]
         text = to_json({"manifest": manifest, **fields, key: records}) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([format_float(c) if isinstance(c, float) else c
-                          for c in row] for row in fields[key])
-        text = buf.getvalue()
+        text = _csv_text(header, fields[key])
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -230,19 +230,23 @@ class PotentialModel:
         M^2 / (2 m r^2).  The domain lower edge is pinned at r = 0, which
         is open (the model is singular there).  With M^2 > 0 the floor
         is at r = M^2 / (m charge); without, V falls into r = 0 and
-        :meth:`minimum` refuses it.
+        :meth:`minimum` refuses it.  The default domain reaches
+        600 max(hbar^2, M^2/100) / (m charge): 600 Bohr radii, or six
+        floor radii where the floor would lie beyond those.
         """
         if not charge > 0.0:
             raise UsageError("charge must be positive")
         if centrifugal < 0.0:
             raise UsageError("centrifugal term must be non-negative")
         c = constants or PhysicalConstants()
-        bohr = _finite(lambda: c.hbar ** 2 / (c.mass * charge))
+        z, m2 = float(charge), float(centrifugal)
+        # the Bohr radius, or the floor r0 = M^2/(m Z) over 100 where that
+        # is longer, so that the default domain of 600 lengths holds r0
+        length = _finite(lambda: max(c.hbar ** 2, m2 / 100.0) / (c.mass * z))
         if domain is None:
-            domain = (0.0, 600.0 * bohr)
+            domain = (0.0, 600.0 * length)
         elif float(domain[0]) != 0.0:
             raise UsageError("coulomb domain must start at r = 0")
-        z, m2 = float(charge), float(centrifugal)
         half_m2 = _finite(lambda: m2 / (2.0 * c.mass))
 
         if m2 > 0.0:
@@ -269,7 +273,7 @@ class PotentialModel:
         return cls("coulomb", {"charge": z, "centrifugal": m2}, f, df, c,
                    domain, edges=("open", "soft"),
                    floor_at=(m2 / (c.mass * z),) if m2 > 0.0 else (),
-                   length=bohr, turns=turns if m2 > 0.0 else None)
+                   length=length, turns=turns if m2 > 0.0 else None)
 
     @classmethod
     def square_well(cls, depth=1.0, width=1.0, constants=None, domain=None):
@@ -560,9 +564,12 @@ class PotentialModel:
             # a soft edge moved far out can take V past the doubles, which
             # evaluate turns into a DomainError
             with np.errstate(over="ignore", invalid="ignore"):
-                self._v_ends = self.evaluate(self.ends)
-        q = 2.0 * self.constants.mass * (float(energy) - self._v_ends)
-        return bool(q[0] > 0.0), bool(q[1] > 0.0)
+                self._v_ends = self.evaluate(self.ends).tolist()
+        # in Python floats a q past the doubles is inf, with no numpy
+        # warning, and it still compares right with 0
+        two_m, e = 2.0 * self.constants.mass, float(energy)
+        v_lo, v_hi = self._v_ends
+        return two_m * (e - v_lo) > 0.0, two_m * (e - v_hi) > 0.0
 
     def with_domain(self, lo: float, hi: float) -> "PotentialModel":
         """This model on another working domain: a shallow copy whose

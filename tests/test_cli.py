@@ -11,6 +11,7 @@ code. ``test_console_script_is_wired_up`` runs the real installed
 import csv
 import io
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -19,8 +20,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phasebound.cli import main
+from phasebound.cli import _csv_text, format_float, main
+from phasebound.errors import UsageError
 from phasebound.oracle import reference_levels
 from phasebound.potentials import PotentialModel
 from phasebound.quantize import spectrum
@@ -331,6 +335,37 @@ def test_an_extreme_hbar_raises_no_numpy_warning(capsys, tmp_path, doc, argv,
     assert "Warning" not in err
 
 
+def test_audit_of_an_overflowing_morse_well_raises_no_numpy_warning(
+        capsys, tmp_path):
+    # 2m(E - V) at the domain ends overflows to inf, which still says
+    # which way the allowed region leans; every warning is an error here
+    path = _write_potential(tmp_path, {
+        "type": "morse", "hbar": 1.2724e72, "mass": 2.776e30,
+        "params": {"depth": 1837.55, "range": 0.1489},
+        "domain": [-117.133, 40.0625]})
+    code, out, err = _run(capsys, ["audit", path, "--levels", "3"])
+    assert code == 2
+    assert "truncated: only 0 bound levels" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("hbar, centrifugal", [(0.1, 100.0), (0.01, 1.0)])
+def test_coulomb_with_a_floor_past_600_bohr_radii_has_its_levels(
+        capsys, tmp_path, hbar, centrifugal):
+    # M^2 >> hbar^2 puts the floor M^2/(mZ) beyond 600 hbar^2/(mZ): the
+    # default domain is sized by M as well, and the levels are the
+    # closed form -mZ^2/(2(hbar(n + 1/2) + M)^2)
+    path = _write_potential(tmp_path, {
+        "type": "coulomb", "hbar": hbar,
+        "params": {"charge": 1.0, "centrifugal": centrifugal}})
+    code, out, err = _run(capsys, ["spectrum", path, "--levels", "3"])
+    assert code == 0, err
+    energies = [float(r["energy"]) for r in csv.DictReader(io.StringIO(out))]
+    exact = [-0.5 / (hbar * (n + 0.5) + math.sqrt(centrifugal)) ** 2
+             for n in range(3)]
+    assert energies == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def _diagnostic_cells(capsys, path):
     code, out, err = _run(capsys, ["wavefunction", path, "--n", "0",
                                    "--grid", "11"])
@@ -401,6 +436,64 @@ def test_audit_csv_format(capsys, tmp_path):
                              "deviation", "note"]
     assert len(rows) == 2
     assert json.loads(err)["command"] == "audit"
+
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_float(c) if isinstance(c, float) else c
+                      for c in row] for row in rows)
+    return buf.getvalue()
+
+
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "é"]))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_CELLS = {
+    "float": _FLOATS,
+    "float-or-blank": st.one_of(st.none(), _FLOATS),
+    "int": st.integers(),
+    "text": st.one_of(_TEXT, st.sampled_from(["allowed", "left", ""])),
+    "any": st.one_of(st.none(), _FLOATS, st.integers(), st.booleans(),
+                     _TEXT),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=6))
+    header = [draw(_TEXT) for _ in kinds]
+    n_rows = draw(st.integers(0, 12))
+    rows = [[draw(_CELLS[kind]) for kind in kinds] for _ in range(n_rows)]
+    return header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+@example((["x", "region", "note"],
+          [[0.0, "left", None], [-0.0, "left", 'a "quoted",\nnote'],
+           [1e300, "right", "reference solver failed: x\r\ny"]]))
+@example((["n", "flag"], [[1, True], [True, 1], [1.0, 1]]))
+@example(([""], [[""], [None], [-0.0]]))
+@example((["a", "b"], []))
+def test_csv_text_is_the_csv_writer_text(table):
+    # the column-wise writer keeps every byte of csv.writer on the rows,
+    # quoted cells, blanks and a lone empty field included
+    header, rows = table
+    assert _csv_text(header, rows) == _csv_writer_text(header, rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [[1.0, 2.0, None], [1.0, 2.0, 3.0]],
+                         ids=["with-blanks", "all-floats"])
+def test_csv_text_refuses_a_non_finite_float(bad, column):
+    rows = [[x, "left"] for x in column]
+    rows[1][0] = bad
+    with pytest.raises(UsageError,
+                       match="refusing to serialize a non-finite number"):
+        _csv_text(["x", "region"], rows)
 
 
 def test_audit_reports_ground_level_gap_for_kinked_well(capsys, tmp_path):

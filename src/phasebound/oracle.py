@@ -10,9 +10,9 @@ the reference: no production path calls it, and the tests use it as an
 independent check on the LAPACK eigenvalues.  Nothing here touches the
 phase-integral machinery: this path exists so the two solvers can be
 compared without a shared failure mode, so keep it that way.  From
-``potentials`` it uses only the model (V, its minimum and energy scale, the
-scan grid and domain moves) and :func:`~phasebound.potentials.decay_march`,
-which the quantizer never calls.
+``potentials`` it uses only the model (V, its minimum, the scan grid and
+domain moves) and :func:`~phasebound.potentials.decay_march`, which the
+quantizer never calls.
 
 The reference follows one fixed policy: a box sized for the requested
 levels and three grids on it, of 1001, 2001 and 4001 points (steps h, h/2
@@ -20,18 +20,16 @@ and h/4).  On a smooth well the central-difference eigenvalues expand in
 even powers of h (Paine, de Hoog & Anderssen, Computing 26, 1981), so
 E = (64 E_{h/4} - 20 E_{h/2} + E_h) / 45 cancels the h^2 and h^4 terms.
 Finer grids would not help: the eigensolver's rounding error grows like
-1/h^2.  Both box edges must clear the highest requested level by a margin
-and accumulate a decay exponent of at least 14 across the forbidden zone,
-which keeps the truncation error below the discretization error.  A
-coarse solve for one level more than asked sets the margin: 5*hbar*omega,
-with hbar*omega the spacing just above the top requested level, or half
-the top level's height above the floor when that spacing is under 1e-9 of
-max(|E_top|, |V_min|, the model's energy_scale) (a degenerate doublet).
-Where a potential flattens out below the margin bar (Morse tails, Coulomb
-tails) the march stops once the decay exponent alone reaches 16; insisting
-on the unreachable margin would reject confining wells that plainly hold
-bound states.  Hard domain edges (tabulated data, the r = 0 axis) are used
-as walls directly.
+1/h^2.  A coarse solve (801 points on the raw domain) estimates the top
+requested level E_top.  Each soft box edge is where the walk out of
+E_top's classical region, in steps of 1/1000 of the domain width, first
+takes the decay exponent (the integral of sqrt(2m(V - E_top))/hbar from
+the classical boundary) to 14: the state has fallen by e^-14 there, and
+the wall's shift of the level, of order e^-28, stays below the
+discretization error.  The rule asks nothing of the level spacing or of
+the height of V, so a degenerate doublet at the top and a tail that
+flattens out (Morse, Coulomb) need no special case.  Hard domain edges
+(tabulated data, the r = 0 axis) are used as walls directly.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ import numpy as np
 from .errors import OracleError, UsageError
 from .potentials import PotentialModel, decay_march
 
-_DECAY_REQUIRED = 14.0
-_DECAY_ENOUGH = 16.0
+_DECAY = 14.0           # decay exponent at each soft wall
 _GRID_POINTS = 1001     # the coarsest grid; the others halve its step twice
 
 
@@ -108,51 +105,25 @@ class TridiagonalOperator:
         return np.ldexp(values, k)
 
 
-def _estimate_top_level(potential: PotentialModel, count: int
-                        ) -> tuple[float, float]:
-    """Crude top-level estimate and the spacing just above it.
-
-    A coarse solve on the raw domain for count+1 levels; the gap between
-    the top target and the next level up sets the characteristic
-    frequency for the box margin.
-    """
-    lo, hi = potential.domain
-    op = discretize(potential, (lo, hi), 801)
-    coarse = op.lowest(count + 1)
-    e_top = float(coarse[count - 1])
-    spacing = float(coarse[count] - e_top)
-    return e_top, spacing
-
-
 def _extend_edge(potential: PotentialModel, e_top: float, side: int,
-                 margin: float) -> float:
+                 start: float) -> float:
     """Box edge on one side (-1 lower, +1 upper).
 
-    Follows :func:`~phasebound.potentials.decay_march` from the classical
-    boundary at e_top in steps of width/1000 until the potential clears
-    e_top + margin (margin rule) and the decay exponent reaches 14, or
-    until the exponent alone reaches 16 (for wells whose tails flatten
-    out below the margin bar).  OracleError when neither happens within
-    64 widths.  A hard or open domain edge is simply the wall.
+    From ``start``, the classical boundary at e_top on that side, follows
+    :func:`~phasebound.potentials.decay_march` in steps of width/1000 to
+    the first step at which the decay exponent reaches 14.  OracleError
+    when none does within 64 widths.  A hard or open domain edge is
+    simply the wall.
     """
     if potential.edges[side > 0] != "soft":
         return potential.domain[side > 0]
     span = potential.domain[1] - potential.domain[0]
-    xs = potential.grid(2001)
-    mask = potential.evaluate(xs) <= e_top
-    if not mask.any():
-        raise OracleError("no classical region at the estimated top level")
-    allowed = xs[mask]
-    x = float(allowed[0] if side < 0 else allowed[-1])
-
-    limit = x + side * 64.0 * span
-    for _, xs, v, expos in decay_march(potential, e_top, x, side, 1000):
+    limit = start + side * 64.0 * span
+    for _, xs, _, expos in decay_march(potential, e_top, start, side, 1000):
         # a step is taken only from a position short of the limit
         past = np.flatnonzero(xs <= limit if side < 0 else xs >= limit)
         end = past[0] + 1 if past.size else xs.size
-        enough = (expos >= _DECAY_ENOUGH) | (
-            (expos >= _DECAY_REQUIRED) & (v >= e_top + margin))
-        stop = np.flatnonzero(enough[:end])
+        stop = np.flatnonzero(expos[:end] >= _DECAY)
         if stop.size:
             return float(xs[stop[0]])
         if past.size:
@@ -163,17 +134,16 @@ def _extend_edge(potential: PotentialModel, e_top: float, side: int,
 
 
 def _auto_box(potential: PotentialModel, count: int) -> tuple[float, float]:
-    e_top, spacing = _estimate_top_level(potential, count)
-    _, v_min = potential.minimum()
-    if e_top <= v_min:
+    e_top = float(discretize(potential, potential.domain, 801)
+                  .lowest(count)[-1])
+    if e_top <= potential.minimum()[1]:
         raise OracleError("level estimate fell below the potential floor")
-    hbar = potential.constants.hbar
-    scale = max(potential.energy_scale, abs(e_top), abs(v_min))
-    omega = spacing / hbar
-    margin = 5.0 * hbar * omega if spacing > 1e-9 * scale \
-        else 0.5 * (e_top - v_min)
-    lo = _extend_edge(potential, e_top, -1, margin)
-    hi = _extend_edge(potential, e_top, +1, margin)
+    xs = potential.grid(2001)
+    allowed = xs[potential.evaluate(xs) <= e_top]
+    if not allowed.size:
+        raise OracleError("no classical region at the estimated top level")
+    lo = _extend_edge(potential, e_top, -1, float(allowed[0]))
+    hi = _extend_edge(potential, e_top, +1, float(allowed[-1]))
     if not lo < hi:
         raise OracleError("auto box collapsed; potential looks unconfined")
     return lo, hi

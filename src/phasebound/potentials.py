@@ -713,11 +713,16 @@ def decay_march(potential: PotentialModel, energy: float, start: float,
     steps inside the domain and yields (model, positions, V, exponent),
     the exponent being the trapezoid sum of sqrt(2m(V - E))/hbar from
     ``start``.  Positions and sums accumulate as in a one-step-at-a-time
-    loop, to the bit.  A soft edge in the way moves out by the original
-    width; a hard or open one ends the walk.  Else the caller stops it.
+    loop, to the bit.  A ``start`` outside the domain first moves that
+    side out to it (UsageError past a hard or open edge).  A soft edge in
+    the way moves out by the original width; a hard or open one ends the
+    walk.  Else the caller stops it.
     """
     pot = potential
-    width = pot.domain[1] - pot.domain[0]
+    lo, hi = pot.domain
+    width = hi - lo
+    if not lo <= start <= hi:
+        pot = pot.with_domain(min(lo, start), max(hi, start))
     dx = width / steps
     c = pot.constants
     x, expo, k_prev = float(start), 0.0, 0.0

@@ -60,6 +60,18 @@ class _Quantizer:
     successful survey, (W, region) keyed by energy."""
 
     def __init__(self, potential: PotentialModel):
+        # a soft side that leaves a stated floor outside moves past it by
+        # the span: a soft side means an infinite one, and level 0 starts
+        # from the true floor, where W = 0
+        lo, hi = potential.domain
+        span = hi - lo
+        floor = potential.floor_at
+        if floor and potential.edges[0] == "soft" and min(floor) < lo:
+            lo = min(floor) - span
+        if floor and potential.edges[1] == "soft" and max(floor) > hi:
+            hi = max(floor) + span
+        if (lo, hi) != potential.domain:
+            potential = potential.with_domain(lo, hi)
         self.pot = potential
         self.evals = 0
         self._surveys: dict[float, tuple[float, ClassicalRegion]] = {}

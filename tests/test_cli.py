@@ -8,14 +8,18 @@ code. ``test_console_script_is_wired_up`` runs the real installed
 ``phasebound`` executable and is skipped when it is not on PATH.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasebound.cli import _csv_text, format_float, main
-from phasebound.errors import UsageError
+from phasebound.errors import ParseError, UsageError
 from phasebound.oracle import reference_levels
 from phasebound.potentials import PotentialModel
 from phasebound.quantize import spectrum
@@ -364,6 +368,155 @@ def test_coulomb_with_a_floor_past_600_bohr_radii_has_its_levels(
     exact = [-0.5 / (hbar * (n + 0.5) + math.sqrt(centrifugal)) ** 2
              for n in range(3)]
     assert energies == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def _coulomb_levels(charge, centrifugal, count, hbar=1.0, mass=1.0):
+    # -mZ^2/(2(hbar(n + 1/2) + M)^2), M^2 the centrifugal term
+    return [-mass * charge ** 2
+            / (2.0 * (hbar * (n + 0.5) + math.sqrt(centrifugal)) ** 2)
+            for n in range(count)]
+
+
+@pytest.mark.parametrize("doc, exact", [
+    ({"type": "harmonic", "params": {"omega": 1.0}, "domain": [2.0, 10.0]},
+     [0.5, 1.5, 2.5]),
+    ({"type": "coulomb", "params": {"charge": 1.0, "centrifugal": 1.0},
+      "domain": [0.0, 0.5]}, _coulomb_levels(1.0, 1.0, 3)),
+    ({"type": "coulomb",
+      "params": {"charge": 674.18, "centrifugal": 1705.95},
+      "domain": [0.0, 2.084]}, _coulomb_levels(674.18, 1705.95, 2))],
+    ids=["harmonic", "coulomb", "deep-coulomb"])
+def test_a_soft_side_reaches_the_floor_past_it(capsys, tmp_path, doc, exact):
+    # the floor (x = 0; r = M^2/(mZ) = 1 and 2.53) lies past the soft side
+    # of the domain, which the quantizer moves out past it
+    path = _write_potential(tmp_path, doc)
+    code, out, err = _run(capsys, ["spectrum", path,
+                                   "--levels", str(len(exact))])
+    assert code == 0, err
+    energies = [float(r["energy"]) for r in csv.DictReader(io.StringIO(out))]
+    assert energies == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_radial_reaches_the_floor_past_a_short_domain(capsys, tmp_path):
+    # hydrogen on (0, 0.1): the floor of the Langer-corrected well, at
+    # r = 1/4, lies past the soft upper side
+    path = _write_potential(tmp_path, {
+        "type": "coulomb", "params": {"charge": 1.0}, "domain": [0.0, 0.1]})
+    code, out, err = _run(capsys, ["radial", path, "--ntheta", "0",
+                                   "--mz", "0", "--nrmax", "2"])
+    assert code == 0, err
+    energies = [lv["E"] for lv in json.loads(out)["levels"]]
+    assert energies == pytest.approx(
+        [-0.5 / (n_r + 1) ** 2 for n_r in range(3)], rel=1e-12, abs=0.0)
+
+
+_LINEAR_SUB_DOMAIN = {
+    "type": "linear", "params": {"slope": 0.05465824940487556},
+    "hbar": 7.299737191134867e-19, "mass": 14769615.21362182,
+    "domain": [-1.996705142153781e-13, -1.0005169039711674e-13]}
+
+
+@pytest.mark.parametrize("doc", [
+    _LINEAR_SUB_DOMAIN,
+    {"type": "harmonic", "params": {"omega": 1.0}, "domain": [2.0, 10.0]}],
+    ids=["linear", "harmonic"])
+def test_wavefunction_on_a_sub_domain_past_the_floor(capsys, tmp_path, doc):
+    # the state's tails start outside the domain, one past its far side
+    path = _write_potential(tmp_path, doc)
+    code, out, err = _run(capsys, ["wavefunction", path, "--n", "0",
+                                   "--grid", "11"])
+    assert code == 0, err
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 11
+
+
+def _closed_form(doc, n):
+    """Level n of the phase-integral closed form, None where unbound."""
+    hbar, mass, p = doc["hbar"], doc["mass"], doc["params"]
+    if doc["type"] == "harmonic":
+        return hbar * p["omega"] * (n + 0.5)
+    if doc["type"] == "linear":
+        return (3.0 * math.pi * hbar * p["slope"] * (n + 0.5)
+                / (4.0 * math.sqrt(2.0 * mass))) ** (2.0 / 3.0)
+    if doc["type"] == "morse":
+        lam = math.sqrt(2.0 * mass * p["depth"]) / (p["range"] * hbar)
+        return (-p["depth"] * (1.0 - (n + 0.5) / lam) ** 2
+                if n + 0.5 < lam else None)
+    return _coulomb_levels(p["charge"], p["centrifugal"], n + 1,
+                           hbar, mass)[n]
+
+
+_LOG = st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u)
+_PARAMS = {"harmonic": {"omega": _LOG}, "linear": {"slope": _LOG},
+           "morse": {"depth": _LOG, "range": _LOG},
+           "coulomb": {"charge": _LOG, "centrifugal": _LOG}}
+
+
+@st.composite
+def _closed_form_files(draw):
+    """A harmonic, linear, Morse or Coulomb (M^2 > 0) file, hbar in
+    1e+-20, m in 1e+-10; four files in ten take a sub-domain of at least
+    1/20 of the default one (Coulomb's from r = 0)."""
+    kind = draw(st.sampled_from(sorted(_PARAMS)))
+    doc = {"type": kind,
+           "params": {k: draw(v) for k, v in _PARAMS[kind].items()},
+           "hbar": 10.0 ** draw(st.floats(-20.0, 20.0)),
+           "mass": 10.0 ** draw(st.floats(-10.0, 10.0))}
+    if draw(st.integers(0, 9)) < 4:
+        try:
+            lo, hi = PotentialModel.from_dict(doc).domain
+        except ParseError:
+            return doc
+        a = 0.0 if kind == "coulomb" else draw(st.floats(0.0, 0.95))
+        b = draw(st.floats(a + 0.05, 1.0))
+        doc["domain"] = [lo + a * (hi - lo), lo + b * (hi - lo)]
+    return doc
+
+
+def _main_quietly(argv):
+    """Exit code and stdout of one in-process call; any warning raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_closed_form_files())
+@example(_LINEAR_SUB_DOMAIN)
+@example({"type": "harmonic", "params": {"omega": 1.0}, "hbar": 1.0,
+          "mass": 1.0, "domain": [2.0, 10.0]})
+@example({"type": "coulomb", "params": {"charge": 1.0, "centrifugal": 1.0},
+          "hbar": 1.0, "mass": 1.0, "domain": [0.0, 0.5]})
+@example({"type": "coulomb",
+          "params": {"charge": 674.18, "centrifugal": 1705.95},
+          "hbar": 1.0, "mass": 1.0, "domain": [0.0, 2.084]})
+def test_closed_form_files_keep_the_exit_code_contract(doc):
+    # exit 0, 1 or 2 with no traceback and no warning; every printed level
+    # on its closed form; exit 2 at level k only where there is no level k
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pot.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out = _main_quietly(["spectrum", path, "--levels", "3",
+                                   "--format", "json"])
+        assert code in (0, 1, 2)
+        if code != 1:
+            levels = json.loads(out)["levels"]
+            for lv in levels:
+                exact = _closed_form(doc, lv["n"])
+                assert exact is not None
+                assert lv["energy"] == pytest.approx(exact, rel=1e-9,
+                                                     abs=0.0)
+            if code == 0:
+                assert len(levels) == 3
+            else:
+                assert _closed_form(doc, len(levels)) is None
+        code, _ = _main_quietly(["wavefunction", path, "--n", "0",
+                                 "--grid", "11"])
+        assert code in (0, 1, 2)
 
 
 def _diagnostic_cells(capsys, path):

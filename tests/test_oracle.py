@@ -3,7 +3,9 @@ import pkgutil
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 from scipy.special import ai_zeros
 
 import phasebound
@@ -152,12 +154,36 @@ def test_three_grids_cut_the_harmonic_error_fourfold(harmonic):
     assert three <= 0.25 * two
 
 
-def test_auto_box_margin_clears_top_level(harmonic):
-    a, b = oracle._auto_box(harmonic, 3)
-    # top target is E_2 = 2.5 and the level spacing is 1, so both walls
-    # must sit where V >= 7.5
-    assert harmonic.evaluate(a) >= 7.5 - 1e-6
-    assert harmonic.evaluate(b) >= 7.5 - 1e-6
+def _decay_exponent(potential, energy, a, b):
+    """Integral of sqrt(2m(V - E))/hbar from a to b, by quad."""
+    c = potential.constants
+
+    def kappa(x):
+        return np.sqrt(2.0 * c.mass * max(float(potential.evaluate(x))
+                                          - energy, 0.0)) / c.hbar
+
+    return abs(quad(kappa, min(a, b), max(a, b), limit=200)[0])
+
+
+@pytest.mark.parametrize("potential, count", [
+    (PotentialModel.harmonic(1.0), 3), (PotentialModel.morse(10.0, 1.0), 4)],
+    ids=["harmonic", "morse"])
+def test_each_soft_wall_is_where_the_decay_exponent_reaches_14(potential,
+                                                               count):
+    # from the classical boundary of the coarse top level, the wall is the
+    # first step of width/1000 at which the exponent reaches 14; quad
+    # differs from the walk's trapezoid sums by far less than one step adds
+    # (0.14 for harmonic, 0.04 in Morse's flat tail)
+    e_top = discretize(potential, potential.domain, 801).lowest(count)[-1]
+    lo, hi = potential.domain
+    step = (hi - lo) / 1000
+    a, b = oracle._auto_box(potential, count)
+    x_min = potential.minimum()[0]
+    for side, wall in ((-1, a), (+1, b)):
+        turn = brentq(lambda x: potential.evaluate(x) - e_top, x_min, wall)
+        assert _decay_exponent(potential, e_top, turn, wall) > 14.0 - 1e-2
+        assert _decay_exponent(potential, e_top, turn,
+                               wall - side * step) < 14.0 + 1e-2
 
 
 def test_auto_box_refuses_unconfined_request():
@@ -227,6 +253,13 @@ def test_an_open_edge_bounds_the_box():
         [ell + 1.5, ell + 3.5], rel=1e-5)
 
 
+def test_morse_reference_within_2e_11_of_exact():
+    # measured 1.4e-11; a box sized by five level spacings gave 4.7e-11
+    potential, exact = _EXACT[2]
+    ref = reference_levels(potential, exact.size)
+    assert np.max(np.abs(ref - exact) / np.abs(exact)) < 2e-11
+
+
 def test_morse_reference_matches_closed_form(morse10):
     refs = reference_levels(morse10, 4)
     closed = [-10.0 * (1.0 - (n + 0.5) / np.sqrt(20.0)) ** 2
@@ -234,10 +267,10 @@ def test_morse_reference_matches_closed_form(morse10):
     assert refs == pytest.approx(closed, rel=1e-6)
 
 
-def test_half_depth_sets_the_margin_when_the_top_spacing_vanishes():
+def test_a_top_doublet_needs_no_wall_rule_of_its_own():
     # double well (x^2 - 9)^2: the coarse solve puts the second doublet
-    # at one value, so the top spacing is 0 and the box margin is half the
-    # top level's height above the floor V = 0
+    # at one value; the decay exponent alone still sets both walls where V
+    # is over 1.5 times the top level, the floor being V = 0
     def well(x):
         x = np.asarray(x, dtype=float)
         return (x * x - 9.0) ** 2
@@ -245,8 +278,7 @@ def test_half_depth_sets_the_margin_when_the_top_spacing_vanishes():
     pot = PotentialModel.from_callable(
         well, (-8.0, 8.0), df=lambda x: 4.0 * x * (x * x - 9.0),
         edges=("soft", "soft"))
-    e_top, spacing = oracle._estimate_top_level(pot, 3)
-    assert spacing == 0.0
+    e_top = discretize(pot, pot.domain, 801).lowest(3)[-1]
     for wall in oracle._auto_box(pot, 3):
         assert pot.evaluate(wall) >= 1.5 * e_top
     levels = reference_levels(pot, 3)

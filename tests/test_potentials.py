@@ -626,3 +626,33 @@ def test_decay_march_equals_a_plain_loop(steps, side):
     plain = _plain_march(pot, 0.5, start, side, steps, len(walked))
     assert walked == plain
     assert len({domain for domain, _, _ in walked}) == 4
+
+
+def test_decay_march_from_past_the_far_edge_first_reaches_its_start(
+        monkeypatch):
+    # the walk to lower x from x = 2 on (-3, -1) used to grow the lower
+    # side, away from its start, forever without a step; a spy on the
+    # domain moves stops such a walk after 100
+    moves = [0]
+    with_domain = PotentialModel.with_domain
+
+    def spy(self, lo, hi):
+        moves[0] += 1
+        if moves[0] > 100:
+            raise AssertionError("the walk keeps moving the domain")
+        return with_domain(self, lo, hi)
+
+    pot = PotentialModel.harmonic(1.0).with_domain(-3.0, -1.0)
+    monkeypatch.setattr(PotentialModel, "with_domain", spy)
+    model, xs, v, expos = next(decay_march(pot, 0.5, 2.0, -1, 512))
+    assert model.domain == (-3.0, 2.0) and moves[0] == 1
+    # steps of the width at the call, 2/512
+    assert xs.size == 512 and xs[0] == 2.0 - 2.0 / 512
+    assert xs[-1] == pytest.approx(0.0, abs=1e-12)
+    # from x = 2 to the turning point at 1, sqrt(3) - ln(2 + sqrt(3))/2
+    assert expos[-1] == pytest.approx(
+        np.sqrt(3.0) - 0.5 * np.log(2.0 + np.sqrt(3.0)), rel=1e-2)
+    # a hard side refuses the move
+    hard = PotentialModel.from_callable(lambda x: x * x, (-3.0, -1.0))
+    with pytest.raises(UsageError, match="hard upper edge"):
+        next(decay_march(hard, 0.5, 2.0, -1, 512))

@@ -11,7 +11,7 @@ independent check on the LAPACK eigenvalues.  Nothing here touches the
 phase-integral machinery: this path exists so the two solvers can be
 compared without a shared failure mode, so keep it that way.  From
 ``potentials`` it uses only the model (V, its minimum, the scan grid and
-domain moves) and :func:`~phasebound.potentials.decay_march`, which the
+domain moves) and :func:`~phasebound.potentials.decay_reach`, which the
 quantizer never calls.
 
 The reference follows one fixed policy: a box sized for the requested
@@ -20,11 +20,14 @@ and h/4).  On a smooth well the central-difference eigenvalues expand in
 even powers of h (Paine, de Hoog & Anderssen, Computing 26, 1981), so
 E = (64 E_{h/4} - 20 E_{h/2} + E_h) / 45 cancels the h^2 and h^4 terms.
 Finer grids would not help: the eigensolver's rounding error grows like
-1/h^2.  A coarse solve (801 points on the raw domain) estimates the top
-requested level E_top.  Each soft box edge is where the walk out of
-E_top's classical region, in steps of 1/1000 of the domain width, first
-takes the decay exponent (the integral of sqrt(2m(V - E_top))/hbar from
-the classical boundary) to 14: the state has fallen by e^-14 there, and
+1/h^2.  A coarse solve (801 points) estimates the top requested level
+E_top on a domain that covers it: while E_top's classical region on 2001
+points reaches a soft end, that side moves out by the larger of the
+domain width and the model's ``length`` and the solve runs again, at most
+20 times.  Each soft box edge is where the walk out of E_top's classical
+region, 1000 steps to that width, first takes the decay exponent (the
+integral of sqrt(2m(V - E_top))/hbar from the classical boundary) to 14
+within 64 widths: the state has fallen by e^-14 there, and
 the wall's shift of the level, of order e^-28, stays below the
 discretization error.  The rule asks nothing of the level spacing or of
 the height of V, so a degenerate doublet at the top and a tail that
@@ -40,9 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleError, UsageError
-from .potentials import PotentialModel, decay_march
+from .potentials import PotentialModel, decay_reach
 
 _DECAY = 14.0           # decay exponent at each soft wall
+_MAX_BOX_GROWTH = 20    # soft-edge moves of the coarse solve's domain
 _GRID_POINTS = 1001     # the coarsest grid; the others halve its step twice
 
 
@@ -105,45 +109,39 @@ class TridiagonalOperator:
         return np.ldexp(values, k)
 
 
-def _extend_edge(potential: PotentialModel, e_top: float, side: int,
-                 start: float) -> float:
-    """Box edge on one side (-1 lower, +1 upper).
-
-    From ``start``, the classical boundary at e_top on that side, follows
-    :func:`~phasebound.potentials.decay_march` in steps of width/1000 to
-    the first step at which the decay exponent reaches 14.  OracleError
-    when none does within 64 widths.  A hard or open domain edge is
-    simply the wall.
-    """
-    if potential.edges[side > 0] != "soft":
-        return potential.domain[side > 0]
-    span = potential.domain[1] - potential.domain[0]
-    limit = start + side * 64.0 * span
-    for _, xs, _, expos in decay_march(potential, e_top, start, side, 1000):
-        # a step is taken only from a position short of the limit
-        past = np.flatnonzero(xs <= limit if side < 0 else xs >= limit)
-        end = past[0] + 1 if past.size else xs.size
-        stop = np.flatnonzero(expos[:end] >= _DECAY)
-        if stop.size:
-            return float(xs[stop[0]])
-        if past.size:
-            break
-    raise OracleError(
-        "auto box cannot confine the requested levels "
-        f"({'below' if side < 0 else 'above'} the well)")
-
-
 def _auto_box(potential: PotentialModel, count: int) -> tuple[float, float]:
-    e_top = float(discretize(potential, potential.domain, 801)
-                  .lowest(count)[-1])
-    if e_top <= potential.minimum()[1]:
-        raise OracleError("level estimate fell below the potential floor")
-    xs = potential.grid(2001)
-    allowed = xs[potential.evaluate(xs) <= e_top]
-    if not allowed.size:
-        raise OracleError("no classical region at the estimated top level")
-    lo = _extend_edge(potential, e_top, -1, float(allowed[0]))
-    hi = _extend_edge(potential, e_top, +1, float(allowed[-1]))
+    pot = potential
+    for moves in range(_MAX_BOX_GROWTH + 1):
+        e_top = float(discretize(pot, pot.domain, 801).lowest(count)[-1])
+        if e_top <= pot.minimum()[1]:
+            raise OracleError("level estimate fell below the potential floor")
+        xs = pot.grid(2001)
+        allowed = xs[pot.evaluate(xs) <= e_top]
+        if not allowed.size:
+            raise OracleError("no classical region at the estimated top level")
+        # a soft end inside the top level's classical region squeezes it
+        grow_lo = allowed[0] == xs[0] and pot.edges[0] == "soft"
+        grow_hi = allowed[-1] == xs[-1] and pot.edges[1] == "soft"
+        if not (grow_lo or grow_hi):
+            break
+        if moves == _MAX_BOX_GROWTH:
+            raise OracleError("auto box cannot confine the requested levels "
+                              "(the top level keeps reaching a soft edge)")
+        lo, hi = pot.domain
+        span = max(hi - lo, pot.length)
+        pot = pot.with_domain(lo - span if grow_lo else lo,
+                              hi + span if grow_hi else hi)
+    walls = []
+    for side, start in ((-1, allowed[0]), (+1, allowed[-1])):
+        wall = pot.domain[side > 0]
+        if pot.edges[side > 0] == "soft":
+            _, wall = decay_reach(pot, e_top, start, side, 1000, _DECAY, 64)
+        if wall is None:
+            raise OracleError(
+                "auto box cannot confine the requested levels "
+                f"({'below' if side < 0 else 'above'} the well)")
+        walls.append(wall)
+    lo, hi = walls
     if not lo < hi:
         raise OracleError("auto box collapsed; potential looks unconfined")
     return lo, hi

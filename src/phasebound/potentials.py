@@ -3,8 +3,9 @@
 A :class:`PotentialModel` bundles the potential function V(x), its analytic
 derivative when one is available, the physical constants (hbar, mass) and a
 finite working domain, each side of which has one kind (``edges``).  A
-"soft" side stands in for an infinite extent: consumers (the quantizer, and
-:func:`decay_march` for normalization and the oracle's box) may push it
+"soft" side stands in for an infinite extent: the quantizer, the oracle's
+coarse solve and :func:`decay_reach`, the walk into a forbidden side that
+the state builder's tails and the oracle's box walls take, may push it
 outward with :meth:`PotentialModel.with_domain`.  A "hard" side (a wall,
 the end of tabulated data) is never crossed, nor is an "open" one, where V
 is singular, as at r = 0 of a radial model; a domain moved inward off an
@@ -703,30 +704,34 @@ class MomentumField:
         return np.sqrt(np.maximum(-self.q(x), 0.0))
 
 
-def decay_march(potential: PotentialModel, energy: float, start: float,
-                side: int, steps: int):
-    """Walk from ``start`` into a forbidden side, ``steps`` steps a width.
+def decay_reach(potential: PotentialModel, energy: float, start: float,
+                side: int, steps: int, exponent: float, widths: int
+                ) -> tuple[PotentialModel, float | None]:
+    """Walk from ``start`` into a forbidden side to where the decay
+    exponent first reaches ``exponent``: (model, x).
 
-    The steps, width/``steps`` long for the domain width at the call, go
-    toward lower x for ``side`` -1 and higher x for +1.  Each width of
-    steps calls V once, through :meth:`PotentialModel.evaluate`, on the
-    steps inside the domain and yields (model, positions, V, exponent),
-    the exponent being the trapezoid sum of sqrt(2m(V - E))/hbar from
-    ``start``.  Positions and sums accumulate as in a one-step-at-a-time
-    loop, to the bit.  A ``start`` outside the domain first moves that
-    side out to it (UsageError past a hard or open edge).  A soft edge in
-    the way moves out by the original width; a hard or open one ends the
-    walk.  Else the caller stops it.
+    The steps, ``steps`` to a width, go toward lower x for ``side`` -1 and
+    higher x for +1; the width is the larger of the domain width at the
+    call and the model's ``length``.  Each width of steps calls V once,
+    through :meth:`PotentialModel.evaluate`, on the steps inside the
+    domain; the exponent is the trapezoid sum of sqrt(2m(V - E))/hbar from
+    ``start``, and positions and sums accumulate as in a one-step-at-a-time
+    loop, to the bit.  A ``start`` outside the domain first moves that side
+    out to it (UsageError past a hard or open edge).  A soft edge in the
+    way moves out by the width; at a hard or open one x is the model's end
+    there, of ``ends``.  x is None when V falls back to E after the decay
+    has started, when no decay starts within a width, or when ``widths``
+    widths pass first.  The model is the one the walk reached.
     """
     pot = potential
     lo, hi = pot.domain
-    width = hi - lo
+    width = max(hi - lo, pot.length)
     if not lo <= start <= hi:
         pot = pot.with_domain(min(lo, start), max(hi, start))
     dx = width / steps
     c = pot.constants
-    x, expo, k_prev = float(start), 0.0, 0.0
-    while True:
+    x, expo, k_prev, flat = float(start), 0.0, 0.0, 0
+    for _ in range(widths):
         xs = np.add.accumulate(
             np.concatenate(([x], np.full(steps, side * dx))))[1:]
         lo, hi = pot.domain
@@ -739,13 +744,24 @@ def decay_march(potential: PotentialModel, energy: float, start: float,
                 2.0 * c.mass * np.maximum(v - energy, 0.0)) / c.hbar))
             expos = np.add.accumulate(np.concatenate((
                 [expo], 0.5 * (k[1:] + k[:-1]) * dx)))[1:]
-            yield pot, xs, v, expos
+            # the exponent never falls, so its zeros lead
+            flat += np.count_nonzero(expos == 0.0)
+            if flat >= steps:
+                return pot, None
+            stalls = np.flatnonzero((v <= energy) & (expos > 0.0))
+            stall = stalls[0] if stalls.size else xs.size
+            hit = np.flatnonzero(expos[:stall] >= exponent)
+            if hit.size:
+                return pot, float(xs[hit[0]])
+            if stalls.size:
+                return pot, None
             expo, k_prev, x = expos[-1], k[-1], xs[-1]
         if outside.size:
             if pot.edges[side > 0] != "soft":
-                return
+                return pot, pot.ends[side > 0]
             pot = pot.with_domain(lo - width if side < 0 else lo,
                                   hi + width if side > 0 else hi)
+    return pot, None
 
 
 def local_momentum(potential: PotentialModel, energy: float,

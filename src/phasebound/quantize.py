@@ -82,12 +82,13 @@ class _Quantizer:
         energy alone.
 
         Each soft edge on which the region leans (``pot.leans``: q =
-        2m(E - V) > 0 at its end of ``pot.ends``) moves out by a domain
-        width; one still leaning after _MAX_DOMAIN_GROWTH moves means the
-        motion escapes: LevelUnbound, before any scan.  One scan on the
-        domain reached finds the region; one leaning on a hard or open
-        edge is a SolverError.  That domain is not kept; every success
-        is, so an energy asked again costs none.
+        2m(E - V) > 0 at its end of ``pot.ends``) moves out by the larger
+        of the domain width and the model's ``length``; one still leaning
+        after _MAX_DOMAIN_GROWTH moves means the motion escapes:
+        LevelUnbound, before any scan.  One scan on the domain reached
+        finds the region; one leaning on a hard or open edge is a
+        SolverError.  That domain is not kept; every success is, so an
+        energy asked again costs none.
         """
         hit = self._surveys.get(energy)
         if hit is not None:
@@ -105,7 +106,7 @@ class _Quantizer:
                     f"motion at E = {energy:.12g} is not confined "
                     "(allowed region keeps reaching the domain edge)")
             lo, hi = pot.domain
-            span = hi - lo
+            span = max(hi - lo, pot.length)
             pot = pot.with_domain(lo - span if grow_lo else lo,
                                   hi + span if grow_hi else hi)
         region = find_turning_points(pot, energy).require_single()

@@ -29,7 +29,7 @@ import numpy as np
 from .classical import (ClassicalRegion, PhaseAccumulator,
                         find_turning_points)
 from .errors import NormalizationError, SingularPointError, UsageError
-from .potentials import MomentumField, PotentialModel, decay_march
+from .potentials import MomentumField, PotentialModel, decay_reach
 from .quantize import EnergyLevel
 
 _TAIL_EXPONENT = 16.2   # |psi|^2 down to ~1e-14 of its turning-point value
@@ -127,44 +127,6 @@ class StateFunction:
         return -self._sign * n_const * math.exp(-(phi - phi2))
 
 
-def _tail_reach(potential: PotentialModel, energy: float, start: float,
-                direction: int) -> tuple[PotentialModel, float]:
-    """Stop of the decay walk into one forbidden side: where the exponent
-    of :func:`~phasebound.potentials.decay_march`, 512 steps a width,
-    reaches 1.1 * _TAIL_EXPONENT, or a hard edge, at the model's ``ends``
-    (off an open edge).  NormalizationError when no decay
-    starts within a width or 200,000 steps plus edge moves pass ("decays
-    too slowly"), or when V falls back to E first ("stopped decaying").
-    Returns the (possibly soft-extended) model and the stop.
-    """
-    pot = potential
-    budget = 200000     # steps plus edge moves
-    flat = 0            # steps before the decay starts (exponent 0)
-    for model, xs, v, expos in decay_march(potential, energy, start,
-                                           direction, 512):
-        budget -= model is not pot      # an edge move
-        pot = model
-        n = min(xs.size, budget)
-        budget -= n
-        v, expos = v[:n], expos[:n]
-        flat += np.count_nonzero(expos == 0.0)
-        if flat >= 512:
-            break
-        stalls = np.flatnonzero((v <= energy) & (expos > 0.0))
-        stall = stalls[0] if stalls.size else n
-        hit = np.flatnonzero(expos[:stall] >= 1.1 * _TAIL_EXPONENT)
-        if hit.size:
-            return pot, xs[hit[0]]
-        if stall < n:
-            raise NormalizationError(
-                "forbidden tail stopped decaying; state not normalizable")
-        if budget <= 0:
-            break
-    else:
-        return pot, pot.ends[direction > 0]
-    raise NormalizationError("forbidden tail decays too slowly to normalize")
-
-
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Integral of samples y on the uniform grid x (at least 3 points):
     composite Simpson, and with an even count the last interval takes
@@ -210,15 +172,22 @@ def build_state(potential: PotentialModel, level: EnergyLevel
     region = level.region
     if region.width <= 0.0:
         raise UsageError("cannot build a state on a zero-width region")
-    pot, reach_left = _tail_reach(potential, level.energy, region.left, -1)
-    pot, reach_right = _tail_reach(pot, level.energy, region.right, +1)
+    pot, reach = potential, {}
+    for side, start in ((-1, region.left), (+1, region.right)):
+        # each tail walks at most 390 widths of 512 steps, ~200,000 steps
+        pot, reach[side] = decay_reach(pot, level.energy, start, side, 512,
+                                       1.1 * _TAIL_EXPONENT, 390)
+        if reach[side] is None:
+            raise NormalizationError(
+                "forbidden tail stopped decaying within its walk; "
+                "state not normalizable")
     acc = PhaseAccumulator(pot, level.energy, region)
 
     xs = np.linspace(region.left, region.right, _INTERIOR_POINTS)
     us = acc.interior(xs)
     inner = _simpson(2.0 * np.cos(us - 0.25 * math.pi) ** 2, xs)
-    left = _tail_integral(acc, region.left, reach_left, "left")
-    right = _tail_integral(acc, region.right, reach_right, "right")
+    left = _tail_integral(acc, region.left, reach[-1], "left")
+    right = _tail_integral(acc, region.right, reach[+1], "right")
     total = inner + left + right
     if not (np.isfinite(total) and total > 0.0):
         raise NormalizationError("norm integral came out non-positive")

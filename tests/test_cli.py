@@ -410,6 +410,77 @@ def test_radial_reaches_the_floor_past_a_short_domain(capsys, tmp_path):
         [-0.5 / (n_r + 1) ** 2 for n_r in range(3)], rel=1e-12, abs=0.0)
 
 
+_SHORT_SOFT_DOMAINS = [
+    {"type": "harmonic", "params": {"omega": 1.0}, "hbar": 1.0, "mass": 1.0,
+     "domain": [-1e-5, 1e-5]},
+    {"type": "linear", "params": {"slope": 1.0}, "hbar": 1.0, "mass": 1.0,
+     "domain": [-1e-6, 1e-6]},
+    {"type": "morse", "params": {"depth": 10.0, "range": 1.0}, "hbar": 1.0,
+     "mass": 1.0, "domain": [-1e-4, 1e-4]}]
+
+
+@pytest.mark.parametrize("doc", _SHORT_SOFT_DOMAINS,
+                         ids=["harmonic", "linear", "morse"])
+def test_a_short_soft_domain_moves_by_the_family_length(capsys, tmp_path,
+                                                         doc):
+    # a domain far narrower than the family's length moves out by that
+    # length, not by its own width, so six moves reach the levels
+    path = _write_potential(tmp_path, doc)
+    code, out, err = _run(capsys, ["spectrum", path, "--levels", "3"])
+    assert code == 0, err
+    energies = [float(r["energy"]) for r in csv.DictReader(io.StringIO(out))]
+    assert energies == pytest.approx([_closed_form(doc, n) for n in range(3)],
+                                     rel=1e-12, abs=0.0)
+
+
+def test_a_state_on_a_short_soft_domain_has_its_tails(capsys, tmp_path):
+    # the tails walk in steps of the family's length over 512, not of the
+    # domain width over 512
+    path = _write_potential(tmp_path, _SHORT_SOFT_DOMAINS[0])
+    code, out, err = _run(capsys, ["wavefunction", path, "--n", "0",
+                                   "--grid", "11"])
+    assert code == 0, err
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 11
+
+
+def _schroedinger_coulomb(centrifugal, count):
+    # -1/(2(n_r + l + 1)^2) with l(l + 1) the centrifugal term, hbar = m =
+    # Z = 1: the levels the finite-difference reference converges to
+    ell = 0.5 * (math.sqrt(1.0 + 4.0 * centrifugal) - 1.0)
+    return [-0.5 / (n + ell + 1.0) ** 2 for n in range(count)]
+
+
+@pytest.mark.parametrize("doc, exact, rel, abs_", [
+    (_SHORT_SOFT_DOMAINS[0], [0.5, 1.5, 2.5], 0.0, 2e-11),
+    ({"type": "coulomb", "params": {"charge": 1.0, "centrifugal": 1.0},
+      "domain": [0.0, 0.5]}, _schroedinger_coulomb(1.0, 3), 1e-5, 0.0)],
+    ids=["harmonic", "coulomb"])
+def test_the_audit_box_reaches_the_levels_past_a_short_domain(
+        capsys, tmp_path, doc, exact, rel, abs_):
+    # the coarse solve moves a soft side out while the top level's
+    # classical region reaches it, so the box holds the well
+    path = _write_potential(tmp_path, doc)
+    code, out, err = _run(capsys, ["audit", path, "--levels", "3"])
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [row["note"] for row in rows] == [None] * 3
+    assert [row["reference"] for row in rows] == pytest.approx(
+        exact, rel=rel, abs=abs_)
+
+
+def test_radial_on_a_short_domain_has_every_level(capsys, tmp_path):
+    # hydrogen on (0, 0.1): the survey moves the soft upper side by the
+    # Bohr radius at least, so n_r = 3 is found as well
+    path = _write_potential(tmp_path, {
+        "type": "coulomb", "params": {"charge": 1.0}, "domain": [0.0, 0.1]})
+    code, out, err = _run(capsys, ["radial", path, "--ntheta", "0",
+                                   "--mz", "0", "--nrmax", "3"])
+    assert code == 0, err
+    energies = [lv["E"] for lv in json.loads(out)["levels"]]
+    assert energies == pytest.approx(
+        [-0.5 / (n_r + 1) ** 2 for n_r in range(4)], rel=0.0, abs=2e-14)
+
+
 _LINEAR_SUB_DOMAIN = {
     "type": "linear", "params": {"slope": 0.05465824940487556},
     "hbar": 7.299737191134867e-19, "mass": 14769615.21362182,

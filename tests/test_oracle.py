@@ -289,17 +289,19 @@ def test_a_top_doublet_needs_no_wall_rule_of_its_own():
 
 def _refuse_everywhere(monkeypatch, names):
     """Make each named function raise in every phasebound module that
-    holds it, the package's own namespace included."""
+    holds it, the package's own namespace included; a name that no module
+    holds fails, so that a rename cannot leave the refusal switched off."""
     def refuse(*args, **kwargs):
         raise AssertionError("a path that must stay separate was taken")
 
     modules = [phasebound] + [
         importlib.import_module(f"phasebound.{info.name}")
         for info in pkgutil.iter_modules(phasebound.__path__)]
-    for module in modules:
-        for name in names:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    for name in names:
+        holders = [module for module in modules if hasattr(module, name)]
+        assert holders, f"no phasebound module holds {name!r}"
+        for module in holders:
+            monkeypatch.setattr(module, name, refuse)
     return refuse
 
 
@@ -321,6 +323,6 @@ def test_oracle_shares_no_code_with_the_quantizer(monkeypatch):
         got_ref = reference_levels(PotentialModel.harmonic(1.0), 4)
     assert got_ref.tobytes() == want_ref.tobytes()
     with monkeypatch.context() as patch:
-        _refuse_everywhere(patch, ("decay_march",))
+        _refuse_everywhere(patch, ("decay_reach",))
         got_levels = spectrum(PotentialModel.harmonic(1.0), 5).energies
     assert got_levels == want_levels

@@ -11,7 +11,7 @@ from phasebound.potentials import (
     MomentumField,
     PhysicalConstants,
     PotentialModel,
-    decay_march,
+    decay_reach,
     effective_radial,
     local_momentum,
 )
@@ -589,15 +589,15 @@ def test_from_dict_returns_a_model_or_raises_parse_error(doc):
         pass
 
 
-def _plain_march(potential, energy, start, side, steps, count):
-    """The decay walk one step at a time: (domain, x, exponent) per step."""
+def _plain_reach(potential, energy, start, side, steps, exponent):
+    """The decay walk one step at a time: (domain, x) at the first step at
+    which the exponent reaches ``exponent``."""
     lo, hi = potential.domain
-    width = hi - lo
+    width = max(hi - lo, potential.length)
     dx = width / steps
     two_m, hbar = 2.0 * potential.constants.mass, potential.constants.hbar
     x, expo, k_prev = start, 0.0, 0.0
-    out = []
-    while len(out) < count:
+    while expo < exponent:
         x_next = x + side * dx
         if not lo <= x_next <= hi:     # a soft edge in the way moves out
             lo, hi = (lo - width, hi) if side < 0 else (lo, hi + width)
@@ -606,29 +606,34 @@ def _plain_march(potential, energy, start, side, steps, count):
         k = np.sqrt(two_m * max(v - energy, 0.0)) / hbar
         expo = expo + 0.5 * (k + k_prev) * dx
         x, k_prev = x_next, k
-        out.append(((lo, hi), x, expo))
-    return out
+    return (lo, hi), x
 
 
 @pytest.mark.parametrize("steps", [512, 1000])
 @pytest.mark.parametrize("side", [-1, 1])
-def test_decay_march_equals_a_plain_loop(steps, side):
-    # a harmonic tail: V is a polynomial, and the walk moves the soft
-    # edge of the domain (-3, 3) out three times within three widths
+def test_decay_reach_equals_a_plain_loop(steps, side, monkeypatch):
+    # a harmonic tail: V is a polynomial, and an exponent of 150 from the
+    # turning point at E = 1/2 stops at |x| ~ 17.4, after the soft edge of
+    # the domain (-3, 3) has moved out by its width three times
     pot = PotentialModel.harmonic(1.0, domain=(-3.0, 3.0))
-    start = side * 1.0       # the turning point at E = 1/2
-    walked = []
-    for model, xs, v, expos in decay_march(pot, 0.5, start, side, steps):
-        assert np.array_equal(v, pot.with_domain(*model.domain).evaluate(xs))
-        walked += [(model.domain, x, e) for x, e in zip(xs, expos)]
-        if len(walked) >= 3 * steps:
-            break
-    plain = _plain_march(pot, 0.5, start, side, steps, len(walked))
-    assert walked == plain
-    assert len({domain for domain, _, _ in walked}) == 4
+    start = side * 1.0
+    plain = _plain_reach(pot, 0.5, start, side, steps, 150.0)
+    calls = [0]
+    evaluate = PotentialModel.evaluate
+
+    def spy(self, x):
+        calls[0] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(PotentialModel, "evaluate", spy)
+    model, x = decay_reach(pot, 0.5, start, side, steps, 150.0, 10)
+    assert (model.domain, x) == plain
+    assert 15.0 < side * x < 21.0
+    # one V call a width of steps, one more where an edge cuts it short
+    assert calls[0] == 4
 
 
-def test_decay_march_from_past_the_far_edge_first_reaches_its_start(
+def test_decay_reach_from_past_the_far_edge_first_reaches_its_start(
         monkeypatch):
     # the walk to lower x from x = 2 on (-3, -1) used to grow the lower
     # side, away from its start, forever without a step; a spy on the
@@ -644,15 +649,32 @@ def test_decay_march_from_past_the_far_edge_first_reaches_its_start(
 
     pot = PotentialModel.harmonic(1.0).with_domain(-3.0, -1.0)
     monkeypatch.setattr(PotentialModel, "with_domain", spy)
-    model, xs, v, expos = next(decay_march(pot, 0.5, 2.0, -1, 512))
+    model, x = decay_reach(pot, 0.5, 2.0, -1, 512, 1.0, 1)
     assert model.domain == (-3.0, 2.0) and moves[0] == 1
-    # steps of the width at the call, 2/512
-    assert xs.size == 512 and xs[0] == 2.0 - 2.0 / 512
-    assert xs[-1] == pytest.approx(0.0, abs=1e-12)
-    # from x = 2 to the turning point at 1, sqrt(3) - ln(2 + sqrt(3))/2
-    assert expos[-1] == pytest.approx(
-        np.sqrt(3.0) - 0.5 * np.log(2.0 + np.sqrt(3.0)), rel=1e-2)
+    # 212 steps of the width at the call, 2/512: the integral of
+    # sqrt(x^2 - 1) from x ~ 1.17 to 2 is 1
+    assert x == 2.0 - 212 * (2.0 / 512)
+    # from x = 2 to the turning point at 1 the exponent reaches only
+    # sqrt(3) - ln(2 + sqrt(3))/2 ~ 1.07, and past it V falls back to E
+    assert decay_reach(pot, 0.5, 2.0, -1, 512, 1.1, 1)[1] is None
     # a hard side refuses the move
     hard = PotentialModel.from_callable(lambda x: x * x, (-3.0, -1.0))
     with pytest.raises(UsageError, match="hard upper edge"):
-        next(decay_march(hard, 0.5, 2.0, -1, 512))
+        decay_reach(hard, 0.5, 2.0, -1, 512, 1.0, 1)
+
+
+def test_decay_reach_ends_at_a_closed_edge_or_within_its_widths():
+    pot = PotentialModel.harmonic(1.0, domain=(-3.0, 3.0))
+    # no decay starts within a width: at E = 50 the turning point is x = 10
+    model, x = decay_reach(pot, 50.0, 0.0, 1, 512, 1.0, 10)
+    assert x is None and model.domain == (-3.0, 9.0)
+    # an exponent of 1e6 lies past three widths
+    model, x = decay_reach(pot, 0.5, 1.0, 1, 512, 1e6, 3)
+    assert x is None and model.domain == (-3.0, 15.0)
+    # a hard side ends the walk at its edge, an open one at its end, off
+    # the edge
+    hard = PotentialModel.from_callable(lambda x: x * x, (-3.0, 3.0))
+    assert decay_reach(hard, 0.5, 1.0, 1, 512, 1e6, 3) == (hard, 3.0)
+    coulomb = PotentialModel.coulomb(1.0, 1.0)
+    assert decay_reach(coulomb, -0.2, 1.0, -1, 512, 1e6, 3) == (
+        coulomb, coulomb.ends[0])

@@ -211,8 +211,7 @@ def _confined_region(potential: PotentialModel,
     """The lone allowed region; DomainError when it leans on a soft edge,
     past which the true region, and any integral over it, goes on."""
     region = find_turning_points(potential, energy).require_single()
-    if any(lean and kind == "soft"
-           for lean, kind in zip(potential.leans(energy), potential.edges)):
+    if potential.widened(*potential.leans(energy)) is not potential:
         raise DomainError(f"allowed region at E = {energy} reaches a soft "
                           "domain edge; widen the domain")
     return region

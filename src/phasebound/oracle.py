@@ -9,10 +9,10 @@ scipy.linalg.eigh_tridiagonal; scipy.linalg loads on the first call to
 the reference: no production path calls it, and the tests use it as an
 independent check on the LAPACK eigenvalues.  Nothing here touches the
 phase-integral machinery: this path exists so the two solvers can be
-compared without a shared failure mode, so keep it that way.  From
-``potentials`` it uses only the model (V, its minimum, the scan grid and
-domain moves) and :func:`~phasebound.potentials.decay_reach`, which the
-quantizer never calls.
+compared without a shared failure mode, so keep it that way.  It uses
+only the model (V, its minimum, the scan grid and domain moves; never
+``leans`` or ``turns``) and :func:`~phasebound.potentials.decay_reach`,
+which the quantizer never calls.
 
 The reference follows one fixed policy: a box sized for the requested
 levels and three grids on it, of 1001, 2001 and 4001 points (steps h, h/2
@@ -22,17 +22,18 @@ E = (64 E_{h/4} - 20 E_{h/2} + E_h) / 45 cancels the h^2 and h^4 terms.
 Finer grids would not help: the eigensolver's rounding error grows like
 1/h^2.  A coarse solve (801 points) estimates the top requested level
 E_top on a domain that covers it: while E_top's classical region on 2001
-points reaches a soft end, that side moves out by the larger of the
-domain width and the model's ``length`` and the solve runs again, at most
-20 times.  Each soft box edge is where the walk out of E_top's classical
-region, 1000 steps to that width, first takes the decay exponent (the
-integral of sqrt(2m(V - E_top))/hbar from the classical boundary) to 14
-within 64 widths: the state has fallen by e^-14 there, and
-the wall's shift of the level, of order e^-28, stays below the
-discretization error.  The rule asks nothing of the level spacing or of
-the height of V, so a degenerate doublet at the top and a tail that
-flattens out (Morse, Coulomb) need no special case.  Hard domain edges
-(tabulated data, the r = 0 axis) are used as walls directly.
+points reaches a soft end, that side takes the model's growth step
+(``widened``: the larger of the domain width and the model's
+``length``) and the solve runs again, at most 20 times.  Each soft box
+edge is where the walk out of E_top's classical region, 1000 steps to
+that width, first takes the decay exponent (the integral of
+sqrt(2m(V - E_top))/hbar from the classical boundary) to 14 within 64
+widths: the state has fallen by e^-14 there, and the wall's shift of the
+level, of order e^-28, stays below the discretization error.  The rule
+asks nothing of the level spacing or of the height of V, so a degenerate
+doublet at the top and a tail that flattens out (Morse, Coulomb) need
+no special case.  Hard domain edges (tabulated data, the r = 0 axis) are
+used as walls directly.
 """
 
 from __future__ import annotations
@@ -120,17 +121,13 @@ def _auto_box(potential: PotentialModel, count: int) -> tuple[float, float]:
         if not allowed.size:
             raise OracleError("no classical region at the estimated top level")
         # a soft end inside the top level's classical region squeezes it
-        grow_lo = allowed[0] == xs[0] and pot.edges[0] == "soft"
-        grow_hi = allowed[-1] == xs[-1] and pot.edges[1] == "soft"
-        if not (grow_lo or grow_hi):
+        wider = pot.widened(allowed[0] == xs[0], allowed[-1] == xs[-1])
+        if wider is pot:
             break
         if moves == _MAX_BOX_GROWTH:
             raise OracleError("auto box cannot confine the requested levels "
                               "(the top level keeps reaching a soft edge)")
-        lo, hi = pot.domain
-        span = max(hi - lo, pot.length)
-        pot = pot.with_domain(lo - span if grow_lo else lo,
-                              hi + span if grow_hi else hi)
+        pot = wider
     walls = []
     for side, start in ((-1, allowed[0]), (+1, allowed[-1])):
         wall = pot.domain[side > 0]

@@ -3,10 +3,10 @@
 A :class:`PotentialModel` bundles the potential function V(x), its analytic
 derivative when one is available, the physical constants (hbar, mass) and a
 finite working domain, each side of which has one kind (``edges``).  A
-"soft" side stands in for an infinite extent: the quantizer, the oracle's
-coarse solve and :func:`decay_reach`, the walk into a forbidden side that
-the state builder's tails and the oracle's box walls take, may push it
-outward with :meth:`PotentialModel.with_domain`.  A "hard" side (a wall,
+"soft" side stands in for an infinite extent: the quantizer and the
+oracle's coarse solve move it out with :meth:`PotentialModel.widened`,
+and :func:`decay_reach`, the walk of the state's tails and the oracle's
+box walls, by a width of its steps.  A "hard" side (a wall,
 the end of tabulated data) is never crossed, nor is an "open" one, where V
 is singular, as at r = 0 of a radial model; a domain moved inward off an
 open side is hard there.  A model's ``ends``, the domain
@@ -594,6 +594,16 @@ class PotentialModel:
             model.edges = (lo_kind, hi_kind)
         model._set_domain(lo, hi)
         return model
+
+    def widened(self, lo: bool, hi: bool) -> "PotentialModel":
+        """This model with each soft side that ``lo`` or ``hi`` names moved
+        out by max(domain width, ``length``); itself when none moves."""
+        lo, hi = lo and self.edges[0] == "soft", hi and self.edges[1] == "soft"
+        if not (lo or hi):
+            return self
+        a, b = self.domain
+        step = max(b - a, self.length)
+        return self.with_domain(a - step if lo else a, b + step if hi else b)
 
     def __repr__(self):
         lo, hi = self.domain

@@ -29,7 +29,7 @@ _RESIDUAL_LIMIT = 1e-10
 _ENERGY_TOL = 1e-12        # relative, on the Brent energy
 _MAX_ITERATIONS = 200      # bracket probes: growth, then bisection
 _BRACKET_GROWTH = 1.6      # geometric step of E - V_min while bracketing
-_MAX_DOMAIN_GROWTH = 6     # soft-edge extensions before motion is unbound
+_MAX_DOMAIN_GROWTH = 6     # soft-edge moves before a scanned well escapes
 
 
 @dataclass(frozen=True)
@@ -56,59 +56,53 @@ class SpectrumResult:
 
 
 class _Quantizer:
-    """Solver state for one potential: survey counter and every
-    successful survey, (W, region) keyed by energy."""
+    """Solver state for one potential: the model, whose soft sides have
+    moved past a stated floor (level 0 starts there, where W = 0), the
+    survey counter and every successful survey, (W, region) by energy."""
 
     def __init__(self, potential: PotentialModel):
-        # a soft side that leaves a stated floor outside moves past it by
-        # the span: a soft side means an infinite one, and level 0 starts
-        # from the true floor, where W = 0
-        lo, hi = potential.domain
-        span = hi - lo
         floor = potential.floor_at
-        if floor and potential.edges[0] == "soft" and min(floor) < lo:
-            lo = min(floor) - span
-        if floor and potential.edges[1] == "soft" and max(floor) > hi:
-            hi = max(floor) + span
-        if (lo, hi) != potential.domain:
-            potential = potential.with_domain(lo, hi)
+        while floor and (wider := potential.widened(
+                min(floor) < potential.domain[0],
+                max(floor) > potential.domain[1])) is not potential:
+            potential = wider
         self.pot = potential
         self.evals = 0
         self._surveys: dict[float, tuple[float, ClassicalRegion]] = {}
         self.v_min = potential.minimum()[1]
 
     def survey(self, energy: float) -> tuple[float, ClassicalRegion]:
-        """W and the allowed region at one energy, a function of the
-        energy alone.
+        """W and the allowed region at energy E, a function of E alone.
 
-        Each soft edge on which the region leans (``pot.leans``: q =
-        2m(E - V) > 0 at its end of ``pot.ends``) moves out by the larger
-        of the domain width and the model's ``length``; one still leaning
-        after _MAX_DOMAIN_GROWTH moves means the motion escapes:
-        LevelUnbound, before any scan.  One scan on the domain reached
-        finds the region; one leaning on a hard or open edge is a
-        SolverError.  That domain is not kept; every success is, so an
-        energy asked again costs none.
+        A soft edge the region leans on (``pot.leans``) takes the growth
+        step ``pot.widened`` until the region fits.  The motion escapes,
+        LevelUnbound before any move, where a stated turning point is
+        infinite on such an edge, and for a scanned well, whose scan cannot
+        see past its domain, after _MAX_DOMAIN_GROWTH moves.  The region is
+        found once on the domain reached; one leaning on a hard or open
+        edge is a SolverError.  Every success is kept.
         """
         hit = self._surveys.get(energy)
         if hit is not None:
             return hit
         self.evals += 1
         pot = self.pot
-        for growths in range(_MAX_DOMAIN_GROWTH + 1):
-            lean_lo, lean_hi = pot.leans(energy)
-            grow_lo = lean_lo and pot.edges[0] == "soft"
-            grow_hi = lean_hi and pot.edges[1] == "soft"
-            if not (grow_lo or grow_hi):
-                break
-            if growths == _MAX_DOMAIN_GROWTH:
+        lean_lo, lean_hi = pot.leans(energy)
+        if pot.turns is not None and (lean_lo or lean_hi):
+            turns = pot.turns(energy)
+            if (lean_lo and turns[0] == -math.inf and pot.edges[0] == "soft"
+                    or lean_hi and turns[-1] == math.inf
+                    and pot.edges[1] == "soft"):
+                raise LevelUnbound(f"motion at E = {energy:.12g} is not "
+                                   "confined (a turning point is infinite)")
+        growths = 0
+        while (wider := pot.widened(lean_lo, lean_hi)) is not pot:
+            if pot.turns is None and growths == _MAX_DOMAIN_GROWTH:
                 raise LevelUnbound(
                     f"motion at E = {energy:.12g} is not confined "
                     "(allowed region keeps reaching the domain edge)")
-            lo, hi = pot.domain
-            span = max(hi - lo, pot.length)
-            pot = pot.with_domain(lo - span if grow_lo else lo,
-                                  hi + span if grow_hi else hi)
+            pot, growths = wider, growths + 1
+            lean_lo, lean_hi = pot.leans(energy)
         region = find_turning_points(pot, energy).require_single()
         if lean_lo or lean_hi:
             raise SolverError("allowed region reaches a hard domain edge; "

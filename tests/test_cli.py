@@ -321,7 +321,7 @@ def test_harmonic_at_an_extreme_hbar_exits_cleanly(capsys, tmp_path, hbar,
 
 
 @pytest.mark.parametrize("doc, argv, code", [
-    ({"type": "morse", "hbar": 1e100}, ["audit", "--levels", "2"], 1),
+    ({"type": "morse", "hbar": 1e100}, ["audit", "--levels", "2"], 2),
     ({"type": "harmonic", "hbar": 1e250},
      ["wavefunction", "--n", "0", "--grid", "11"], 0),
     ({"type": "harmonic", "hbar": 1e-300},
@@ -332,7 +332,8 @@ def test_an_extreme_hbar_raises_no_numpy_warning(capsys, tmp_path, doc, argv,
                                                  code):
     # every warning is an error here, so a V past the doubles on a grown
     # domain, Coulomb's r^2 on a 1e202-wide domain or an epsilon column
-    # out of range would raise instead of exiting with the code
+    # out of range would raise instead of exiting with the code; Morse(1, 1)
+    # holds no level at hbar = 1e100, as sqrt(2mD)/(a hbar) < 1/2
     path = _write_potential(tmp_path, doc)
     got, out, err = _run(capsys, [argv[0], path, *argv[1:]])
     assert got == code
@@ -384,11 +385,15 @@ def _coulomb_levels(charge, centrifugal, count, hbar=1.0, mass=1.0):
       "domain": [0.0, 0.5]}, _coulomb_levels(1.0, 1.0, 3)),
     ({"type": "coulomb",
       "params": {"charge": 674.18, "centrifugal": 1705.95},
-      "domain": [0.0, 2.084]}, _coulomb_levels(674.18, 1705.95, 2))],
-    ids=["harmonic", "coulomb", "deep-coulomb"])
+      "domain": [0.0, 2.084]}, _coulomb_levels(674.18, 1705.95, 2)),
+    ({"type": "coulomb", "params": {"charge": 1.0, "centrifugal": 1.0},
+      "domain": [0.0, 0.5]}, _coulomb_levels(1.0, 1.0, 8))],
+    ids=["harmonic", "coulomb", "deep-coulomb", "coulomb-8-levels"])
 def test_a_soft_side_reaches_the_floor_past_it(capsys, tmp_path, doc, exact):
     # the floor (x = 0; r = M^2/(mZ) = 1 and 2.53) lies past the soft side
-    # of the domain, which the quantizer moves out past it
+    # of the domain, which the quantizer moves out past it; level 7 turns
+    # near r = 144, 288 times the domain's width, and where the turning
+    # points are stated no cap limits the moves
     path = _write_potential(tmp_path, doc)
     code, out, err = _run(capsys, ["spectrum", path,
                                    "--levels", str(len(exact))])
@@ -479,6 +484,31 @@ def test_radial_on_a_short_domain_has_every_level(capsys, tmp_path):
     energies = [lv["E"] for lv in json.loads(out)["levels"]]
     assert energies == pytest.approx(
         [-0.5 / (n_r + 1) ** 2 for n_r in range(4)], rel=0.0, abs=2e-14)
+
+
+def test_radial_on_a_short_domain_has_eight_levels(capsys, tmp_path):
+    # hydrogen on (0, 0.1): n_r = 7 turns near r = 128, 1280 times the
+    # domain's width, and the stated Coulomb turning points let the survey
+    # move the soft upper side that far
+    path = _write_potential(tmp_path, {
+        "type": "coulomb", "params": {"charge": 1.0}, "domain": [0.0, 0.1]})
+    code, out, err = _run(capsys, ["radial", path, "--ntheta", "0",
+                                   "--mz", "0", "--nrmax", "7"])
+    assert code == 0, err
+    energies = [lv["E"] for lv in json.loads(out)["levels"]]
+    assert energies == pytest.approx(
+        [-0.5 / (n_r + 1) ** 2 for n_r in range(8)], rel=0.0, abs=1e-12)
+
+
+def test_a_well_whose_motion_escapes_at_once_is_unbound(capsys, tmp_path):
+    # Morse(1, 1) at hbar = 1e100 holds no level: every probe lies above
+    # E = 0, where the stated upper turning point is infinite, so the
+    # survey moves no side, and none reaches a V past the doubles
+    path = _write_potential(tmp_path, {"type": "morse", "hbar": 1e100})
+    code, out, err = _run(capsys, ["spectrum", path, "--levels", "1"])
+    assert code == 2
+    assert "level 0 is unbound" in err
+    assert "Warning" not in err
 
 
 _LINEAR_SUB_DOMAIN = {

@@ -265,6 +265,36 @@ def test_an_open_edge_moved_inward_is_hard():
     assert pot.with_domain(0, 40).edges == ("open", "hard")
 
 
+def test_widened_moves_each_named_soft_side_by_its_step():
+    # harmonic(1) has length 1: a domain narrower than that moves by it, a
+    # wider one by its own width
+    narrow = PotentialModel.harmonic(1.0, domain=(-1e-5, 1e-5))
+    assert narrow.widened(True, False).domain == (-1.0 - 1e-5, 1e-5)
+    assert narrow.widened(False, True).domain == (-1e-5, 1.0 + 1e-5)
+    wide = PotentialModel.harmonic(1.0)
+    assert wide.domain == (-12.0, 12.0)
+    assert wide.widened(True, True).domain == (-36.0, 36.0)
+    # r = 0 of Coulomb is open, so only the upper side moves, by the width
+    # of 600 Bohr radii
+    coulomb = PotentialModel.coulomb(1.0, 1.0)
+    moved = coulomb.widened(True, True)
+    assert moved.domain == (0.0, 1200.0)
+    assert moved.edges == ("open", "soft")
+
+
+@pytest.mark.parametrize("model, lo, hi", [
+    (PotentialModel.tabulated(_QUARTIC), True, True),
+    (PotentialModel.from_callable(np.abs, (-2.0, 3.0)), True, True),
+    (PotentialModel.coulomb(1.0, 1.0), True, False),
+    (_polar_potential(1.0, PhysicalConstants()), True, True),
+    (PotentialModel.harmonic(1.0), False, False)],
+    ids=["tabulated", "hard-callable", "coulomb-open-side", "polar",
+         "no-side-named"])
+def test_widened_without_a_soft_side_to_move_is_the_model_itself(model, lo,
+                                                                 hi):
+    assert model.widened(lo, hi) is model
+
+
 def test_a_non_finite_energy_scale_is_refused():
     # a width of 1e-200 puts hbar^2 / (m L^2) past the largest double
     with pytest.raises(UsageError, match="not finite"):

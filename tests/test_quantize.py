@@ -421,6 +421,8 @@ def test_a_survey_does_not_depend_on_the_window(half_width):
 
 
 def test_an_unbound_probe_scans_nothing(monkeypatch):
+    # Morse states an infinite upper turning point above E = 0: the probe
+    # reads V at the domain's two ends and moves no side
     q = quantize._Quantizer(PotentialModel.morse(10.0, 1.0))
     sizes = []
     evaluate = PotentialModel.evaluate
@@ -429,14 +431,15 @@ def test_an_unbound_probe_scans_nothing(monkeypatch):
         sizes.append(np.size(x))
         return evaluate(self, x)
 
-    def scan(*args):
-        raise AssertionError("an unbound probe was scanned")
+    def refuse(*args):
+        raise AssertionError("an unbound probe was scanned or moved")
 
     monkeypatch.setattr(PotentialModel, "evaluate", recorded)
-    monkeypatch.setattr(quantize, "find_turning_points", scan)
+    monkeypatch.setattr(PotentialModel, "with_domain", refuse)
+    monkeypatch.setattr(quantize, "find_turning_points", refuse)
     with pytest.raises(LevelUnbound, match="not confined"):
         q.survey(0.5)
-    assert len(sizes) <= 7 and set(sizes) == {2}
+    assert sizes in ([], [2])
 
 
 def test_a_survey_is_a_function_of_its_energy():
@@ -462,8 +465,8 @@ def test_a_survey_at_v_of_a_soft_end_solves():
 
 
 @pytest.mark.parametrize("family, args, n_max, v_calls, panels", [
-    ("harmonic", (1.0,), 20, 185, 183), ("morse", (10.0, 1.0), 9, 480, 304),
-    ("square_well", (8.0, 2.0), 5, 225, 43)])
+    ("harmonic", (1.0,), 20, 185, 183), ("morse", (10.0, 1.0), 9, 306, 304),
+    ("square_well", (8.0, 2.0), 5, 45, 43)])
 def test_the_roadmap_probes_stay_within_the_recorded_counts(
         monkeypatch, family, args, n_max, v_calls, panels):
     # counted as the benchmark's probes count them: every evaluate call

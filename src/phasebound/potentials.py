@@ -313,14 +313,12 @@ class PotentialModel:
         by V as :meth:`evaluate` computes it there, hold one each, found
         on the cell's cubic with no call of V; a sample below E at an end
         of the table opens the region there (+-inf).  The sample range is
-        a hard domain.  The interpolant is scipy's PchipInterpolator, so
-        the first tabulated model a process builds loads
-        scipy.interpolate.  It is only C1 at the samples, so their x are
-        the model's ``knots``, where the action quadrature splits its
-        panels.
+        a hard domain.  The cubics are built once, in numpy, and V and V'
+        summed in scipy's order of operations: scipy's PchipInterpolator
+        to the bit, with no scipy import.  The interpolant is only C1 at
+        the samples, so their x are the model's ``knots``, where the
+        action quadrature splits its panels.
         """
-        from scipy.interpolate import PchipInterpolator
-
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise UsageError("tabulated potential needs >= 4 (x, V) samples")
@@ -330,24 +328,25 @@ class PotentialModel:
         if not (xs[1:] > xs[:-1]).all():
             raise UsageError("tabulated sample x values must strictly increase")
         c = constants or PhysicalConstants()
+        # a column per cell, x_i and then its cubic in x - x_i, and one of
+        # NaN on each side for x outside; the last break, one double past
+        # the last sample, closes the last cell
+        breaks = np.append(xs[:-1], np.nextafter(xs[-1], np.inf))
+        table = np.full((5, xs.size + 1), np.nan)
+        table[0, 1:-1] = xs[:-1]
         with np.errstate(all="ignore"):
-            try:
-                interp = PchipInterpolator(xs, vs, extrapolate=False)
-            except ValueError:  # scipy's refusal of a slope that overflowed
-                interp = None
-            dinterp = None if interp is None else interp.derivative()
-        # the derivative holds every non-constant coefficient, scaled
-        if dinterp is None or not np.isfinite(dinterp.c).all():
+            table[1:, 1:-1] = _pchip_cells(xs, vs)
+            # V' holds every non-constant coefficient, scaled
+            dtable = table[:4] * [[1.0], [3.0], [2.0], [1.0]]
+            # V at the samples as evaluate has it (the last on the last cell)
+            v_at = _ascending(table, breaks, xs)
+        if not np.isfinite(dtable[:, 1:-1]).all():
             raise UsageError("tabulated samples give a non-finite slope")
         if domain is None:
             domain = (xs[0], xs[-1])
-        else:
-            if domain[0] < xs[0] or domain[1] > xs[-1]:
-                raise UsageError("domain exceeds the tabulated sample range")
-        # V at the samples as evaluate computes it (the last one on the
-        # last cell's cubic), and each cell's cubic in x - x_i
-        v_at = interp(xs)
-        cells = interp.c.T.tolist()
+        elif domain[0] < xs[0] or domain[1] > xs[-1]:
+            raise UsageError("domain exceeds the tabulated sample range")
+        cells = table[1:, 1:-1].T.tolist()
         knots = xs.tolist()
 
         def turns(e):
@@ -361,7 +360,8 @@ class PotentialModel:
             return tuple(bounds)
 
         return cls("tabulated", {"samples": pts.tolist()},
-                   lambda x: interp(x), lambda x: dinterp(x), c, domain,
+                   lambda x: _ascending(table, breaks, x),
+                   lambda x: _ascending(dtable, breaks, x), c, domain,
                    knots=knots, floor_at=knots, turns=turns)
 
     @classmethod
@@ -482,15 +482,18 @@ class PotentialModel:
     def _check_inside(self, x: np.ndarray):
         lo, hi = self.domain
         slack = 1e-9 * (hi - lo)
-        # ndarray methods: the np.any function costs a dispatch per call
-        if (x < lo - slack).any() or (x > hi + slack).any():
+        # the least and the greatest x but NaN, which every comparison
+        # passes; +-inf when there is none
+        least = np.fmin.reduce(x, axis=None, initial=math.inf)
+        most = np.fmax.reduce(x, axis=None, initial=-math.inf)
+        if least < lo - slack or most > hi + slack:
             raise DomainError(
                 f"coordinate outside domain [{lo}, {hi}]")
         lo_kind, hi_kind = self.edges
-        if lo_kind == "open" and (x <= lo).any():
+        if lo_kind == "open" and least <= lo:
             raise DomainError(
                 f"potential is singular at the open edge x = {lo}")
-        if hi_kind == "open" and (x >= hi).any():
+        if hi_kind == "open" and most >= hi:
             raise DomainError(
                 f"potential is singular at the open edge x = {hi}")
 
@@ -609,6 +612,45 @@ class PotentialModel:
         lo, hi = self.domain
         return (f"PotentialModel({self.kind}, params={self.params}, "
                 f"domain=[{lo:g}, {hi:g}])")
+
+
+def _pchip_cells(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The PCHIP cells' cubics in x - x_i, highest power first, as columns.
+
+    Fritsch & Carlson's slopes, with Moler's shape-kept three-point ends
+    (Numerical Computing with MATLAB, 3.4), by the operations of scipy
+    1.17's PchipInterpolator in its order: its ``c`` to the bit.  Call
+    with numpy's warnings off; the caller refuses an overflow.
+    """
+    h = xs[1:] - xs[:-1]
+    m = (vs[1:] - vs[:-1]) / h
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)    # of 1/m, weighted
+    inner = np.where(flat, 0.0, 1.0 / mean)
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(
+        (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0)),
+        3.0 * m0, end))
+    d = np.concatenate((end[:1], inner, end[1:]))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], vs[:-1]))
+
+
+def _ascending(table: np.ndarray, breaks: np.ndarray, x):
+    """V (or V') at x.  Column j of ``table`` holds x_i, then the
+    coefficients, highest power first, of the cell [x_i, breaks[j]).
+    Summed from the constant up, each power of s = x - x_i one more
+    product by s, as scipy's PPoly sums (not Horner), for its bits."""
+    c = table.take(breaks.searchsorted(x, "right"), axis=1)
+    s = x - c[0]
+    total, power = 0.0 + c[-1], 1.0
+    for k in range(len(c) - 2, 0, -1):
+        power = power * s
+        total = total + c[k] * power
+    return total
 
 
 def _cell_turning_point(cubic, x0: float, x1: float, e: float,

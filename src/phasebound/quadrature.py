@@ -106,12 +106,16 @@ def kronrod_panel(f, a, b):
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[..., None] + half[..., None] * _XK
     y = _checked(f(nodes.ravel()), nodes.size).reshape(-1, _XK.size)
-    # a matrix product would sum in another order than the row dot
-    sums = np.array([_rules(h, row) for h, row in zip(half.ravel().tolist(),
-                                                      y)])
+    # A stack of (1, 15) @ (15, 1) products takes each row's dot on its
+    # own, in _rules' order; a (rows, 15) @ (15,) product, or a copy of
+    # the G7 columns, sums in another order and gives other bits.
+    h = half.ravel()
+    kron = h * np.matmul(y[:, None, :], _WK[:, None])[:, 0, 0]
+    gauss = h * np.matmul(y[:, None, 1::2], _WG[:, None])[:, 0, 0]
+    diff = np.abs(kron - gauss)
     if a.ndim == 0:
-        return float(sums[0, 0]), float(sums[0, 1])
-    return sums[:, 0].reshape(a.shape), sums[:, 1].reshape(a.shape)
+        return float(kron[0]), float(diff[0])
+    return kron.reshape(a.shape), diff.reshape(a.shape)
 
 
 def _checked(y, size: int) -> np.ndarray:

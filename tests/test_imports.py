@@ -5,10 +5,10 @@ kept alive only so that outside code can patch it looks dead to a reader,
 and this test makes such a name fail openly instead.
 
 Start-up runs on numpy alone: no scipy module loads for ``spectrum``,
-``wavefunction`` or ``radial`` on a closed-form family, nor for the
-numeric floor search of a ``radial`` harmonic base.  Only a tabulated
-potential (scipy.interpolate, for PCHIP) and ``audit`` (scipy.linalg, for
-LAPACK) load scipy, on first use.
+``wavefunction`` or ``radial`` on a closed-form family, for the numeric
+floor search of a ``radial`` harmonic base, nor for ``spectrum`` on a
+tabulated potential, whose PCHIP cubics are built in numpy.  Only
+``audit`` (scipy.linalg, for LAPACK) loads scipy, on first use.
 """
 
 import ast
@@ -89,12 +89,12 @@ _STEPS = textwrap.dedent("""
     steps["radial harmonic"] = loaded()
     steps["radial harmonic levels"] = [
         level["E"] for level in json.loads(out)["levels"]]
-    run("audit", potential("a", "harmonic", {"omega": 1.0}), "--levels", "3")
-    steps["audit harmonic"] = loaded()
     quartic = [[x, x ** 4 + x * x] for x in (-3.0 + 0.15 * k for k in range(41))]
     run("spectrum", potential("t", "tabulated", {"samples": quartic}),
         "--levels", "2")
     steps["spectrum tabulated"] = loaded()
+    run("audit", potential("a", "harmonic", {"omega": 1.0}), "--levels", "3")
+    steps["audit harmonic"] = loaded()
     print(json.dumps(steps))
 """)
 
@@ -114,7 +114,8 @@ def scipy_after_each_step(tmp_path_factory):
 
 @pytest.mark.parametrize("step", ["import phasebound", "import phasebound.cli",
                                   "spectrum harmonic", "wavefunction morse",
-                                  "radial coulomb", "radial harmonic"])
+                                  "radial coulomb", "radial harmonic",
+                                  "spectrum tabulated"])
 def test_numpy_alone_serves_the_closed_form_commands(scipy_after_each_step,
                                                      step):
     assert scipy_after_each_step[step] == []
@@ -134,6 +135,3 @@ def test_audit_loads_only_the_linear_algebra(scipy_after_each_step):
     for name in ("scipy.optimize", "scipy.interpolate", "scipy.integrate"):
         assert name not in loaded
 
-
-def test_tabulated_potential_loads_the_interpolator(scipy_after_each_step):
-    assert "scipy.interpolate" in scipy_after_each_step["spectrum tabulated"]

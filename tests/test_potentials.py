@@ -98,6 +98,57 @@ def test_tabulated_interpolation():
                                   (2.0, 1.0)])  # not strictly increasing
 
 
+def _uneven_tables(rng, count):
+    """``count`` random tables of 4 to 80 unevenly spaced samples: a
+    double well (quartic), noise, runs of equal V (zero slopes) and a
+    zigzag whose slope changes sign on every cell, in turn."""
+    for k in range(count):
+        n = int(rng.integers(4, 81))
+        xs = np.cumsum(rng.uniform(0.05, 1.0, n) ** 2) - rng.uniform(0.0, 9.0)
+        u = xs - xs.mean()
+        vs = [u ** 4 - 3.0 * u * u,
+              rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0),
+              np.repeat(rng.normal(size=n), rng.integers(1, 5, n))[:n],
+              (-1.0) ** np.arange(n) * rng.uniform(0.5, 2.0, n)][k % 4]
+        yield xs, vs
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_tabulated_cubics_are_scipys_to_the_bit():
+    # the model's PCHIP is built and summed in numpy, in the operations of
+    # scipy's PchipInterpolator, which this test alone imports
+    from scipy.interpolate import PchipInterpolator
+
+    from phasebound.potentials import _pchip_cells
+
+    rng = np.random.default_rng(31)
+    for xs, vs in _uneven_tables(rng, 200):
+        tab = PotentialModel.tabulated(np.column_stack((xs, vs)))
+        ref = PchipInterpolator(xs, vs, extrapolate=False)
+        dref = ref.derivative()
+        with np.errstate(all="ignore"):
+            assert _bits(_pchip_cells(xs, vs)) == _bits(ref.c)
+        inner = rng.uniform(xs[0], xs[-1], 64)
+        points = np.concatenate((xs, inner, np.nextafter(xs[1:], -np.inf)))
+        assert _bits(tab.evaluate(points)) == _bits(ref(points))
+        assert _bits(tab.derivative(points)) == _bits(dref(points))
+        for x in (xs[0], xs[-1], float(xs[len(xs) // 2]), float(inner[0])):
+            assert type(tab.evaluate(x)) is float
+            assert _bits(tab.evaluate(x)) == _bits(ref(x))
+            assert _bits(tab.derivative(x)) == _bits(dref(x))
+        # within evaluate's slack of 1e-9 of the range, outside the samples
+        slack = 1e-10 * (xs[-1] - xs[0])
+        outside = np.array([xs[0] - slack, np.nextafter(xs[-1], np.inf)])
+        assert np.isnan(tab._f(outside)).all()
+        assert np.isnan(ref(outside)).all()
+        for x in outside.tolist():
+            with pytest.raises(DomainError, match="non-finite"):
+                tab.evaluate(x)
+
+
 def test_json_round_trip(tmp_path):
     pot = PotentialModel.morse(7.5, 0.8, constants=PhysicalConstants(0.5, 2.0))
     blob = pot.to_dict()

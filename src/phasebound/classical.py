@@ -230,9 +230,13 @@ def action_integral(potential: PotentialModel, energy: float,
     if region is None:
         region = _confined_region(potential, energy)
     hbar = potential.constants.hbar
-    return hbar * _over_region(
-        region, MomentumField(potential, energy).allowed_magnitude,
-        potential.knots, hbar)
+    two_m, energy = 2.0 * potential.constants.mass, float(energy)
+    evaluate = potential.evaluate
+
+    def momentum(x):    # MomentumField.allowed_magnitude, in one frame
+        return np.sqrt(np.maximum(two_m * (energy - evaluate(x)), 0.0))
+
+    return hbar * _over_region(region, momentum, potential.knots, hbar)
 
 
 def action_energy_derivative(potential: PotentialModel, energy: float,

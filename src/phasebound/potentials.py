@@ -59,6 +59,10 @@ _BOUNDARY_RTOL = 1e-13
 # Points of the turning-point scan's grid; from_dict checks 2m V on it too.
 SCAN_POINTS = 512
 
+# bound once: a ufunc's own reduce skips the frames of ndarray.all
+_LEAST, _GREATEST = np.fmin.reduce, np.fmax.reduce
+_ALL = np.logical_and.reduce
+
 
 def _is_number(value) -> bool:
     """A finite JSON number: int or float, but not a bool."""
@@ -479,13 +483,14 @@ class PotentialModel:
 
     # -- evaluation -------------------------------------------------------
 
-    def _check_inside(self, x: np.ndarray):
+    def _check_inside(self, x):
         lo, hi = self.domain
         slack = 1e-9 * (hi - lo)
         # the least and the greatest x but NaN, which every comparison
-        # passes; +-inf when there is none
-        least = np.fmin.reduce(x, axis=None, initial=math.inf)
-        most = np.fmax.reduce(x, axis=None, initial=-math.inf)
+        # passes; +-inf when there is none.  A float is both, NaN too.
+        least, most = (x, x) if isinstance(x, float) else (
+            _LEAST(x, axis=None, initial=math.inf),
+            _GREATEST(x, axis=None, initial=-math.inf))
         if least < lo - slack or most > hi + slack:
             raise DomainError(
                 f"coordinate outside domain [{lo}, {hi}]")
@@ -498,13 +503,19 @@ class PotentialModel:
                 f"potential is singular at the open edge x = {hi}")
 
     def evaluate(self, x):
-        """V(x); raises DomainError outside the domain."""
+        """V(x); raises DomainError outside the domain.  A float is checked
+        with Python comparisons; V is taken on a 0-d array all the same."""
         arr = np.asarray(x, dtype=float)
-        self._check_inside(arr)
+        self._check_inside(x if isinstance(x, float) else arr)
         out = np.asarray(self._f(arr), dtype=float)
-        if not np.isfinite(out).all():
+        if out.ndim == 0:
+            out = float(out)
+            finite = math.isfinite(out)
+        else:
+            finite = _ALL(np.isfinite(out), axis=None)
+        if not finite:
             raise DomainError("potential evaluated to a non-finite value")
-        return float(out) if out.ndim == 0 else out
+        return out
 
     @property
     def has_derivative(self) -> bool:

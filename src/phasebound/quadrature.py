@@ -17,6 +17,7 @@ call per block of panels.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,11 @@ _WG = np.array([
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-12
 _MAX_SUBDIVISIONS = 400
-_ROUNDING = 50.0 * np.finfo(float).eps
+_ROUNDING = 50.0 * float(np.finfo(float).eps)
+# The float path's sums: ndarray.dot takes the vector dot of ``_WK @ y``,
+# with its bits, at half the dispatch cost
+_K15, _G7 = _WK.dot, _WG.dot
+_ALL = np.logical_and.reduce
 _BLOCK = 256    # panels per integrand call in integrate_cells
 # Weights that extrapolate the degree-14 interpolant through the Kronrod
 # nodes to the panel ends -1 and +1 (rows); integrate_cells compares them
@@ -99,16 +104,22 @@ def kronrod_panel(f, a, b):
     others.
     """
     if isinstance(a, float) and isinstance(b, float):
+        # _checked and the sums of one panel, inline
         half = 0.5 * (b - a)
-        return _rules(half, _checked(f(0.5 * (a + b) + half * _XK),
-                                     _XK.size))
+        y = np.asarray(f(0.5 * (a + b) + half * _XK), dtype=float)
+        if y.size != _XK.size:
+            raise UsageError("integrand must return one value per node")
+        if not _ALL(np.isfinite(y), axis=None):
+            raise QuadratureError("integrand returned a non-finite value")
+        kron = half * float(_K15(y))
+        return kron, abs(kron - half * float(_G7(y[1::2])))
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[..., None] + half[..., None] * _XK
     y = _checked(f(nodes.ravel()), nodes.size).reshape(-1, _XK.size)
     # A stack of (1, 15) @ (15, 1) products takes each row's dot on its
-    # own, in _rules' order; a (rows, 15) @ (15,) product, or a copy of
-    # the G7 columns, sums in another order and gives other bits.
+    # own, in the float path's order; a (rows, 15) @ (15,) product, or a
+    # copy of the G7 columns, sums in another order and gives other bits.
     h = half.ravel()
     kron = h * np.matmul(y[:, None, :], _WK[:, None])[:, 0, 0]
     gauss = h * np.matmul(y[:, None, 1::2], _WG[:, None])[:, 0, 0]
@@ -127,13 +138,6 @@ def _checked(y, size: int) -> np.ndarray:
     if not np.isfinite(y).all():
         raise QuadratureError("integrand returned a non-finite value")
     return y
-
-
-def _rules(half: float, y: np.ndarray) -> tuple[float, float]:
-    """(K15, |K15 - G7|) of one panel of half width ``half`` from the
-    integrand's values ``y`` at its Kronrod nodes."""
-    kron = half * float(_WK @ y)
-    return kron, abs(kron - half * float(_WG @ y[1::2]))
 
 
 def _sharpened(diff: float) -> float:
@@ -157,31 +161,31 @@ def integrate_adaptive(f, a: float, b: float,
     _MAX_SUBDIVISIONS splits, with the best estimate and, as its error
     bound, the panels' summed |K15 - G7| (the sharpened sum can fall short).
     """
-    if not (np.isfinite(a) and np.isfinite(b)):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise UsageError("quadrature limits must be finite")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     if a > b:
         raise UsageError("quadrature limits must satisfy a <= b")
 
-    ends = [a, *sorted({p for p in points if a < p < b}), b]
-    if len(ends) == 2:     # the float path costs less than an array call
-        starts = [kronrod_panel(f, a, b)]
+    inner = {p for p in points if a < p < b}
+    if not inner:     # the float path costs less than an array call
+        starts = [(a, b, *kronrod_panel(f, a, b))]
     else:
+        ends = [a, *sorted(inner), b]
         vals, diffs = kronrod_panel(f, ends[:-1], ends[1:])
-        starts = zip(vals.tolist(), diffs.tolist())
+        starts = zip(ends[:-1], ends[1:], vals.tolist(), diffs.tolist())
     # heap of (-error, tiebreak, a, b, value, |K15 - G7|): worst panel first
     heap = []
     total = total_err = 0.0
-    for counter, (pa, pb, (val, diff)) in enumerate(zip(
-            ends[:-1], ends[1:], starts)):
+    for counter, (pa, pb, val, diff) in enumerate(starts):
         err = _sharpened(diff)
         heap.append((-err, counter, pa, pb, val, diff))
         total += val
         total_err += err
     heapq.heapify(heap)
     counter = len(heap)
-    width_floor = 50.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    width_floor = _ROUNDING * max(abs(a), abs(b), 1.0)
 
     for split in range(_MAX_SUBDIVISIONS):
         if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):

@@ -6,7 +6,9 @@ monotonically with E for a single well, so the root is unique.  It is
 bracketed from the level below, or from the floor, where W = 0 needs no
 survey, by geometric growth in E - V_min that starts at the model's
 ``energy_scale`` (or 1e-3 |V_min| if larger), and polished with Brent's
-method.  No tolerance is an absolute energy.
+method.  No tolerance is an absolute energy.  Past an unbound probe it
+bisects toward that binding ceiling, testing confinement at each probe;
+W is taken at the first four bound ones, then only where F's sign decides.
 
 Potentials whose wells open up at finite energy (Morse, finite square
 well, Coulomb tails) support finitely many levels; asking beyond the last
@@ -16,6 +18,7 @@ result with a recorded reason.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -30,11 +33,15 @@ _ENERGY_TOL = 1e-12        # relative, on the Brent energy
 _MAX_ITERATIONS = 200      # bracket probes: growth, then bisection
 _BRACKET_GROWTH = 1.6      # geometric step of E - V_min while bracketing
 _MAX_DOMAIN_GROWTH = 6     # soft-edge moves before a scanned well escapes
+_EAGER_PROBES = 4          # bound ceiling probes that take F when made
 
 
 @dataclass(frozen=True)
 class EnergyLevel:
-    """One solved bound state of the quantization condition."""
+    """One solved bound state of the quantization condition.
+
+    ``iterations`` counts the W integrals taken for it; a probe that only
+    tests confinement is not counted."""
 
     n: int
     energy: float
@@ -58,7 +65,8 @@ class SpectrumResult:
 class _Quantizer:
     """Solver state for one potential: the model, whose soft sides have
     moved past a stated floor (level 0 starts there, where W = 0), the
-    survey counter and every successful survey, (W, region) by energy."""
+    W-integral counter, every successful survey, (W, region) by energy,
+    and every passed confinement test."""
 
     def __init__(self, potential: PotentialModel):
         floor = potential.floor_at
@@ -69,10 +77,13 @@ class _Quantizer:
         self.pot = potential
         self.evals = 0
         self._surveys: dict[float, tuple[float, ClassicalRegion]] = {}
+        self._confined: dict = {}      # (model, region) by energy
         self.v_min = potential.minimum()[1]
 
-    def survey(self, energy: float) -> tuple[float, ClassicalRegion]:
-        """W and the allowed region at energy E, a function of E alone.
+    def confine(self, energy: float
+                ) -> tuple[PotentialModel, ClassicalRegion]:
+        """The model whose domain holds the allowed region at E, and the
+        region: the confinement test of a survey, kept by energy.
 
         A soft edge the region leans on (``pot.leans``) takes the growth
         step ``pot.widened`` until the region fits.  The motion escapes,
@@ -80,12 +91,11 @@ class _Quantizer:
         infinite on such an edge, and for a scanned well, whose scan cannot
         see past its domain, after _MAX_DOMAIN_GROWTH moves.  The region is
         found once on the domain reached; one leaning on a hard or open
-        edge is a SolverError.  Every success is kept.
+        edge is a SolverError.
         """
-        hit = self._surveys.get(energy)
+        hit = self._confined.get(energy)
         if hit is not None:
             return hit
-        self.evals += 1
         pot = self.pot
         lean_lo, lean_hi = pot.leans(energy)
         if pot.turns is not None and (lean_lo or lean_hi):
@@ -107,6 +117,18 @@ class _Quantizer:
         if lean_lo or lean_hi:
             raise SolverError("allowed region reaches a hard domain edge; "
                               "cannot quantize against a data boundary")
+        self._confined[energy] = pot, region
+        return pot, region
+
+    def survey(self, energy: float) -> tuple[float, ClassicalRegion]:
+        """W and the allowed region at energy E, a function of E alone:
+        the confinement test (:meth:`confine`), then the W integral, which
+        ``evals`` counts.  Every success is kept."""
+        hit = self._surveys.get(energy)
+        if hit is not None:
+            return hit
+        pot, region = self.confine(energy)
+        self.evals += 1
         w = action_integral(pot, energy, region)
         self._surveys[energy] = (w, region)
         return w, region
@@ -120,12 +142,19 @@ class _Quantizer:
         """Return (a, fa, b, fb) with fa < 0 < fb around the level, from the
         seed (F is -pi plus the residual of the level below) or the floor.
         b grows in E - V_min; after an unbound probe it bisects up to that
-        binding ceiling, and LevelUnbound follows a gap of 1e-13 of it."""
+        binding ceiling, and LevelUnbound follows a gap of 1e-13 of it.
+        Each ceiling probe tests confinement; only the first _EAGER_PROBES
+        bound ones take F.  The rest are ``deferred``: F is taken at the
+        last, and where it is > 0, by bisection (F rises with E) at the
+        first with F > 0, so the result is that of taking F at each.
+        """
         a = self.v_min if seed is None else seed
         fa = -target if seed is None else self.condition(seed, target)
         step = step_hint or max(self.pot.energy_scale, 1e-3 * abs(self.v_min))
         b = a + step
         ceiling = None
+        eager = _EAGER_PROBES
+        deferred: list[float] = []     # from the last probe that took F
         for _ in range(_MAX_ITERATIONS):
             if ceiling is not None:
                 if ceiling - a <= 1e-13 * max(abs(ceiling),
@@ -133,18 +162,39 @@ class _Quantizer:
                     break
                 b = 0.5 * (a + ceiling)
             try:
+                if ceiling is not None and eager <= 0:
+                    self.confine(b)
+                    deferred = (deferred or [a]) + [b]
+                    a = b
+                    continue
                 fb = self.condition(b, target)
             except LevelUnbound:
                 ceiling = b
                 continue
+            except Exception:
+                # taking F at each probe would have met this only when F
+                # is not > 0 at any deferred one
+                if not (deferred and self.condition(deferred[-1], target)
+                        > 0.0):
+                    raise
+                break
             if fb > 0.0:
                 return a, fa, b, fb
             a, fa = b, fb
+            if ceiling is not None:
+                eager -= 1
             b = self.v_min + (b - self.v_min) * _BRACKET_GROWTH
         if ceiling is None:
             raise SolverError(
                 f"quantization target {target:.6g} not bracketed; "
                 "potential may not support this level")
+        if deferred and self.condition(deferred[-1], target) > 0.0:
+            k = bisect.bisect_left(deferred, True, 1, key=lambda e: (
+                self.condition(e, target) > 0.0))
+            if k > 1:
+                fa = self.condition(deferred[k - 1], target)
+            return (deferred[k - 1], fa, deferred[k],
+                    self.condition(deferred[k], target))
         raise LevelUnbound(
             f"quantization target {target:.6g} exceeds the phase available "
             f"below the binding ceiling (last bound probe E = {a:.12g})")

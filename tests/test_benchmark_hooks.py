@@ -46,8 +46,8 @@ def test_tracer_probe_self_check_passes():
     assert len(counts) == 6
     assert all(value > 0 for value in counts.values())
     # the V calls and panels recorded in ROADMAP may fall, never rise
-    recorded = {"harmonic20": (185, 183), "morse9": (306, 304),
-                "square5": (45, 43)}
+    recorded = {"harmonic20": (185, 183), "morse9": (174, 172),
+                "square5": (30, 28)}
     for label, (v_calls, panels) in recorded.items():
         assert counts[f"probe.{label}.v_calls"] <= v_calls
         assert counts[f"probe.{label}.panels"] <= panels

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -284,6 +285,40 @@ def test_ends_are_the_grid_ends(model):
         assert m.ends == (lo + off if m.edges[0] == "open" else lo,
                           hi - off if m.edges[1] == "open" else hi)
         assert m.grid(2).tobytes() == np.array(m.ends).tobytes()
+
+
+# V is +inf past x = 1: the one model here whose V is not finite
+_INFINITE_PAST_ONE = PotentialModel.from_callable(
+    lambda x: np.where(np.asarray(x) > 1.0, np.inf, np.asarray(x) ** 2),
+    (-2.0, 3.0), constants=_C)
+
+
+def _v_or_error(call):
+    """The bits of V from ``call``, or the DomainError it raises."""
+    try:
+        v = call()
+    except DomainError as exc:
+        return "raises", str(exc)
+    return "value", np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("model", [*_EVERY_KIND, _INFINITE_PAST_ONE],
+                         ids=[*_KIND_IDS, "infinite_past_one"])
+def test_a_float_takes_v_and_its_errors_of_a_one_point_array(model):
+    # a float is checked with Python comparisons, an array by reductions:
+    # inside, at and just past each edge (open ones refuse), far outside,
+    # where V is infinite, and NaN, which passes the domain check
+    lo, hi = model.domain
+    width = hi - lo
+    xs = [lo, hi, *model.ends, lo + 0.3 * width, 0.5 * (lo + hi), 2.0,
+          lo - 0.5e-9 * width, hi + 0.5e-9 * width, lo - 2e-9 * width,
+          hi + 2e-9 * width, hi + width, math.nan, math.inf, -math.inf]
+    for x in xs:
+        want = _v_or_error(lambda: model.evaluate(np.array([x]))[0])
+        for point in (x, np.float64(x)):
+            assert _v_or_error(lambda: model.evaluate(point)) == want, x
+            if want[0] == "value":
+                assert type(model.evaluate(point)) is float
 
 
 def test_a_floor_clipped_onto_an_open_edge_stays_inside():

@@ -13,7 +13,7 @@ from phasebound.errors import (LevelUnbound, MultiRegionError, OracleError,
                                SolverError, UsageError)
 from phasebound.potentials import PhysicalConstants, PotentialModel
 from phasebound.quantize import claim_audit, solve_level, spectrum
-from phasebound.radial import angular_eigenvalue
+from phasebound.radial import angular_eigenvalue, radial_spectrum
 
 _PROPERTIES = settings(derandomize=True, database=None, deadline=None,
                        max_examples=40)
@@ -465,8 +465,8 @@ def test_a_survey_at_v_of_a_soft_end_solves():
 
 
 @pytest.mark.parametrize("family, args, n_max, v_calls, panels", [
-    ("harmonic", (1.0,), 20, 185, 183), ("morse", (10.0, 1.0), 9, 306, 304),
-    ("square_well", (8.0, 2.0), 5, 45, 43)])
+    ("harmonic", (1.0,), 20, 185, 183), ("morse", (10.0, 1.0), 9, 174, 172),
+    ("square_well", (8.0, 2.0), 5, 30, 28)])
 def test_the_roadmap_probes_stay_within_the_recorded_counts(
         monkeypatch, family, args, n_max, v_calls, panels):
     # counted as the benchmark's probes count them: every evaluate call
@@ -488,3 +488,75 @@ def test_the_roadmap_probes_stay_within_the_recorded_counts(
     spectrum(pot, n_max)
     assert counts["v"] <= v_calls
     assert counts["panels"] == panels
+
+
+def _ceiling_cases():
+    """Ladders whose top level is reached through the binding ceiling:
+    named wells, seeded Morse and square wells asked 1-3 levels past
+    their closed-form count, and the radial Coulomb solves of the
+    ``ladder`` benchmark's six angular cycles at charges in [2, 3]."""
+    cases = [("morse", lambda: spectrum(PotentialModel.morse(10.0, 1.0), 9)),
+             ("square", lambda: spectrum(
+                 PotentialModel.square_well(8.0, 2.0), 5)),
+             ("coulomb", lambda: spectrum(
+                 PotentialModel.coulomb(2.5, 6.25), 4))]
+    rng = np.random.default_rng(32)
+    for k in range(10):
+        depth, a = rng.uniform(3.0, 15.0), rng.uniform(0.7, 1.5)
+        count = math.ceil(math.sqrt(2.0 * depth) / a - 0.5)
+        n_max = count + int(rng.integers(1, 4))
+        cases.append((f"morse{k}", lambda d=depth, a=a, n=n_max: spectrum(
+            PotentialModel.morse(d, a), n)))
+        depth, width = rng.uniform(2.0, 10.0), rng.uniform(1.0, 3.0)
+        count = math.ceil(width * math.sqrt(2.0 * depth) / math.pi - 0.5)
+        n_max = count + int(rng.integers(1, 4))
+        cases.append((f"square{k}", lambda d=depth, w=width, n=n_max:
+                      spectrum(PotentialModel.square_well(d, w), n)))
+    for n_theta, m_z, nr_max in ((0, 0, 1), (3, 2, 4), (1, -1, 2), (2, 1, 3),
+                                 (0, -2, 1), (1, 0, 4)):
+        # without eager probes, 2.8844488364687493 at (0, 0, 1) meets a
+        # hard domain edge past the probe where the level is bracketed
+        for charge in (2.8844488364687493, *rng.uniform(2.0, 3.0, 2)):
+            cases.append((f"radial{n_theta}{m_z}{nr_max}-{charge:.4f}",
+                          lambda c=charge, t=n_theta, m=m_z, n=nr_max:
+                          radial_spectrum(PotentialModel.coulomb(c), n, t, m)))
+    return cases
+
+
+_CEILING_CASES = _ceiling_cases()
+
+
+@pytest.mark.parametrize("solve", [solve for _, solve in _CEILING_CASES],
+                         ids=[name for name, _ in _CEILING_CASES])
+def test_deferred_ceiling_probes_give_the_results_of_taking_w_at_each(
+        monkeypatch, solve):
+    # the same levels, actions, residuals and truncation with W taken at
+    # every bound ceiling probe, at the first four, or at none
+    def outcome(eager):
+        monkeypatch.setattr(quantize, "_EAGER_PROBES", eager)
+        result = solve()
+        return ([(lv.n, lv.energy, lv.action, lv.region, lv.residual)
+                 for lv in result.levels], result.truncated, result.reason)
+
+    every = outcome(quantize._MAX_ITERATIONS)
+    assert outcome(4) == every
+    assert outcome(0) == every
+
+
+@pytest.mark.parametrize("family, args, n_max, integrals", [
+    ("morse", (10.0, 1.0), 9, 26), ("square_well", (8.0, 2.0), 5, 28)])
+def test_a_truncated_ladder_takes_w_within_the_recorded_count(
+        monkeypatch, family, args, n_max, integrals):
+    # every W integral of the quantizer, those of the unbound top level
+    # too, which no EnergyLevel.iterations counts; 38 and 43 when W was
+    # taken at every bound ceiling probe
+    energies = []
+    action = quantize.action_integral
+
+    def counted(pot, energy, region=None):
+        energies.append(energy)
+        return action(pot, energy, region)
+
+    monkeypatch.setattr(quantize, "action_integral", counted)
+    assert spectrum(getattr(PotentialModel, family)(*args), n_max).truncated
+    assert len(energies) <= integrals

@@ -5,8 +5,14 @@ panel with the worst error estimate is split until the combined estimate
 is at most max(1e-12, 1e-12 * |integral|), a fixed tolerance, within a
 fixed budget of 400 splits.  Known breakpoints of the integrand start the
 panels split there, as in QUADPACK's QAGP, and those start panels share
-one call of the integrand.  Integrands are called with a numpy array of
-nodes and must return an array of the same shape.
+one call of the integrand.  Without breakpoints the integrand is called
+on two levels of panels ahead of the splits that may need them: once for
+the start panel, its halves and their halves, and once per split whose
+halves it has not yet seen, for those halves and their halves.  Each
+panel still takes its own pass, on its own row of values, so the result
+has the bits of one call per panel.  Integrands are called with a numpy
+array of nodes and must return an array of the same shape, each value
+depending on its own node alone.
 
 ``integrate_cells`` applies the same rule to many adjacent cells at once,
 for cumulative integrals tabulated on a grid: each refinement round
@@ -140,6 +146,38 @@ def _checked(y, size: int) -> np.ndarray:
     return y
 
 
+def _rows_ahead(f, a: float, b: float, root: bool = False) -> dict:
+    """Values of ``f`` on the Kronrod nodes of the halves of [a, b] and of
+    their halves, and of [a, b] itself when ``root``, from one call of
+    ``f``: one row per panel, keyed by the panel's ends.
+
+    Each panel's nodes are those of the float path of
+    :func:`kronrod_panel`, to the bit.  Empty when the call raises,
+    returns another number of values or a dtype that is not real, or
+    meets a floating-point warning: the panels the heap needs then take
+    calls of their own, which raise and warn as they always did.  No row
+    is checked here; a non-finite value fails the pass that uses its row.
+    """
+    m = 0.5 * (a + b)
+    left, right = 0.5 * (a + m), 0.5 * (m + b)
+    starts = [a, m, a, left, m, right]
+    ends = [m, b, left, m, right, b]
+    if root:
+        starts.insert(0, a)
+        ends.insert(0, b)
+    lo, hi = np.array(starts), np.array(ends)
+    nodes = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _XK
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            y = np.asarray(f(nodes.ravel()))
+    except Exception:   # a needed panel's own call raises it again
+        return {}
+    if y.size != nodes.size or y.dtype.kind not in "fiub":
+        return {}
+    return dict(zip(zip(starts, ends),
+                    y.astype(float, copy=False).reshape(nodes.shape)))
+
+
 def _sharpened(diff: float) -> float:
     # QUADPACK's estimate: once K15 and G7 agree, the error shrinks faster.
     # From 200 diff = 1 up the power is at least diff, and may overflow.
@@ -153,9 +191,15 @@ def integrate_adaptive(f, a: float, b: float,
     ``points`` are breakpoints where ``f`` is not smooth, such as the
     knots of a spline.  Those strictly inside (a, b) split the starting
     panel; the rest, and repeats, are ignored.  The start panels take one
-    :func:`kronrod_panel` call, so ``f`` runs once on all their nodes;
-    each split half then takes a call of its own.  The split budget and
-    the tolerance are the same with or without points.
+    :func:`kronrod_panel` call, so ``f`` runs once on all their nodes.
+    Without points that call also takes the start panel's halves and
+    their halves, and a split whose halves have no values yet calls ``f``
+    once on them and on their halves (:func:`_rows_ahead`).  Every panel
+    the heap takes in still gets one :func:`kronrod_panel` pass of its
+    own, on its own row of values, so the value, the error bound, the
+    panel count and any error are those of one call of ``f`` per panel.
+    The split budget and the tolerance are the same with or without
+    points.
 
     Raises QuadratureError when the tolerance is not reached within
     _MAX_SUBDIVISIONS splits, with the best estimate and, as its error
@@ -169,8 +213,17 @@ def integrate_adaptive(f, a: float, b: float,
         raise UsageError("quadrature limits must satisfy a <= b")
 
     inner = {p for p in points if a < p < b}
+    # values of f on the nodes of panels that the heap may yet take in
+    rows = {} if inner else _rows_ahead(f, a, b, root=True)
+
+    def passed(pa: float, pb: float) -> tuple[float, float]:
+        row = rows.pop((pa, pb), None)
+        if row is None:
+            return kronrod_panel(f, pa, pb)
+        return kronrod_panel(lambda _: row, pa, pb)
+
     if not inner:     # the float path costs less than an array call
-        starts = [(a, b, *kronrod_panel(f, a, b))]
+        starts = [(a, b, *passed(a, b))]
     else:
         ends = [a, *sorted(inner), b]
         vals, diffs = kronrod_panel(f, ends[:-1], ends[1:])
@@ -196,8 +249,10 @@ def integrate_adaptive(f, a: float, b: float,
             heapq.heappush(heap, (neg_err, -1, pa, pb, pval, pdiff))
             break
         pm = 0.5 * (pa + pb)
-        lval, ldiff = kronrod_panel(f, pa, pm)
-        rval, rdiff = kronrod_panel(f, pm, pb)
+        if (pa, pm) not in rows:
+            rows.update(_rows_ahead(f, pa, pb))
+        lval, ldiff = passed(pa, pm)
+        rval, rdiff = passed(pm, pb)
         lerr, rerr = _sharpened(ldiff), _sharpened(rdiff)
         total += (lval + rval) - pval
         total_err += (lerr + rerr) - (-neg_err)

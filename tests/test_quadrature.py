@@ -1,7 +1,10 @@
+import heapq
+import warnings
+
 import numpy as np
 import pytest
 
-from phasebound import classical, quadrature
+from phasebound import classical, quadrature, spectrum
 from phasebound.errors import QuadratureError, UsageError
 from phasebound.quadrature import (
     integrate_adaptive,
@@ -224,3 +227,211 @@ def test_action_on_the_golden_quartic_is_within_its_bound(monkeypatch):
     assert w == res.value
     assert abs(w - 4.683257644869101527462) <= max(res.error_bound,
                                                    1e-14 * w)
+
+
+def _one_call_per_panel(f, a, b, points=()):
+    """The heap loop of integrate_adaptive as it was before it called f
+    ahead of its splits: one kronrod_panel call, and so one call of f, per
+    panel.  The reference for the bits of the shared calls."""
+    inner = {p for p in points if a < p < b}
+    if not inner:
+        starts = [(a, b, *kronrod_panel(f, a, b))]
+    else:
+        ends = [a, *sorted(inner), b]
+        vals, diffs = kronrod_panel(f, ends[:-1], ends[1:])
+        starts = zip(ends[:-1], ends[1:], vals.tolist(), diffs.tolist())
+    heap = []
+    total = total_err = 0.0
+    for counter, (pa, pb, val, diff) in enumerate(starts):
+        err = quadrature._sharpened(diff)
+        heap.append((-err, counter, pa, pb, val, diff))
+        total += val
+        total_err += err
+    heapq.heapify(heap)
+    counter = len(heap)
+    width_floor = quadrature._ROUNDING * max(abs(a), abs(b), 1.0)
+    for split in range(quadrature._MAX_SUBDIVISIONS):
+        if total_err <= max(quadrature._ABS_TOL,
+                            quadrature._REL_TOL * abs(total)):
+            return quadrature.QuadratureResult(total, total_err, counter)
+        neg_err, _, pa, pb, pval, pdiff = heapq.heappop(heap)
+        if pb - pa <= width_floor:
+            heapq.heappush(heap, (neg_err, -1, pa, pb, pval, pdiff))
+            break
+        pm = 0.5 * (pa + pb)
+        lval, ldiff = kronrod_panel(f, pa, pm)
+        rval, rdiff = kronrod_panel(f, pm, pb)
+        lerr, rerr = quadrature._sharpened(ldiff), quadrature._sharpened(rdiff)
+        total += (lval + rval) - pval
+        total_err += (lerr + rerr) - (-neg_err)
+        heapq.heappush(heap, (-lerr, counter, pa, pm, lval, ldiff))
+        heapq.heappush(heap, (-rerr, counter + 1, pm, pb, rval, rdiff))
+        counter += 2
+    if total_err <= max(quadrature._ABS_TOL, quadrature._REL_TOL * abs(total)):
+        return quadrature.QuadratureResult(total, total_err, counter)
+    bound = sum(panel[-1] for panel in heap)
+    raise QuadratureError(
+        f"quadrature did not converge: estimate {total!r}, "
+        f"error bound {bound!r} after {counter} panels",
+        estimate=total, error_bound=bound)
+
+
+def _outcome(integrate, f, a, b, points):
+    """The result's value, bound (both as hex, so bit for bit) and panels,
+    or the error's message, estimate and bound."""
+    try:
+        res = integrate(f, a, b, points)
+    except QuadratureError as exc:
+        return str(exc), exc.estimate.hex(), exc.error_bound.hex()
+    return res.value.hex(), res.error_bound.hex(), res.panels
+
+
+def _region_integrands(monkeypatch):
+    """(label, f, a, b, points) of every sine-substituted W integral that
+    a short ladder of each named family and of the 41-sample table takes,
+    and of dW/dE at each of its levels, as classical hands them over."""
+    from test_golden import _QUARTIC
+
+    taken = []
+
+    def recorded(f, a, b, points=()):
+        taken.append((label, f, a, b, tuple(points)))
+        return integrate_adaptive(f, a, b, points)
+
+    monkeypatch.setattr(classical, "integrate_adaptive", recorded)
+    for label, pot, n_max in (
+            ("harmonic", PotentialModel.harmonic(1.0), 4),
+            ("morse", PotentialModel.morse(10.0, 1.0), 4),
+            ("coulomb", PotentialModel.coulomb(2.5, 6.25), 3),
+            ("linear", PotentialModel.linear(1.7), 4),
+            ("square", PotentialModel.square_well(8.0, 2.0), 3),
+            ("quartic", PotentialModel.tabulated(_QUARTIC), 3)):
+        for level in spectrum(pot, n_max).levels:
+            classical.action_energy_derivative(pot, level.energy)
+    monkeypatch.undo()
+    return taken
+
+
+def test_shared_calls_keep_the_bits_of_one_call_per_panel(monkeypatch):
+    def smooth(x):
+        return np.exp(np.sin(3.0 * x)) * np.cos(x)
+
+    cases = [("smooth", smooth, -2.0, 5.0, ()),
+             ("kink", lambda x: np.abs(x - 0.3), 0.0, 1.0, ()),
+             ("kink-point", lambda x: np.abs(x - 0.3), 0.0, 1.0, (0.3,)),
+             ("inverse-sqrt", lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, ())]
+    cases += _region_integrands(monkeypatch)
+    labels = {case[0] for case in cases}
+    assert {"harmonic", "morse", "coulomb", "linear", "square",
+            "quartic"} <= labels
+    assert any(case[0] == "quartic" and case[4] for case in cases)
+    split = 0
+    for label, f, a, b, points in cases:
+        want = _outcome(_one_call_per_panel, f, a, b, points)
+        got = _outcome(integrate_adaptive, f, a, b, points)
+        assert got == want, label
+        split += want[-1] != 1
+    assert split > 50
+    # and when the split budget runs out, the same estimate, bound and
+    # message
+    for budget in (0, 1, 2, 5):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+        for label, f, a, b, points in cases[:4] + cases[4::7]:
+            want = _outcome(_one_call_per_panel, f, a, b, points)
+            got = _outcome(integrate_adaptive, f, a, b, points)
+            assert got == want, (label, budget)
+
+
+def _faulty(fault, at):
+    """1 / (1 + x^2), which takes the root panel of [0, 1] and its two
+    halves, except at the node ``at``: there it raises, gives NaN or
+    overflows with numpy's warning.  Records every call's nodes."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        hit = x == at
+        if fault == "raise" and hit.any():
+            raise ValueError(f"no value at {at!r}")
+        y = 1.0 / (1.0 + x * x)
+        if fault == "nan":
+            return np.where(hit, np.nan, y)
+        return y * (np.where(hit, 1e300, 1.0) * 1e10)     # overflow at `at`
+
+    return f, calls
+
+
+@pytest.mark.parametrize("fault", ["raise", "nan", "overflow"])
+def test_a_fault_only_where_no_panel_needs_it_is_never_seen(fault):
+    # 0.875 is the middle node of the quarter [0.75, 1], which the start
+    # call takes ahead of the splits; the heap stops at the halves
+    f, calls = _faulty(fault, 0.875)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        want = _outcome(_one_call_per_panel, f, 0.0, 1.0, ())
+        assert calls and not any((x == 0.875).any() for x in calls)
+        calls.clear()
+        got = _outcome(integrate_adaptive, f, 0.0, 1.0, ())
+    assert any((x == 0.875).any() for x in calls)
+    assert got == want and want[-1] == 3
+    assert seen == []
+
+
+@pytest.mark.parametrize("fault", ["raise", "nan", "overflow"])
+@pytest.mark.parametrize("at", [0.5 + 0.5 * 0.40584515137739716691, 0.75],
+                         ids=["root-node", "half-node"])
+def test_a_fault_where_a_panel_needs_it_is_the_serial_error(fault, at):
+    # a node of the root panel, or the middle node of the half [0.5, 1]
+    outcomes = []
+    for integrate in (_one_call_per_panel, integrate_adaptive):
+        f, _ = _faulty(fault, at)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(Exception) as exc:
+                integrate(f, 0.0, 1.0)
+        outcomes.append((type(exc.value), str(exc.value),
+                         [(w.category, str(w.message)) for w in seen]))
+    assert outcomes[0] == outcomes[1]
+    kind, message, warned = outcomes[0]
+    if fault == "raise":
+        assert kind is ValueError and warned == []
+    else:
+        assert kind is QuadratureError
+        assert message == "integrand returned a non-finite value"
+        assert len(warned) == (fault == "overflow")
+
+
+def test_a_complex_integrand_warns_as_with_one_call_per_panel():
+    # numpy drops the imaginary part with a ComplexWarning per call of f;
+    # a call ahead must not warn in place of the panels' own calls
+    def f(x):
+        return (1.0 + 1j) / (1.0 + x * x)
+
+    outcomes = []
+    for integrate in (_one_call_per_panel, integrate_adaptive):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            res = integrate(f, 0.0, 1.0)
+        outcomes.append((res.value.hex(), res.panels,
+                         [w.category for w in seen]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == [np.exceptions.ComplexWarning] * 3
+
+
+def test_a_harmonic_w_in_three_panels_calls_its_integrand_once(monkeypatch):
+    # root and halves come from the start call, which also takes the
+    # quarters that the heap never needs here
+    calls, results = [], []
+
+    def recorded(f, a, b, points=()):
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        results.append(integrate_adaptive(counted, a, b, points))
+        return results[-1]
+
+    monkeypatch.setattr(classical, "integrate_adaptive", recorded)
+    classical.action_integral(PotentialModel.harmonic(1.0), 10.5)
+    assert [res.panels for res in results] == [3]
+    assert calls == [7 * 15]

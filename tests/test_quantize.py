@@ -465,7 +465,7 @@ def test_a_survey_at_v_of_a_soft_end_solves():
 
 
 @pytest.mark.parametrize("family, args, n_max, v_calls, panels", [
-    ("harmonic", (1.0,), 20, 185, 183), ("morse", (10.0, 1.0), 9, 174, 172),
+    ("harmonic", (1.0,), 20, 63, 183), ("morse", (10.0, 1.0), 9, 34, 172),
     ("square_well", (8.0, 2.0), 5, 30, 28)])
 def test_the_roadmap_probes_stay_within_the_recorded_counts(
         monkeypatch, family, args, n_max, v_calls, panels):
